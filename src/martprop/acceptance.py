@@ -393,8 +393,9 @@ def criterion_9(threads=1):
         parts.append(f"{name}={base.value}"
                      + ("" if same else " VARIES"))
     elapsed = time.monotonic() - start
+    ok = ok and elapsed < 5.0
     return ("criterion 9 (Feller xi/scaling invariance)", ok,
-            "; ".join(parts) + f", {elapsed:.1f}s")
+            "; ".join(parts) + f", {elapsed:.2f}s (limit 5s)")
 
 
 _ALL = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,

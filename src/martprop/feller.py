@@ -5,11 +5,23 @@ is s'(x) = exp(-int_xi^x 2b/c dz) and the explosion functional is
 
     v(e) = int_xi^e s'(y) int_xi^y [2 / (c(z) s'(z))] dz dy.
 
-The diffusion is non-explosive iff v = infinity at both endpoints.  Because
-s' ranges over exp(+-huge), every integral here is carried in the log
-domain; the improper limits are probed along a geometric sequence toward
-the endpoint and declared infinite/finite from the partial-integral
-behavior (see feller_v).
+The diffusion is non-explosive iff v = infinity at both endpoints.  The
+improper limits are probed along a geometric sequence toward the endpoint
+and declared infinite/finite from the partial-integral behavior (see
+feller_v).
+
+The nested integral is never formed.  In the distance coordinate u >= 0
+(z = xi + d u, d = +-1) with g' = d 2b/c, its inner factor
+
+    J(u) = exp(-g(u)) int_0^u 2 exp(g(w)) / c(w) dw
+
+solves the linear ODE J' = 2/c - g' J, J(0) = 0, and v is the integral of
+J.  One left-to-right sweep solves that ODE by Chebyshev collocation on
+panels, with the coefficients evaluated as arrays, and integrates J with
+Clenshaw-Curtis weights (spectral integration on panels: Greengard,
+SIAM J. Numer. Anal. 28, 1991).  J is carried as exp(s) K with a running
+log scale s, so neither exp(+-g) nor a fast-growing J leaves the range of
+double precision, and v is accumulated in the log domain.
 
 Combined with the Girsanov modification this yields the martingale verdict
 for Z = E(beta(X).X^c): Z is a true martingale iff the modified diffusion
@@ -21,21 +33,59 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import (DegenerateDiffusion, MartpropError, PreconditionViolated,
                      QuadratureFailure)
 from .model import (Classification, DiffusionSpec, ExponentSpec,
                     MartingaleVerdict, modified_drift,
                     require_scalar_homogeneous)
-from .quad import CumulativeIntegral, _logaddexp, log_quad_adaptive
+# log_quad_adaptive is not used here; it stays importable under this name
+# because perfbench/tracer.py wraps martprop.feller.log_quad_adaptive
+from .quad import CumulativeIntegral, _logaddexp, log_quad_adaptive  # noqa: F401
 
 DIVERGENCE_THRESHOLD = 1e12
+_LOG_DIVERGENCE = math.log(DIVERGENCE_THRESHOLD)
 PROBE_REL_TOL = 1e-3
 # increments of a doubling-probe partial integral that shrink no faster
 # than this ratio over three consecutive probes indicate (at least)
 # logarithmic divergence
 FLAT_RATIO = 0.999
+# increments that shrink at least this fast over three consecutive probes
+# bound the rest of the integral by the geometric series dv rho / (1 - rho)
+GEOMETRIC_RATIO = 0.75
+_LOG_GEOMETRIC_REST = math.log(GEOMETRIC_RATIO / (1.0 - GEOMETRIC_RATIO))
 MAX_PROBES_INFINITE = 42
 MAX_PROBES_FINITE_ENDPOINT = 48
+
+# Collocation panels: 20 Chebyshev points of the second kind on [-1, 1]
+_NODES = 20
+_T = -np.cos(np.pi * np.arange(_NODES) / (_NODES - 1))
+
+
+def _collocation_tables(t):
+    """(values -> Chebyshev coefficients, Clenshaw-Curtis weights,
+    differentiation matrix) at the Chebyshev points t."""
+    n = t.size
+    to_coeffs = np.linalg.inv(np.cos(np.outer(np.arccos(t), np.arange(n))))
+    moments = np.array([2.0 / (1.0 - k * k) if k % 2 == 0 else 0.0
+                        for k in range(n)])
+    w = np.where((np.arange(n) == 0) | (np.arange(n) == n - 1), 2.0, 1.0)
+    w *= (-1.0) ** np.arange(n)
+    d = np.outer(w, 1.0 / w) / (t[:, None] - t[None, :] + np.eye(n))
+    return to_coeffs, moments @ to_coeffs, d - np.diag(d.sum(axis=1))
+
+
+_TO_COEFFS, _WEIGHTS, _DIFF = _collocation_tables(_T)
+# A panel is resolved when the highest Chebyshev coefficients of g' times
+# the half-width, an absolute bound on the error of g, are below
+# _G_TAIL_TOL (a relative test never resolves the kink of |x|^p at 0) or
+# at the rounding floor of the largest |g'|, and when those of K are below
+# _K_TAIL_TOL times max |K|.
+_G_TAIL_TOL = 1e-10
+_G_TAIL_FLOOR = 64.0 * np.finfo(float).eps
+_K_TAIL_TOL = 1e-11
+MAX_PANEL_BISECTIONS = 512
 
 
 @dataclass
@@ -83,6 +133,18 @@ class FellerReport:
                 "diagnostics": list(self.diagnostics)}
 
 
+def _require_positive_c(zs, values):
+    """Raise DegenerateDiffusion at the first z where c is not positive
+    and finite."""
+    bad = ~(values > 0.0) | ~np.isfinite(values)
+    if bad.any():
+        i = int(np.argmax(bad))
+        z, value = float(zs[i]), float(values[i])
+        if not value > 0.0:
+            raise DegenerateDiffusion(f"c({z}) = {value} is not positive")
+        raise DegenerateDiffusion(f"c({z}) is not finite")
+
+
 def _coefficients(spec):
     b_expr = spec.b[0]
     c_expr = spec.c_expr(0, 0)
@@ -92,11 +154,7 @@ def _coefficients(spec):
 
     def c(z):
         value = c_expr.eval_raw(0.0, z)
-        if not value > 0.0:
-            raise DegenerateDiffusion(
-                f"c({z}) = {value} is not positive")
-        if not math.isfinite(value):
-            raise DegenerateDiffusion(f"c({z}) is not finite")
+        _require_positive_c((z,), np.array([value]))
         return value
 
     return b, c
@@ -114,6 +172,87 @@ def log_scale_density(spec: DiffusionSpec, x: float, xi: float) -> float:
     return -g.at(x)
 
 
+def _tail(values):
+    """Largest of the three highest Chebyshev coefficients."""
+    return float(np.max(np.abs((_TO_COEFFS @ values)[-3:])))
+
+
+class _Sweep:
+    """Left-to-right collocation sweep of J' = 2/c - g' J along one probe
+    path, carrying log J at the current point."""
+
+    def __init__(self, spec, xi, direction):
+        self.b_expr = spec.b[0]
+        self.c_expr = spec.c_expr(0, 0)
+        self.xi = xi
+        self.direction = direction
+        self.log_j = -math.inf
+
+    def advance(self, a, b, log_v):
+        """log int_a^b J du.  Returns early, with the partial integral so
+        far, once v = exp(log_v) plus it exceeds DIVERGENCE_THRESHOLD: v
+        only grows, so the verdict at b is fixed there."""
+        log_int = -math.inf
+        ends = [b]
+        bisections = 0
+        while ends and not _logaddexp(log_v, log_int) > _LOG_DIVERGENCE:
+            panel = self._panel(a, ends[-1])
+            if panel is not None:
+                log_panel, self.log_j = panel
+                log_int = _logaddexp(log_int, log_panel)
+                a = ends.pop()
+                continue
+            mid = 0.5 * (a + ends[-1])
+            if not a < mid < ends[-1]:
+                raise QuadratureFailure(
+                    f"feller sweep: panel too small at u={a!r} "
+                    f"(z={self.xi + self.direction * a!r})")
+            bisections += 1
+            if bisections > MAX_PANEL_BISECTIONS:
+                raise QuadratureFailure(
+                    f"feller sweep: tolerance not met after {bisections - 1}"
+                    f" panel bisections on u in [{a!r}, {b!r}]")
+            ends.append(mid)
+        return log_int
+
+    def _panel(self, a, b):
+        """(log int_a^b J, log J(b)) on one panel, or None when g' or the
+        solution is not resolved there."""
+        half = 0.5 * (b - a)
+        zs = self.xi + self.direction * (0.5 * (a + b) + half * _T)
+        cs = self.c_expr.eval_array(0.0, zs)
+        _require_positive_c(zs, cs)
+        gp = self.direction * 2.0 * self.b_expr.eval_array(0.0, zs) / cs
+        if not np.all(np.isfinite(gp)):
+            raise QuadratureFailure(
+                f"non-finite drift ratio 2b/c on z in "
+                f"[{min(zs[0], zs[-1])!r}, {max(zs[0], zs[-1])!r}]")
+        g_tail = _tail(gp)
+        if (g_tail * half > _G_TAIL_TOL
+                and g_tail > _G_TAIL_FLOOR * float(np.max(np.abs(gp)))):
+            return None
+        # J = exp(s) K on the panel; solve (D / half + diag(g')) K = 2/c e^-s
+        # with K(a) = J(a) e^-s eliminated rather than kept as an equation:
+        # beside rows of size |g'| it would only hold to eps * max |g'|
+        s, k_a = (0.0, 0.0) if self.log_j == -math.inf else (self.log_j, 1.0)
+        k = np.empty(_NODES)
+        k[0] = k_a
+        with np.errstate(all="ignore"):
+            rhs = 2.0 * np.exp(-(s + np.log(cs[1:])))
+            try:
+                k[1:] = np.linalg.solve(
+                    _DIFF[1:, 1:] / half + np.diag(gp[1:]),
+                    rhs - _DIFF[1:, 0] * (k_a / half))
+            except np.linalg.LinAlgError:
+                return None
+            area = half * float(_WEIGHTS @ k)
+        if not (np.all(np.isfinite(k)) and area > 0.0 and k[-1] > 0.0):
+            return None
+        if _tail(k) > _K_TAIL_TOL * float(np.max(np.abs(k))):
+            return None
+        return s + math.log(area), s + math.log(k[-1])
+
+
 def feller_v(spec: DiffusionSpec, endpoint: str, xi: float,
              tolerance: float = PROBE_REL_TOL) -> VSide:
     """Evaluate v at one endpoint ("left"/"right") of the state interval.
@@ -121,7 +260,8 @@ def feller_v(spec: DiffusionSpec, endpoint: str, xi: float,
     Probe points march geometrically toward the endpoint; the partial
     integral is declared infinite once it exceeds DIVERGENCE_THRESHOLD or
     its per-probe increments stop decaying, and finite once the increments
-    fall below tolerance * value while decaying.  Raises QuadratureFailure
+    fall below tolerance * value while decaying (or decay geometrically
+    with a remainder below tolerance * value).  Raises QuadratureFailure
     when the probes are exhausted undecided.
     """
     require_scalar_homogeneous(spec, "feller_v")
@@ -136,16 +276,6 @@ def feller_v(spec: DiffusionSpec, endpoint: str, xi: float,
         raise PreconditionViolated(
             f"reference point xi={xi} outside the state interval ({l}, {r})")
 
-    b, c = _coefficients(spec)
-    g = CumulativeIntegral(lambda z: 2.0 * b(z) / c(z), xi)
-
-    def phi(u):
-        return xi + direction * u
-
-    def log_inner_integrand(u):
-        z = phi(u)
-        return math.log(2.0) - math.log(c(z)) + g.at(z)
-
     # probe sequence in the distance coordinate u >= 0
     if math.isinf(bound):
         step = max(1.0, abs(xi))
@@ -157,40 +287,26 @@ def feller_v(spec: DiffusionSpec, endpoint: str, xi: float,
 
     # fail fast on a degenerate diffusion coefficient: c must be positive
     # and finite along the probe path before any quadrature is attempted
-    c(phi(0.0))
-    for u_k in probes[:8]:
-        for frac in (0.25, 0.5, 0.75, 1.0):
-            c(phi(frac * u_k))
+    us = np.array([0.0] + [frac * u_k for u_k in probes[:8]
+                           for frac in (0.25, 0.5, 0.75, 1.0)])
+    zs = xi + direction * us
+    _require_positive_c(zs, spec.c_expr(0, 0).eval_array(0.0, zs))
 
+    sweep = _Sweep(spec, xi, direction)
     log_v = -math.inf
-    log_inner_prefix = -math.inf
     prev_increments = []  # log of per-probe increments
     u_prev = 0.0
     for k, u_k in enumerate(probes):
-        prefix = log_inner_prefix
-        lo = u_prev
-
-        def log_outer_integrand(u):
-            z = phi(u)
-            if u <= lo:
-                log_inner = prefix
-            else:
-                log_inner = _logaddexp(
-                    prefix, log_quad_adaptive(log_inner_integrand, lo, u))
-            return -g.at(z) + log_inner
-
-        log_dv = log_quad_adaptive(log_outer_integrand, u_prev, u_k)
-        log_inner_prefix = _logaddexp(
-            log_inner_prefix, log_quad_adaptive(log_inner_integrand,
-                                                u_prev, u_k))
+        log_dv = sweep.advance(u_prev, u_k, log_v)
         log_v = _logaddexp(log_v, log_dv)
         u_prev = u_k
         prev_increments.append(log_dv)
 
-        if log_v > math.log(DIVERGENCE_THRESHOLD):
+        if log_v > _LOG_DIVERGENCE:
             return VSide("infinite", reason="partial integral exceeded "
                          "divergence threshold", probes_used=k + 1,
                          log_partial=log_v)
+        ratios = []
         if len(prev_increments) >= 4:
             ratios = [prev_increments[-i] - prev_increments[-i - 1]
                       for i in (1, 2, 3)]
@@ -201,6 +317,10 @@ def feller_v(spec: DiffusionSpec, endpoint: str, xi: float,
         if (len(prev_increments) >= 2
                 and log_dv < log_v + math.log(tolerance)
                 and log_dv < prev_increments[-2] + math.log(0.5)):
+            return VSide("finite", value=math.exp(log_v),
+                         probes_used=k + 1, log_partial=log_v)
+        if (ratios and max(ratios) <= math.log(GEOMETRIC_RATIO)
+                and log_dv + _LOG_GEOMETRIC_REST < log_v + math.log(tolerance)):
             return VSide("finite", value=math.exp(log_v),
                          probes_used=k + 1, log_partial=log_v)
 
@@ -228,7 +348,6 @@ def classify_explosion(spec: DiffusionSpec, xi: float = None) -> FellerReport:
 
 def _grid_check_bounded(exprs, intervals, n_points=201):
     """Empirical local-boundedness check; returns failure strings."""
-    import numpy as np
     failures = []
     (l, r) = intervals[0]
     lo = l if math.isfinite(l) else -50.0
@@ -255,24 +374,18 @@ def martingale_verdict(spec: DiffusionSpec, exp: ExponentSpec,
     """
     require_scalar_homogeneous(spec, "martingale_verdict")
     notes = []
-    b, c = _coefficients(spec)
     # hard check: c > 0 on a validation grid
-    hard = []
     (l, r) = spec.intervals[0]
     lo = l if math.isfinite(l) else -50.0
     hi = r if math.isfinite(r) else 50.0
     n = 201
-    for i in range(n):
-        z = lo + (hi - lo) * (i + 0.5) / n
-        try:
-            c(z)
-        except DegenerateDiffusion as exc:
-            hard.append(str(exc))
-            break
-    if hard:
+    zs = lo + (hi - lo) * (np.arange(n) + 0.5) / n
+    try:
+        _require_positive_c(zs, spec.c_expr(0, 0).eval_array(0.0, zs))
+    except DegenerateDiffusion as exc:
         if grid_checks == "gate":
-            raise PreconditionViolated("; ".join(hard))
-        notes.extend(hard)
+            raise PreconditionViolated(str(exc)) from None
+        notes.append(str(exc))
     soft = _grid_check_bounded(list(spec.b) + list(exp.beta),
                                spec.intervals)
     if soft:

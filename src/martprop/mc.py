@@ -129,15 +129,6 @@ class DeficitCurve:
     def deficit(self):
         return 1.0 - self.extrapolated_expectation
 
-    def to_dict(self):
-        return {"entries": [{"level": m, "cap": c, "survival": q,
-                             "std_error": s}
-                            for (m, c, q, s) in self.entries],
-                "extrapolated_expectation": self.extrapolated_expectation,
-                "deficit": self.deficit,
-                "converged": self.converged,
-                "notes": list(self.notes)}
-
 
 @dataclass
 class EnsembleResult:

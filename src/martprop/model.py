@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (DimensionMismatch, IndexOutOfRange, PreconditionViolated,
                      ValidationError)
 from .expr import ZERO, CoefficientExpr, Num
+from .report import deficit_curve_dict
 
 INF = math.inf
 
@@ -219,10 +220,12 @@ class MartingaleVerdict:
     def to_dict(self):
         d = {"classification": self.classification.value,
              "notes": list(self.notes)}
-        for key in ("feller_original", "feller_modified", "deficit_curve"):
+        for key in ("feller_original", "feller_modified"):
             obj = getattr(self, key)
             if obj is not None:
-                d[key] = obj.to_dict() if hasattr(obj, "to_dict") else obj
+                d[key] = obj.to_dict()
+        if self.deficit_curve is not None:
+            d["deficit_curve"] = deficit_curve_dict(self.deficit_curve)
         return d
 
 

@@ -103,6 +103,19 @@ def test_jump_command(runner, tmp_path):
     assert "compensator_identity" in rep["estimates"]
 
 
+def test_jump_report_serializes_the_curve_once(runner, tmp_path):
+    cfg = _small(tmp_path, "atom-half", n_paths=200)
+    out = tmp_path / "r.json"
+    res = runner.invoke(main, ["jump", "--config", cfg,
+                               "--output", str(out)])
+    assert res.exit_code == 0
+    rep = json.loads(out.read_text())
+    assert rep["resolved_config"]["triplet"]["atoms"]
+    curve = rep["verdict"]["deficit_curve"]
+    assert curve == rep["curves"]["deficit"]
+    assert all("time_cap" in e for e in curve["entries"])
+
+
 def test_hilbert_command(runner, tmp_path):
     cfg = _small(tmp_path, "running-sup-1", n_paths=500)
     out = tmp_path / "r.json"

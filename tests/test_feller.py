@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from martprop.errors import PreconditionViolated
+from martprop import catalog
+from martprop.acceptance import _scaled
+from martprop.errors import DegenerateDiffusion, PreconditionViolated
 from martprop.feller import (
     classify_explosion,
     feller_v,
@@ -110,6 +112,127 @@ def test_scaling_invariance(spec, expected, lam):
     assert classify_explosion(scaled).conclusion == expected
 
 
+# --- closed forms and slowly decaying tails ------------------------------------
+
+@pytest.mark.parametrize("xi", [0.5, 0.2])
+def test_bounded_brownian_v_closed_forms(xi):
+    # BM on (0, 1): s' = 1, so v_right = (1 - xi)^2 and v_left = xi^2.
+    # The probes halve the distance to the endpoint, so the increments
+    # shrink by a ratio just above 1/2 and only the geometric-remainder
+    # rule decides; it stops once the remainder is below 1e-3 * v.
+    spec = DiffusionSpec.scalar("0", "1", x0=xi, interval=(0.0, 1.0))
+    for endpoint, exact in (("right", (1.0 - xi) ** 2), ("left", xi ** 2)):
+        side = feller_v(spec, endpoint, xi)
+        assert side.status == "finite"
+        assert exact * (1.0 - 1e-3) <= side.value <= exact
+
+
+def test_superlinear_kinked_drift_explodes():
+    # b = |x|^1.5 explodes to +inf although the increments of v shrink
+    # only by 2^-1/2 per probe; the kink of b at 0 must still resolve
+    spec = DiffusionSpec.scalar("abs(x)^1.5", "1")
+    rep = classify_explosion(spec)
+    assert rep.conclusion == "Explosive"
+    assert rep.v_left.status == "infinite"
+    assert rep.v_right.status == "finite"
+    # v(+inf) = int_0^inf J, J(z) = 2 int_z^inf exp(G(z) - G(y)) dy with
+    # G = 0.8 x^2.5; beyond Z = 4096, J = z^-1.5 (1 + O(z^-2.5))
+    def big_g(x):
+        return 0.8 * x ** 2.5
+
+    def inner(z):
+        w = 30.0 / (1.0 + 2.0 * z ** 1.5)
+        return 2.0 * integrate.quad(
+            lambda y: math.exp(big_g(z) - big_g(y)), z, z + 10.0 * w,
+            points=[z + w / 10.0, z + w], limit=200)[0]
+
+    cuts = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 64.0, 256.0, 1024.0, 4096.0]
+    ref = sum(integrate.quad(inner, a, b, limit=200, epsrel=1e-12)[0]
+              for a, b in zip(cuts, cuts[1:])) + 2.0 / math.sqrt(cuts[-1])
+    # the probes stop once the remainder bound falls below 1e-3 * v
+    assert ref * (1.0 - 1e-3) <= rep.v_right.value <= ref
+
+
+# --- pinned decisions ------------------------------------------------------------
+
+# (preset, dynamics, xi, lam, endpoint) -> (status, probes_used, v) over the
+# criterion-9 variants (xi None is the preset's x0 = 0).  Captured with
+# the nested adaptive quadrature that the collocation sweep replaced; v to
+# 1e-9.  The identity-zero original rows also stand for identity-zero's
+# modified dynamics and the brownian-* originals: all are b = 0, sigma = 1.
+_PINNED = [
+    ("identity-zero", "original", None, 1.0, "left", "infinite", 4, None),
+    ("identity-zero", "original", None, 1.0, "right", "infinite", 4, None),
+    ("identity-zero", "original", 0.6, 1.0, "left", "infinite", 4, None),
+    ("identity-zero", "original", 0.6, 1.0, "right", "infinite", 4, None),
+    ("identity-zero", "original", -1.3, 1.0, "left", "infinite", 4, None),
+    ("identity-zero", "original", -1.3, 1.0, "right", "infinite", 4, None),
+    ("identity-zero", "original", None, 0.5, "left", "infinite", 4, None),
+    ("identity-zero", "original", None, 0.5, "right", "infinite", 4, None),
+    ("identity-zero", "original", None, 2.0, "left", "infinite", 4, None),
+    ("identity-zero", "original", None, 2.0, "right", "infinite", 4, None),
+    ("brownian-linear", "modified", None, 1.0, "left", "infinite", 9, None),
+    ("brownian-linear", "modified", None, 1.0, "right", "infinite", 9, None),
+    ("brownian-linear", "modified", 0.6, 1.0, "left", "infinite", 13, None),
+    ("brownian-linear", "modified", 0.6, 1.0, "right", "infinite", 4, None),
+    ("brownian-linear", "modified", -1.3, 1.0, "left", "infinite", 5, None),
+    ("brownian-linear", "modified", -1.3, 1.0, "right", "infinite", 14, None),
+    ("brownian-linear", "modified", None, 0.5, "left", "infinite", 9, None),
+    ("brownian-linear", "modified", None, 0.5, "right", "infinite", 9, None),
+    ("brownian-linear", "modified", None, 2.0, "left", "infinite", 9, None),
+    ("brownian-linear", "modified", None, 2.0, "right", "infinite", 9, None),
+    ("brownian-cubic", "modified", None, 1.0, "left", "finite", 6, 1.6426426193417587),
+    ("brownian-cubic", "modified", None, 1.0, "right", "finite", 6, 1.6426426193417585),
+    ("brownian-cubic", "modified", 0.6, 1.0, "left", "finite", 6, 3.319503771886345),
+    ("brownian-cubic", "modified", 0.6, 1.0, "right", "finite", 7, 0.698790785626838),
+    ("brownian-cubic", "modified", -1.3, 1.0, "left", "finite", 7, 0.26235766519672477),
+    ("brownian-cubic", "modified", -1.3, 1.0, "right", "finite", 5, 8.384903659853888),
+    ("brownian-cubic", "modified", None, 0.5, "left", "finite", 6, 3.285285238683529),
+    ("brownian-cubic", "modified", None, 0.5, "right", "finite", 6, 3.285285238683529),
+    ("brownian-cubic", "modified", None, 2.0, "left", "finite", 6, 0.821321309670881),
+    ("brownian-cubic", "modified", None, 2.0, "right", "finite", 6, 0.8213213096708809),
+    ("ou-linear", "original", None, 1.0, "left", "infinite", 4, None),
+    ("ou-linear", "original", None, 1.0, "right", "infinite", 4, None),
+    ("ou-linear", "original", 0.6, 1.0, "left", "infinite", 4, None),
+    ("ou-linear", "original", 0.6, 1.0, "right", "infinite", 4, None),
+    ("ou-linear", "original", -1.3, 1.0, "left", "infinite", 3, None),
+    ("ou-linear", "original", -1.3, 1.0, "right", "infinite", 4, None),
+    ("ou-linear", "original", None, 0.5, "left", "infinite", 4, None),
+    ("ou-linear", "original", None, 0.5, "right", "infinite", 4, None),
+    ("ou-linear", "original", None, 2.0, "left", "infinite", 4, None),
+    ("ou-linear", "original", None, 2.0, "right", "infinite", 4, None),
+    ("ou-linear", "modified", None, 1.0, "left", "infinite", 4, None),
+    ("ou-linear", "modified", None, 1.0, "right", "infinite", 4, None),
+    ("ou-linear", "modified", 0.6, 1.0, "left", "infinite", 4, None),
+    ("ou-linear", "modified", 0.6, 1.0, "right", "infinite", 4, None),
+    ("ou-linear", "modified", -1.3, 1.0, "left", "infinite", 4, None),
+    ("ou-linear", "modified", -1.3, 1.0, "right", "infinite", 4, None),
+    ("ou-linear", "modified", None, 0.5, "left", "infinite", 4, None),
+    ("ou-linear", "modified", None, 0.5, "right", "infinite", 4, None),
+    ("ou-linear", "modified", None, 2.0, "left", "infinite", 4, None),
+    ("ou-linear", "modified", None, 2.0, "right", "infinite", 4, None),
+]
+
+
+@pytest.mark.parametrize(
+    "preset,dynamics,xi,lam,endpoint,status,probes,value", _PINNED)
+def test_pinned_decisions(preset, dynamics, xi, lam, endpoint, status,
+                          probes, value):
+    p = catalog.get(preset)
+    spec = p.spec if lam == 1.0 else _scaled(p.spec, lam)
+    if dynamics == "modified":
+        spec = modified_drift(spec, p.exponent)
+    side = feller_v(spec, endpoint, spec.x0[0] if xi is None else xi)
+    assert (side.status, side.probes_used) == (status, probes)
+    if value is not None:
+        assert side.value == pytest.approx(value, rel=1e-9)
+
+
+def test_pinned_kinked_coefficient():
+    side = feller_v(DiffusionSpec.scalar("abs(x)^1.5", "1"), "left", 0.0)
+    assert (side.status, side.probes_used) == ("infinite", 4)
+
+
 def test_xi_outside_interval_rejected():
     spec = DiffusionSpec.scalar("0", "1", x0=0.5, interval=(0.0, 1.0))
     with pytest.raises(PreconditionViolated):
@@ -160,6 +283,39 @@ def test_grid_gate_on_degenerate_c():
     v = martingale_verdict(bad, ExponentSpec.scalar("x"),
                            grid_checks="warn")
     assert v.notes  # recorded, not raised
+
+
+def _first_bad_c(spec, zs):
+    # scalar reference for the vectorized c > 0 checks
+    c = spec.c_expr(0, 0)
+    for z in zs:
+        value = c.eval_raw(0.0, z)
+        if not value > 0.0:
+            return f"c({z}) = {value} is not positive"
+        if not math.isfinite(value):
+            return f"c({z}) is not finite"
+    return None
+
+
+@pytest.mark.parametrize("sigma", ["x", "x-2", "log(x)", "exp(x^2)",
+                                   "0*x", "1/x", "sqrt(x-40)"])
+def test_degenerate_c_messages_match_scalar_scan(sigma):
+    spec = DiffusionSpec.scalar("0", sigma)
+    grid = [-50.0 + 100.0 * (i + 0.5) / 201 for i in range(201)]
+    expected = _first_bad_c(spec, grid)
+    if expected is not None:
+        with pytest.raises(PreconditionViolated) as gate:
+            martingale_verdict(spec, ExponentSpec.scalar("x"))
+        assert str(gate.value) == expected
+    for endpoint, d in (("right", 1.0), ("left", -1.0)):
+        path = [0.0] + [d * frac * 2.0 ** k for k in range(8)
+                        for frac in (0.25, 0.5, 0.75, 1.0)]
+        expected = _first_bad_c(spec, path)
+        if expected is None:
+            continue
+        with pytest.raises(DegenerateDiffusion) as fail_fast:
+            feller_v(spec, endpoint, 0.0)
+        assert str(fail_fast.value) == expected
 
 
 def test_soft_check_downgrades_to_inconclusive():
