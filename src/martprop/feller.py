@@ -86,6 +86,9 @@ _G_TAIL_TOL = 1e-10
 _G_TAIL_FLOOR = 64.0 * np.finfo(float).eps
 _K_TAIL_TOL = 1e-11
 MAX_PANEL_BISECTIONS = 512
+# A panel that exhausts the bisections where c is below _C_VANISH c(xi)
+# is stuck on 2/c blowing up: c vanishes there
+_C_VANISH = 1e-8
 
 
 @dataclass
@@ -209,11 +212,25 @@ class _Sweep:
                     f"(z={self.xi + self.direction * a!r})")
             bisections += 1
             if bisections > MAX_PANEL_BISECTIONS:
+                self._require_c_not_vanishing(a, ends[-1])
                 raise QuadratureFailure(
                     f"feller sweep: tolerance not met after {bisections - 1}"
                     f" panel bisections on u in [{a!r}, {b!r}]")
             ends.append(mid)
         return log_int
+
+    def _require_c_not_vanishing(self, a, b):
+        """Raise DegenerateDiffusion, naming z, when c on the panel [a, b]
+        falls below _C_VANISH c(xi)."""
+        zs = self.xi + self.direction * (0.5 * (a + b) + 0.5 * (b - a) * _T)
+        cs = self.c_expr.eval_array(0.0, zs)
+        c_xi = float(self.c_expr.eval_array(0.0, np.array([self.xi]))[0])
+        i = int(np.argmin(cs))
+        if cs[i] < _C_VANISH * c_xi:
+            raise DegenerateDiffusion(
+                f"c({float(zs[i])!r}) = {float(cs[i]):.3g} falls toward 0 "
+                f"(c({self.xi!r}) = {c_xi:.3g}): 2/c is not resolved after "
+                f"{MAX_PANEL_BISECTIONS} panel bisections")
 
     def _panel(self, a, b):
         """(log int_a^b J, log J(b)) on one panel, or None when g' or the

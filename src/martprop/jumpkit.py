@@ -17,16 +17,16 @@ jump-case martingale criterion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (EvalDomain, JumpBoundViolation, ValidationError)
 from .expr import CoefficientExpr
-from .mc import MCEstimate, SimConfig
+from .mc import CHUNK_SIZE, MCEstimate, SimConfig
 from .model import (Classification, DiffusionSpec, LocalizationPlan,
                     MartingaleVerdict)
-from .rng import path_generator
+from .rng import normal_block, uniform_block
 
 _TOL = 1e-12
 
@@ -39,11 +39,6 @@ def _as_expr(e, what):
     if isinstance(e, (int, float)):
         return CoefficientExpr.constant(float(e))
     raise ValidationError(f"{what}: cannot interpret {e!r} as an expression")
-
-
-def _h(x):
-    """Fixed truncation function h(x) = x 1{|x| <= 1}."""
-    return x if abs(x) <= 1.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -139,11 +134,7 @@ class GirsanovData:
         object.__setattr__(self, "U", _as_expr(self.U, "U"))
 
     def u(self, t, x):
-        value = self.U.eval_raw(t, x)
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValidationError(
-                f"U(t={t}, x={x}) = {value} must be positive and finite")
-        return value
+        return float(_u_table(self, [t], [x])[0, 0])
 
 
 @dataclass
@@ -296,15 +287,6 @@ def compute_R(trip: JumpTriplet, gd: GirsanovData, grid,
 
 
 @dataclass
-class JumpPath:
-    times: np.ndarray
-    states: np.ndarray
-    Z: np.ndarray
-    delta_N: list              # (time, value) of every jump of N
-    R: np.ndarray
-
-
-@dataclass
 class JumpSimResult:
     eval_times: np.ndarray
     z_evals: np.ndarray        # (n_paths, E)
@@ -315,69 +297,166 @@ class JumpSimResult:
     r_final: np.ndarray
     c_over_z_final: np.ndarray  # int (1/Z_-^2) dC(Z) at the horizon
     levels: np.ndarray
-    sample_paths: list = field(default_factory=list)
 
 
-def _modified_dynamics(trip, gd):
-    """Girsanov-modified triplet as callables.
+@dataclass(frozen=True)
+class _CompoundPoissonSteps:
+    """Compound-Poisson tables: one row per grid step, one column per
+    support point y_j of the size law."""
 
-    drift(t, x) = b + K c + lambda E_F[h(x)(U - 1)]; CP intensity
-    lambda E_F[U(t, .)] with law U.F / E_F[U]; atoms fire with mass
-    Uhat(t_k) and law U.G / Uhat.
-    """
-    b_expr = trip.base.b[0]
-    c_expr = trip.base.c_expr(0, 0)
+    sizes: np.ndarray        # (J,)
+    cdf: np.ndarray          # (steps, J, k_max + 1): CDF of each count
+    delta_n: np.ndarray      # Delta N of one jump, U' = U(t0, y_j) - 1
+    c_term: np.ndarray       # its term of C(Z), (1 - sqrt(1 + Delta N))^2
+    compensator: np.ndarray  # (steps,) lambda E_F[U - 1], drift of log Z
+    hellinger: np.ndarray    # (steps,) lambda E_F[(1 - sqrt(U))^2], dR/dt
+    drift_shift: np.ndarray  # (steps,) lambda E_F[h (U - 1)] when modified
 
-    def drift(t, x):
-        value = b_expr(t, x) + gd.K(t, x) * c_expr(t, x)
-        if trip.cp_rate > 0:
-            value += trip.cp_rate * trip.cp_dist.expect(
-                lambda y: _h(y) * (gd.u(t, y) - 1.0))
-        return value
 
-    def cp_rate(t):
-        if trip.cp_rate == 0:
-            return 0.0
-        return trip.cp_rate * trip.cp_dist.expect(lambda y: gd.u(t, y))
+@dataclass(frozen=True)
+class _AtomStep:
+    """One scheduled atom; it fires at the end of grid step `step`."""
 
-    def cp_dist(t):
-        return trip.cp_dist.reweighted(lambda y: gd.u(t, y))
+    step: int
+    column: int              # its two uniforms: fire, then size
+    fire_mass: float
+    size_cdf: np.ndarray
+    sizes: np.ndarray
+    delta_n_fired: np.ndarray  # per support point
+    delta_n_still: float
+    delta_r: float
 
-    def atom_mass_dist(atom):
-        uhat = compute_Uhat(trip, gd, atom.time)
-        # mass Uhat; law proportional to a G U, normalized
-        return uhat, atom.dist.reweighted(lambda y: gd.u(atom.time, y))
 
-    return drift, cp_rate, cp_dist, atom_mass_dist
+def _u_table(gd, times, sizes):
+    """U on times x sizes through eval_array.  Raises ValidationError at
+    the first entry, in (time, size) order, that is not positive and
+    finite."""
+    tt, yy = np.meshgrid(times, sizes, indexing="ij")
+    u = gd.U.eval_array(tt, yy)
+    bad = ~(np.isfinite(u) & (u > 0.0))
+    if bad.any():
+        i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        raise ValidationError(
+            f"U(t={float(times[i])}, x={float(sizes[j])}) = "
+            f"{float(u[i, j])} must be positive and finite")
+    return u
+
+
+def _poisson_cdf(mu):
+    """CDF of Poisson(mu) at 0..k_max along a new last axis.  The tail past
+    k_max = mu + 12 sqrt(mu) + 12 (for the largest mu) is far below the
+    2^-53 resolution of a uniform."""
+    top = float(np.max(mu))
+    k = np.arange(int(math.ceil(top + 12.0 * math.sqrt(top) + 12.0)) + 1)
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(k[1:]))))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_mu = np.log(mu)[..., None]
+        log_pmf = (np.where(k == 0, 0.0, k * log_mu) - mu[..., None]
+                   - log_fact)
+    return np.cumsum(np.exp(log_pmf), axis=-1)
+
+
+def _cp_steps(trip, gd, grid, modified):
+    """Per-grid-time compound-Poisson tables.  Jumps to y_j in a step are
+    Poisson(lambda dt p_j) under the original triplet and Poisson(lambda
+    dt p_j U(t0, y_j)) under the modified one: rate lambda E_F[U] and law
+    U.F / E_F[U], split by support point."""
+    sizes = np.array(trip.cp_dist.support)
+    probs = np.array(trip.cp_dist.probs)
+    t0, dt = grid[:-1], np.diff(grid)
+    u = _u_table(gd, t0, sizes)
+    lam = trip.cp_rate
+    weight = probs * u if modified else np.broadcast_to(probs, u.shape)
+    delta_n = u - 1.0
+    h = np.where(np.abs(sizes) <= 1.0, sizes, 0.0)
+    return _CompoundPoissonSteps(
+        sizes=sizes,
+        cdf=_poisson_cdf(lam * dt[:, None] * weight),
+        delta_n=delta_n,
+        c_term=(1.0 - np.sqrt(1.0 + delta_n)) ** 2,
+        compensator=lam * (delta_n @ probs),
+        hellinger=lam * ((1.0 - np.sqrt(u)) ** 2 @ probs),
+        drift_shift=(lam * ((h * delta_n) @ probs) if modified
+                     else np.zeros(len(t0))))
+
+
+def _atom_steps(trip, gd, grid, modified, first_column):
+    """One _AtomStep per atom on the grid, in time order."""
+    out = []
+    for atom in trip.atoms:
+        if atom.time > grid[-1]:
+            continue
+        t = atom.time
+        uhat = compute_Uhat(trip, gd, t)
+        if modified:
+            # mass Uhat; law proportional to a G U, normalized
+            fire_mass = uhat
+            law = atom.dist.reweighted(lambda y: gd.u(t, y))
+        else:
+            fire_mass, law = atom.mass, atom.dist
+        if atom.mass >= 1.0 - _TOL:
+            still = 0.0
+        else:
+            still = -(uhat - atom.mass) / (1.0 - atom.mass)
+        out.append(_AtomStep(
+            step=int(np.searchsorted(grid, t)) - 1,
+            column=first_column + 2 * len(out),
+            fire_mass=fire_mass,
+            size_cdf=np.cumsum(law.probs),
+            sizes=np.array(law.support),
+            delta_n_fired=_u_table(gd, [t], law.support)[0] - 1.0,
+            delta_n_still=still,
+            delta_r=atom_delta_R(atom, gd, trip)))
+    return out
+
+
+def _check_jump_bound(delta_n, t, paths):
+    bad = delta_n <= -1.0
+    if np.any(bad):
+        r = int(np.argmax(bad))
+        raise JumpBoundViolation(
+            f"Delta N = {float(delta_n[r])} <= -1 at t={t} on path "
+            f"{int(paths[r])}")
 
 
 def simulate_jump_exponential(trip: JumpTriplet, gd: GirsanovData,
                               config: SimConfig, *, levels=(),
-                              eval_times=None, modified=False,
-                              keep_paths=0) -> JumpSimResult:
-    """Simulate (X, N, Z) pathwise; Z via the Doleans-Dade product.
+                              eval_times=None,
+                              modified=False) -> JumpSimResult:
+    """Simulate (X, N, Z) pathwise on a fixed grid; Z via the Doleans-Dade
+    product.
 
     With modified=True the paths follow the Girsanov-modified triplet
     (used by verdict_jump) while R is still evaluated with the original
     (trip, gd) data along those paths.
 
-    Per-path determinism: each path consumes only its own counter-based
-    stream, so results are independent of ordering and worker count.
+    The paths of a chunk (CHUNK_SIZE paths; chunks are merged in index
+    order) advance together, and everything that depends only on
+    (t, jump size) is tabulated once per grid time.  Path p reads only
+    its own streams of (seed, p): one main-stream normal per step, and
+    on the jump stream one uniform per step and compound-Poisson support
+    point (that point's jump count, by inversion of its Poisson CDF),
+    then two per atom (fire, size).  So results do not depend on
+    chunking or ordering.
     """
     validate(trip, gd)
     if eval_times is None:
         eval_times = (config.horizon,)
     eval_times = tuple(sorted(set(float(t) for t in eval_times)))
-    levels = tuple(float(m) for m in levels)
+    levels = np.array([float(m) for m in levels])
     grid = _grid(trip, config.horizon, config.dt_max, extra=eval_times)
+    steps = len(grid) - 1
+    eval_column = {int(np.searchsorted(grid, t)) - 1: j
+                   for j, t in enumerate(eval_times)}
+    cp = _cp_steps(trip, gd, grid, modified) if trip.cp_rate > 0 else None
+    n_sizes = 0 if cp is None else len(cp.sizes)
+    atoms = {a.step: a for a in _atom_steps(trip, gd, grid, modified,
+                                            steps * n_sizes)}
+    n_uniforms = steps * n_sizes + 2 * len(atoms)
     b_expr = trip.base.b[0]
     sig_expr = trip.base.sigma[0][0]
     c_expr = trip.base.c_expr(0, 0)
-
-    if modified:
-        drift, mod_rate, mod_dist, mod_atom = _modified_dynamics(trip, gd)
-    else:
-        drift = None
+    guard = config.explosion_guard
 
     n = config.n_paths
     E, L = len(eval_times), len(levels)
@@ -388,123 +467,116 @@ def simulate_jump_exponential(trip: JumpTriplet, gd: GirsanovData,
     min_dn = np.full(n, math.inf)
     r_final = np.empty(n)
     c_over_z = np.empty(n)
-    sample_paths = []
-    eval_lookup = {t: j for j, t in enumerate(eval_times)}
-    guard = config.explosion_guard
 
-    for p in range(n):
-        gen = path_generator(config.seed, p)
-        x = trip.base.x0[0]
-        log_zc = 0.0          # continuous part: N^c - 0.5 <N^c>
-        jump_prod = 1.0       # product of (1 + Delta N)
-        r_acc = 0.0
-        coz = 0.0             # int (1/Z_-^2) dC(Z)
-        crossed = [False] * L
-        keep = p < keep_paths
-        if keep:
-            kp_t, kp_x, kp_z, kp_dn, kp_r = [0.0], [x], [1.0], [], [0.0]
-
-        def z_now():
-            return math.exp(log_zc) * jump_prod
-
-        def check_levels(tv):
-            for j, m in enumerate(levels):
-                if not crossed[j] and abs(x) >= m:
-                    crossed[j] = True
-                    passage[p, j] = tv
-                    z_at_passage[p, j] = z_now()
-
-        for i in range(1, len(grid)):
-            t0, t1 = grid[i - 1], grid[i]
-            dt = t1 - t0
-            if dt > 0:
-                bv = drift(t0, x) if modified else b_expr(t0, x)
-                sv = sig_expr(t0, x)
-                cv = c_expr(t0, x)
-                kv = gd.K(t0, x)
-                dW = gen.standard_normal() * math.sqrt(dt)
-                # exponent N: continuous part and CP compensator drift
-                log_zc += kv * sv * dW - 0.5 * kv * kv * cv * dt
-                if trip.cp_rate > 0:
-                    uprime_mean = trip.cp_dist.expect(
-                        lambda y: gd.u(t0, y) - 1.0)
-                    log_zc -= trip.cp_rate * uprime_mean * dt
-                r_acc += kv * kv * cv * dt
-                if trip.cp_rate > 0:
-                    r_acc += trip.cp_rate * trip.cp_dist.expect(
-                        lambda y: (1.0 - math.sqrt(gd.u(t0, y))) ** 2) * dt
-                coz += kv * kv * cv * dt
-                x += bv * dt + sv * dW
-                # compound-Poisson jumps within the step
-                rate = (mod_rate(t0) if modified else trip.cp_rate)
-                if rate > 0:
-                    count = int(gen.poisson(rate * dt))
-                    law = mod_dist(t0) if modified else trip.cp_dist
-                    for _ in range(count):
-                        size = law.sample(gen.random())
-                        x += size
-                        dn = compute_Uprime(gd, trip, t0, size)
-                        if dn <= -1.0:
-                            raise JumpBoundViolation(
-                                f"Delta N = {dn} <= -1 at t={t0}")
-                        jump_prod *= 1.0 + dn
-                        min_dn[p] = min(min_dn[p], dn)
-                        coz += (1.0 - math.sqrt(1.0 + dn)) ** 2
-                        if keep:
-                            kp_dn.append((t0, dn))
-            # scheduled atom at t1
-            atom = trip.atom_at(t1)
-            if atom is not None:
-                uhat = compute_Uhat(trip, gd, t1)
-                if modified:
-                    fire_mass, law = mod_atom(atom)
-                else:
-                    fire_mass, law = atom.mass, atom.dist
-                fired = gen.random() < fire_mass
-                if fired:
-                    size = law.sample(gen.random())
-                    x += size
-                    dn = gd.u(t1, size) - 1.0
-                else:
-                    if atom.mass >= 1.0 - _TOL:
-                        dn = 0.0
-                    else:
-                        dn = -(uhat - atom.mass) / (1.0 - atom.mass)
-                if dn <= -1.0:
-                    raise JumpBoundViolation(
-                        f"Delta N = {dn} <= -1 at atom t={t1}")
-                jump_prod *= 1.0 + dn
-                min_dn[p] = min(min_dn[p], dn)
-                r_acc += atom_delta_R(atom, gd, trip)
-                coz += (1.0 - math.sqrt(1.0 + dn)) ** 2
-                if keep:
-                    kp_dn.append((t1, dn))
-            check_levels(t1)
-            if abs(x) >= guard:
+    for start in range(0, n, CHUNK_SIZE):
+        paths = np.arange(start, min(start + CHUNK_SIZE, n))
+        normals = normal_block(config.seed, paths, steps)
+        uniforms = (uniform_block(config.seed, paths, n_uniforms)
+                    if n_uniforms else None)
+        m = paths.size
+        x = np.full(m, trip.base.x0[0])
+        log_zc = np.zeros(m)       # continuous part: N^c - 0.5 <N^c>
+        jump_prod = np.ones(m)     # product of (1 + Delta N)
+        r_acc = np.zeros(m)
+        coz = np.zeros(m)          # int (1/Z_-^2) dC(Z)
+        dn_min = np.full(m, math.inf)
+        crossed = np.zeros((m, L), dtype=bool)
+        live = np.arange(m)        # rows not stopped at the guard
+        for i in range(steps):
+            if not live.size:
                 break
-            if keep:
-                kp_t.append(t1)
-                kp_x.append(x)
-                kp_z.append(z_now())
-                kp_r.append(r_acc)
-            j = eval_lookup.get(t1)
+            t0, t1 = grid[i], grid[i + 1]
+            dt = t1 - t0
+            xa = x[live]
+            bv = b_expr.eval_array(t0, xa)
+            sv = sig_expr.eval_array(t0, xa)
+            cv = c_expr.eval_array(t0, xa)
+            kv = gd.K.eval_array(t0, xa)
+            finite = (np.isfinite(bv) & np.isfinite(sv) & np.isfinite(cv)
+                      & np.isfinite(kv))
+            if not np.all(finite):
+                r = int(np.argmin(finite))
+                raise EvalDomain(
+                    f"non-finite coefficient on path {int(paths[live[r]])} "
+                    f"at t={t0:.6g}, x={float(xa[r])}")
+            if modified:
+                bv = bv + kv * cv
+            dW = normals[live, i] * math.sqrt(dt)
+            # exponent N: continuous part and CP compensator drift
+            quad_var = kv * kv * cv * dt
+            dlog = kv * sv * dW - 0.5 * quad_var
+            dr = quad_var
+            if cp is not None:
+                dlog = dlog - cp.compensator[i] * dt
+                dr = dr + cp.hellinger[i] * dt
+                if modified:
+                    bv = bv + cp.drift_shift[i]
+            log_zc[live] += dlog
+            r_acc[live] += dr
+            coz[live] += quad_var
+            x[live] = xa + (bv * dt + sv * dW)
+
+            if cp is not None:
+                u = uniforms[live, i * n_sizes:(i + 1) * n_sizes]
+                rows = np.nonzero(np.any(u >= cp.cdf[i, :, 0], axis=1))[0]
+                if rows.size:
+                    cdf = cp.cdf[i]
+                    counts = np.minimum(
+                        np.sum(u[rows, :, None] >= cdf, axis=2),
+                        cdf.shape[1] - 1)
+                    dn = np.min(np.where(counts > 0, cp.delta_n[i],
+                                         math.inf), axis=1)
+                    rows = live[rows]
+                    _check_jump_bound(dn, t0, paths[rows])
+                    x[rows] += counts @ cp.sizes
+                    jump_prod[rows] *= np.prod(
+                        (1.0 + cp.delta_n[i]) ** counts, axis=1)
+                    dn_min[rows] = np.minimum(dn_min[rows], dn)
+                    coz[rows] += counts @ cp.c_term[i]
+
+            atom = atoms.get(i)
+            if atom is not None:
+                fired = uniforms[live, atom.column] < atom.fire_mass
+                k = np.minimum(
+                    np.searchsorted(atom.size_cdf,
+                                    uniforms[live, atom.column + 1],
+                                    side="right"), atom.sizes.size - 1)
+                dn = np.where(fired, atom.delta_n_fired[k],
+                              atom.delta_n_still)
+                _check_jump_bound(dn, t1, paths[live])
+                x[live] += np.where(fired, atom.sizes[k], 0.0)
+                jump_prod[live] *= 1.0 + dn
+                dn_min[live] = np.minimum(dn_min[live], dn)
+                r_acc[live] += atom.delta_r
+                coz[live] += (1.0 - np.sqrt(1.0 + dn)) ** 2
+
+            # levels before the guard; a stopped path records no eval time
+            ax = np.abs(x[live])
+            z = np.exp(log_zc[live]) * jump_prod[live]
+            if L:
+                newly = ~crossed[live] & (ax[:, None] >= levels)
+                if np.any(newly):
+                    rows, cols = np.nonzero(newly)
+                    crossed[live[rows], cols] = True
+                    passage[paths[live[rows]], cols] = t1
+                    z_at_passage[paths[live[rows]], cols] = z[rows]
+            going = ax < guard
+            if not np.all(going):
+                live, z = live[going], z[going]
+            j = eval_column.get(i)
             if j is not None:
-                z_evals[p, j] = z_now()
-        z_final[p] = z_now()
-        r_final[p] = r_acc
-        c_over_z[p] = coz
-        if keep:
-            sample_paths.append(JumpPath(
-                times=np.asarray(kp_t), states=np.asarray(kp_x),
-                Z=np.asarray(kp_z), delta_N=kp_dn, R=np.asarray(kp_r)))
+                z_evals[paths[live], j] = z
+        z_final[paths] = np.exp(log_zc) * jump_prod
+        r_final[paths] = r_acc
+        c_over_z[paths] = coz
+        min_dn[paths] = dn_min
 
     return JumpSimResult(eval_times=np.asarray(eval_times),
                          z_evals=z_evals, z_final=z_final,
                          passage_times=passage, z_at_passage=z_at_passage,
                          min_delta_N=min_dn, r_final=r_final,
                          c_over_z_final=c_over_z,
-                         levels=np.asarray(levels),
-                         sample_paths=sample_paths)
+                         levels=levels)
 
 
 @dataclass

@@ -4,11 +4,11 @@ Every path owns an independent Philox stream keyed by (seed, stream,
 path index), so a path is a pure function of its index: results are
 bit-identical regardless of chunking, worker count, or scheduling.  A
 small stream id carves out auxiliary per-path streams (bridge
-corrections, overflow jump draws) without disturbing the main one.
+corrections, the jump kit's uniforms) without disturbing the main one.
 
-`path_generator` opens one path's stream.  `normal_block` draws the
-normals of a whole chunk of paths in one batch; its rows are
-bit-identical to the per-path streams.
+`path_generator` opens one path's stream.  `normal_block` and
+`uniform_block` draw the normals or uniforms of a whole chunk of paths
+in one batch; their rows are bit-identical to the per-path streams.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ _SEED_MASK = 0xFFFFFFFFFFFFFFFF
 
 MAIN_STREAM = 0
 BRIDGE_STREAM = 1
-OVERFLOW_STREAM = 2
+JUMP_STREAM = 2
 
-# normal_block hands the interpreter lock over once per row, so blocks
+# a block hands the interpreter lock over once per row, so blocks
 # drawn in several threads at once only trade it back and forth: they queue
 _BLOCK_LOCK = threading.Lock()
 
@@ -46,17 +46,31 @@ def normal_block(seed: int, indices, count: int,
 
     Row r is bit-identical to
     ``path_generator(seed, indices[r], stream).standard_normal(count)``.
-    One Philox bit generator is re-keyed per row through its state, with
-    the counter and buffer of a freshly keyed Philox, so no generator is
-    built and no OS entropy is read per path.
     """
+    return _block(seed, indices, count, stream, "standard_normal")
+
+
+def uniform_block(seed: int, indices, count: int,
+                  stream: int = JUMP_STREAM) -> np.ndarray:
+    """Uniforms in [0, 1) of shape (len(indices), count), one row per path.
+
+    Row r is bit-identical to
+    ``path_generator(seed, indices[r], stream).random(count)``.
+    """
+    return _block(seed, indices, count, stream, "random")
+
+
+def _block(seed, indices, count, stream, method):
+    """One Philox bit generator is re-keyed per row through its state,
+    with the counter and buffer of a freshly keyed Philox, so no
+    generator is built and no OS entropy is read per path."""
     indices = np.asarray(indices, dtype=np.int64)
     bad = indices[(indices < 0) | (indices >= _MAX_INDEX)]
     if bad.size:
         raise ValueError(f"path index {int(bad[0])} out of range")
     out = np.empty((indices.size, count))
     bitgen = np.random.Philox(0)
-    gen = np.random.Generator(bitgen)
+    fill = getattr(np.random.Generator(bitgen), method)
     # plain lists: the state setter reads them faster than arrays
     key = [seed & _SEED_MASK, 0]
     fresh = {"bit_generator": "Philox",
@@ -68,5 +82,5 @@ def normal_block(seed: int, indices, count: int,
         for row, index in enumerate(indices.tolist()):
             key[1] = high | index
             bitgen.state = fresh
-            gen.standard_normal(out=out[row])
+            fill(out=out[row])
     return out

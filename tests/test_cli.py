@@ -103,6 +103,20 @@ def test_jump_command(runner, tmp_path):
     assert "compensator_identity" in rep["estimates"]
 
 
+def test_jump_report_reproducible_across_threads_and_runs(runner, tmp_path):
+    # two chunks of paths
+    cfg = _small(tmp_path, "poisson-U4", n_paths=5000)
+    blobs = []
+    for threads in ("1", "2", "1"):
+        out = tmp_path / f"t{len(blobs)}.json"
+        res = runner.invoke(main, ["jump", "--config", cfg, "--seed", "9",
+                                   "--threads", threads,
+                                   "--output", str(out)])
+        assert res.exit_code == 0
+        blobs.append(out.read_bytes())
+    assert blobs[0] == blobs[1] == blobs[2]
+
+
 def test_jump_report_serializes_the_curve_once(runner, tmp_path):
     cfg = _small(tmp_path, "atom-half", n_paths=200)
     out = tmp_path / "r.json"

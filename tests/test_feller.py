@@ -53,19 +53,21 @@ def test_log_scale_density_survives_huge_exponents():
 def test_cubic_v_right_matches_high_precision_oracle():
     side = feller_v(CUBIC_MOD, "right", 0.0)
     assert side.status == "finite"
-    # v(+inf) = int_0^inf 2 exp(z^4/2) int_z^inf exp(-y^4/2) dy dz
-    # (Fubini of the nested form); evaluated at 30 decimal digits with
-    # the inner integral windowed to its O(z^-3) boundary layer
-    mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 30
+    # v(+inf) = int_0^inf J, J(z) = 2 int_0^inf exp(G(z) - G(z + s)) ds
+    # with G = x^4/2 (Fubini of the nested form); G(z + s) - G(z) is
+    # expanded in s so that no large exponents cancel.  Beyond Z = 1024,
+    # J = z^-3 (1 + O(z^-4)).  Agrees with a 30-digit mpmath evaluation
+    # of the same form to 1e-11 relative.
+    def inner(z):
+        w = 30.0 / (1.0 + 2.0 * z ** 3)
+        return 2.0 * integrate.quad(
+            lambda s: math.exp(-0.5 * s * (4.0 * z ** 3 + s * (
+                6.0 * z ** 2 + s * (4.0 * z + s)))),
+            0.0, 10.0 * w, points=[w / 10.0, w], limit=200)[0]
 
-    def f(z):
-        z = mp.mpf(z)
-        inner = mp.quad(lambda y: mp.e ** ((z ** 4 - y ** 4) / 2),
-                        [z, z + 20 / (1 + z ** 3)])
-        return 2 * inner
-
-    ref = float(mp.quad(f, [0, 1, 2, 4, 8, 16, 64, 256, 1024, mp.inf]))
+    cuts = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 64.0, 256.0, 1024.0]
+    ref = sum(integrate.quad(inner, a, b, limit=200, epsrel=1e-12)[0]
+              for a, b in zip(cuts, cuts[1:])) + 0.5 / cuts[-1] ** 2
     # the probe sequence stops once increments drop below 1e-3 * v, so
     # the returned value may undershoot by up to that relative amount
     assert side.value == pytest.approx(ref, rel=2e-3)
@@ -245,6 +247,19 @@ def test_degenerate_diffusion_yields_unknown():
     rep = classify_explosion(DiffusionSpec.scalar("0", "x"))
     assert rep.conclusion == "Unknown"
     assert rep.diagnostics
+
+
+def test_vanishing_c_between_the_fail_fast_points_is_named():
+    # c = (x - 2)^2 from xi = 3 leftward: no fail-fast point lands on 2,
+    # and 2/c blows up there
+    spec = DiffusionSpec.scalar("0", "x-2", x0=3.0)
+    with pytest.raises(DegenerateDiffusion,
+                       match=r"^c\(2\.0000000005\d*\) = .* falls toward 0 "
+                             r"\(c\(3\.0\) = 1\): 2/c is not resolved"):
+        feller_v(spec, "left", 3.0)
+    rep = classify_explosion(spec)
+    assert rep.v_left.status == "failed"
+    assert rep.conclusion == "Unknown"
 
 
 def test_multidimensional_rejected():

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from martprop.errors import ValidationError
+from martprop import jumpkit
+from martprop.errors import EvalDomain, JumpBoundViolation, ValidationError
 from martprop.jumpkit import (
     Atom,
     DiscreteDist,
@@ -22,6 +23,7 @@ from martprop.jumpkit import (
 )
 from martprop.mc import SimConfig
 from martprop.model import Classification, DiffusionSpec, LocalizationPlan
+from martprop.rng import JUMP_STREAM, path_generator
 
 BM = DiffusionSpec.scalar("0", "1")
 UNIT = DiscreteDist((1.0,), (1.0,))
@@ -216,3 +218,196 @@ def test_verdict_strict_local_for_cubic_K():
                                seed=19))
     assert v.classification is Classification.STRICT_LOCAL
     assert v.deficit_curve.deficit > 0.1
+
+
+# --- lockstep sampler ---------------------------------------------------------
+
+def _within(samples, mean, var, z=5.0):
+    samples = np.asarray(samples, dtype=np.float64)
+    return abs(float(np.mean(samples)) - mean) <= z * math.sqrt(
+        var / samples.size)
+
+
+def test_cp_count_is_poisson_under_both_triplets():
+    trip, gd = POISSON_U4
+    cfg = SimConfig(n_paths=4000, dt_max=0.01, horizon=1.0, seed=5,
+                    adaptive=False)
+    # lambda t = 1; the modified rate is lambda E_F[U] = 4
+    for modified, mean in ((False, 1.0), (True, 4.0)):
+        res = simulate_jump_exponential(trip, gd, cfg, modified=modified)
+        # K = 0 and U = 4: each jump adds (1 - sqrt(4))^2 = 1 to C(Z)
+        counts = res.c_over_z_final
+        np.testing.assert_array_equal(counts, np.round(counts))
+        assert _within(counts, mean, mean)
+        p0 = math.exp(-mean)
+        assert _within(counts == 0, p0, p0 * (1.0 - p0))
+
+
+def test_two_point_law_counts_per_support_point():
+    # sizes 1 and 2 with U = (x + 1)^2 = 4 and 9: a jump adds 1 or 4 to
+    # C(Z) and multiplies Z by 4 or 9, so (C, Z) give both counts
+    lam, probs = 2.0, (0.25, 0.75)
+    trip = JumpTriplet(base=BM, cp_rate=lam,
+                       cp_dist=DiscreteDist((1.0, 2.0), probs))
+    gd = GirsanovData(K="0", U="(x + 1)^2")
+    compensator = lam * (probs[0] * 3.0 + probs[1] * 8.0)
+    cfg = SimConfig(n_paths=4000, dt_max=0.01, horizon=1.0, seed=8,
+                    adaptive=False)
+    for modified, weights in ((False, (1.0, 1.0)), (True, (4.0, 9.0))):
+        res = simulate_jump_exponential(trip, gd, cfg, modified=modified)
+        c = res.c_over_z_final
+        half_log = 0.5 * (np.log(res.z_final) + compensator)
+        raw = (half_log - c * math.log(2.0)) / (
+            math.log(3.0) - 4.0 * math.log(2.0))
+        n2 = np.round(raw)
+        assert np.max(np.abs(raw - n2)) < 1e-6
+        n1 = c - 4.0 * n2
+        for counts, p, w in zip((n1, n2), probs, weights):
+            assert np.all(counts >= 0.0)
+            assert _within(counts, lam * p * w, lam * p * w)
+
+
+def test_atom_fires_with_its_mass_and_with_uhat_when_modified():
+    trip, gd = ATOM_HALF
+    cfg = SimConfig(n_paths=4000, dt_max=0.01, horizon=1.0, seed=9,
+                    adaptive=False)
+    for modified, mass in ((False, 0.5), (True, 0.75)):
+        res = simulate_jump_exponential(trip, gd, cfg, modified=modified)
+        # Delta N = U - 1 = 0.5 when the atom fires and
+        # -(Uhat - a)/(1 - a) = -0.5 when it does not
+        fired = res.min_delta_N == 0.5
+        assert np.all(fired | (res.min_delta_N == -0.5))
+        assert _within(fired, mass, mass * (1.0 - mass))
+
+
+def test_non_finite_coefficient_names_path_time_and_state():
+    trip = JumpTriplet(base=BM)
+    with pytest.raises(EvalDomain, match=r"on path 0 at t=0, x=0\.0"):
+        simulate_jump_exponential(trip, GirsanovData(K="1/x", U="1"), CFG)
+
+
+def test_jump_of_minus_one_after_rounding_is_rejected():
+    # U = 1e-20 passes validation (U > 0), but Delta N = U - 1 rounds to -1
+    trip = JumpTriplet(base=BM, cp_rate=1.0, cp_dist=UNIT)
+    gd = GirsanovData(K="0", U="1e-20")
+    with pytest.raises(JumpBoundViolation, match=r"Delta N = -1\.0 <= -1"):
+        simulate_jump_exponential(trip, gd, CFG)
+
+
+def test_time_dependent_U_is_checked_at_every_grid_time():
+    trip = JumpTriplet(base=BM, cp_rate=1.0, cp_dist=UNIT)
+    gd = GirsanovData(K="0", U="1 - t")  # admissible at t = 0, 0 at t = 1
+    with pytest.raises(ValidationError,
+                       match=r"U\(t=1\.0, x=1\.0\) = 0\.0 must be positive"):
+        simulate_jump_exponential(
+            trip, gd, SimConfig(n_paths=10, dt_max=0.25, horizon=1.5,
+                                seed=1, adaptive=False))
+
+
+def _poisson_inverse(u, mu):
+    k, term = 0, math.exp(-mu)
+    acc = term
+    while u >= acc:
+        k += 1
+        term *= mu / k
+        acc += term
+    return k
+
+
+def _reference_path(trip, gd, grid, seed, path, levels, eval_times,
+                    guard, modified):
+    """One path by a scalar loop over the documented streams."""
+    sizes, probs = trip.cp_dist.support, trip.cp_dist.probs
+    lam, atom = trip.cp_rate, trip.atoms[0]
+    steps = len(grid) - 1
+    normals = path_generator(seed, path).standard_normal(steps)
+    uniforms = path_generator(seed, path, JUMP_STREAM).random(
+        steps * len(sizes) + 2)
+    x, log_zc, prod, r, coz, dn_min = trip.base.x0[0], 0.0, 1.0, 0.0, 0.0, \
+        math.inf
+    passage = [math.inf] * len(levels)
+    z_pass = [math.nan] * len(levels)
+    z_evals = [math.nan] * len(eval_times)
+    for i in range(steps):
+        t0, t1 = grid[i], grid[i + 1]
+        dt = t1 - t0
+        u = [gd.u(t0, y) for y in sizes]
+        b = trip.base.b[0](t0, x)
+        s = trip.base.sigma[0][0](t0, x)
+        c = s * s
+        k = gd.K(t0, x)
+        if modified:
+            b += k * c + lam * sum(p * (y if abs(y) <= 1 else 0.0) * (v - 1)
+                                   for y, p, v in zip(sizes, probs, u))
+        dw = normals[i] * math.sqrt(dt)
+        log_zc += k * s * dw - 0.5 * k * k * c * dt - lam * sum(
+            p * (v - 1) for p, v in zip(probs, u)) * dt
+        r += k * k * c * dt + lam * sum(
+            p * (1 - math.sqrt(v)) ** 2 for p, v in zip(probs, u)) * dt
+        coz += k * k * c * dt
+        x += b * dt + s * dw
+        for j, (y, p, v) in enumerate(zip(sizes, probs, u)):
+            mu = lam * dt * p * (v if modified else 1.0)
+            count = _poisson_inverse(uniforms[i * len(sizes) + j], mu)
+            if count:
+                x += count * y
+                prod *= v ** count
+                dn_min = min(dn_min, v - 1)
+                coz += count * (1 - math.sqrt(v)) ** 2
+        if t1 == atom.time:
+            uhat = compute_Uhat(trip, gd, t1)
+            law = (atom.dist.reweighted(lambda y: gd.u(t1, y)) if modified
+                   else atom.dist)
+            if uniforms[-2] < (uhat if modified else atom.mass):
+                y = law.sample(uniforms[-1])
+                x += y
+                dn = gd.u(t1, y) - 1
+            else:
+                dn = -(uhat - atom.mass) / (1 - atom.mass)
+            prod *= 1 + dn
+            dn_min = min(dn_min, dn)
+            r += atom_delta_R(atom, gd, trip)
+            coz += (1 - math.sqrt(1 + dn)) ** 2
+        z = math.exp(log_zc) * prod
+        for j, m in enumerate(levels):
+            if passage[j] == math.inf and abs(x) >= m:
+                passage[j], z_pass[j] = t1, z
+        if abs(x) >= guard:
+            break
+        if t1 in eval_times:
+            z_evals[eval_times.index(t1)] = z
+    return (z_evals, z, passage, z_pass, dn_min, r, coz)
+
+
+@pytest.mark.parametrize("modified", [False, True])
+def test_lockstep_chunks_match_a_scalar_loop_per_path(monkeypatch, modified):
+    # state-dependent coefficients, a time-dependent U on a two-point law,
+    # an atom off the regular grid, and a guard that stops some paths
+    base = DiffusionSpec.scalar("-x", "1 + 0.1*x^2", x0=0.2)
+    trip = JumpTriplet(
+        base=base, cp_rate=3.0,
+        cp_dist=DiscreteDist((0.5, -1.5), (0.4, 0.6)),
+        atoms=(Atom(time=0.375, mass=0.4,
+                    dist=DiscreteDist((1.0, 2.0), (0.7, 0.3))),))
+    gd = GirsanovData(K="tanh(x)", U="1 + 0.5*t + 0.1*x")
+    levels, eval_times = (0.5, 1.5), (0.5, 1.0)
+    cfg = SimConfig(n_paths=40, dt_max=0.05, horizon=1.0, seed=3,
+                    adaptive=False, explosion_guard=2.5)
+    monkeypatch.setattr(jumpkit, "CHUNK_SIZE", 7)
+    res = simulate_jump_exponential(trip, gd, cfg, levels=levels,
+                                    eval_times=eval_times,
+                                    modified=modified)
+    grid = jumpkit._grid(trip, 1.0, 0.05, extra=eval_times)
+    stopped = 0
+    for p in range(cfg.n_paths):
+        z_ev, z_fin, pas, z_pas, dn_min, r, coz = _reference_path(
+            trip, gd, grid, 3, p, levels, list(eval_times), 2.5, modified)
+        stopped += math.isnan(z_ev[-1])
+        np.testing.assert_allclose(res.z_evals[p], z_ev, rtol=1e-11)
+        np.testing.assert_allclose(res.z_final[p], z_fin, rtol=1e-11)
+        np.testing.assert_array_equal(res.passage_times[p], pas)
+        np.testing.assert_allclose(res.z_at_passage[p], z_pas, rtol=1e-11)
+        np.testing.assert_allclose(res.min_delta_N[p], dn_min, rtol=1e-13)
+        np.testing.assert_allclose(res.r_final[p], r, rtol=1e-11)
+        np.testing.assert_allclose(res.c_over_z_final[p], coz, rtol=1e-11)
+    assert 0 < stopped < cfg.n_paths

@@ -4,8 +4,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from martprop.rng import (BRIDGE_STREAM, MAIN_STREAM, normal_block,
-                          path_generator)
+from martprop.rng import (BRIDGE_STREAM, JUMP_STREAM, MAIN_STREAM,
+                          normal_block, path_generator, uniform_block)
 
 
 def test_same_key_same_stream():
@@ -47,6 +47,17 @@ def test_normal_block_rows_are_path_streams(seed, stream):
         np.testing.assert_array_equal(
             block[row],
             path_generator(seed, index, stream).standard_normal(23))
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2 ** 63 + 12345])
+@pytest.mark.parametrize("stream", [MAIN_STREAM, JUMP_STREAM])
+def test_uniform_block_rows_are_path_streams(seed, stream):
+    indices = [0, 5, 2 ** 48 - 2, 2 ** 48 - 1]
+    block = uniform_block(seed, indices, 23, stream)
+    assert block.shape == (len(indices), 23)
+    for row, index in enumerate(indices):
+        np.testing.assert_array_equal(
+            block[row], path_generator(seed, index, stream).random(23))
 
 
 @pytest.mark.parametrize("index", [-1, 2 ** 48])
