@@ -139,13 +139,9 @@ def with_overrides(preset: Preset, *, t=None, seed=None, n_paths=None,
     """Common scalar overrides, keeping the bundle consistent."""
     new_t = preset.t if t is None else float(t)
     mc = preset.mc
-    horizon = max(mc.horizon, new_t)
-    mc = SimConfig(
+    mc = replace(
+        mc, horizon=max(mc.horizon, new_t),
         n_paths=mc.n_paths if n_paths is None else int(n_paths),
         dt_max=mc.dt_max if dt_max is None else float(dt_max),
-        horizon=horizon,
-        seed=mc.seed if seed is None else int(seed),
-        adaptive=mc.adaptive,
-        bridge_correction=mc.bridge_correction,
-        explosion_guard=mc.explosion_guard)
+        seed=mc.seed if seed is None else int(seed))
     return replace(preset, t=new_t, mc=mc)

@@ -9,6 +9,7 @@ codes: 0 success, 1 validation/config error, 2 numerical failure,
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 
 import click
 
@@ -39,7 +40,6 @@ from .hilbert import (
 from .jumpkit import validate as validate_jump
 from .jumpkit import verdict_jump, verify_compensator_identity
 from .mc import (
-    SimConfig,
     deficit_for,
     estimate_mean_direct,
     localized_bound_check,
@@ -247,10 +247,8 @@ def hilbert(config_path, preset, seed, threads, output_path, fmt,
     def body():
         rc = _resolve(config_path, preset, seed, kind="hilbert")
         rc.functional.check_modes(rc.covariance.modes)
-        cond_cfg = SimConfig(n_paths=condition_paths,
-                             dt_max=rc.mc.dt_max, horizon=rc.t,
-                             seed=rc.mc.seed, adaptive=False,
-                             explosion_guard=rc.mc.explosion_guard)
+        cond_cfg = replace(rc.mc, n_paths=condition_paths, horizon=rc.t,
+                           adaptive=False)
         times, states = sample_path_array(rc.covariance, cond_cfg,
                                           condition_paths)
         cond = check_conditions(rc.functional, rc.covariance, times,

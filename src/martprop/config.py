@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from . import catalog
 from .errors import ConfigError, MartpropError
@@ -98,15 +98,9 @@ def plan_to_dict(plan):
 
 
 def mc_from_dict(d, base=None, fld="mc"):
-    merged = {} if base is None else {
-        "n_paths": base.n_paths, "dt_max": base.dt_max,
-        "horizon": base.horizon, "seed": base.seed,
-        "adaptive": base.adaptive,
-        "bridge_correction": base.bridge_correction,
-        "explosion_guard": base.explosion_guard}
-    merged.update(d or {})
+    d = d or {}
     try:
-        return SimConfig(**merged)
+        return SimConfig(**d) if base is None else replace(base, **d)
     except TypeError as exc:
         raise ConfigError(str(exc), field=fld) from None
     except MartpropError as exc:

@@ -1,11 +1,12 @@
 """Scalar coefficient expressions in the variables t and x.
 
 Drift, dispersion and exponent fields are supplied as text like
-``"2*t + exp(-x^2)"`` and parsed into a small immutable AST.  Evaluation is
-a pure function of (t, x); non-finite results (division by zero, log of a
-non-positive number, overflow) are kept in-band as inf/nan by the raw
-evaluator and only turned into :class:`EvalDomain` errors by callers that
-need finiteness.
+``"2*t + exp(-x^2)"`` and parsed into a small immutable AST, which is
+compiled once into a closure over numpy arrays.  Evaluation is a pure
+function of (t, x), at a point or over an array of points; non-finite
+results (division by zero, log of a non-positive number, overflow) are
+kept in-band as inf/nan with numpy's semantics and only turned into
+:class:`EvalDomain` errors by callers that need finiteness.
 
 Grammar: numbers, ``t``, ``x``, ``+ - * / ^`` with unary minus, and the
 function catalog exp, log, sqrt, abs, sin, cos, tanh, min, max.
@@ -25,38 +26,18 @@ from .errors import EvalDomain, ExprSyntaxError, UnknownIdentifier
 
 VARIABLES = ("t", "x")
 
-def _scalar_log(a):
-    # matches numpy: log(0) = -inf, log(negative) = nan
-    if a == 0.0:
-        return -math.inf
-    return math.log(a)
-
-
 _FUNCTIONS_1 = {
-    "exp": (math.exp, np.exp),
-    "log": (_scalar_log, np.log),
-    "sqrt": (math.sqrt, np.sqrt),
-    "abs": (abs, np.abs),
-    "sin": (math.sin, np.sin),
-    "cos": (math.cos, np.cos),
-    "tanh": (math.tanh, np.tanh),
+    "exp": np.exp,
+    "log": np.log,
+    "sqrt": np.sqrt,
+    "abs": np.abs,
+    "sin": np.sin,
+    "cos": np.cos,
+    "tanh": np.tanh,
 }
-def _scalar_min(a, b):
-    # matches numpy minimum/maximum: nan propagates
-    if math.isnan(a) or math.isnan(b):
-        return math.nan
-    return min(a, b)
-
-
-def _scalar_max(a, b):
-    if math.isnan(a) or math.isnan(b):
-        return math.nan
-    return max(a, b)
-
-
 _FUNCTIONS_2 = {
-    "min": (_scalar_min, np.minimum),
-    "max": (_scalar_max, np.maximum),
+    "min": np.minimum,
+    "max": np.maximum,
 }
 FUNCTION_NAMES = frozenset(_FUNCTIONS_1) | frozenset(_FUNCTIONS_2)
 
@@ -222,72 +203,7 @@ class _Parser:
                               {"number", "identifier", "(", "-"})
 
 
-# --- evaluation --------------------------------------------------------
-
-
-def _safe_div(a, b):
-    if b == 0.0:
-        if a == 0.0 or math.isnan(a):
-            return math.nan
-        return math.copysign(math.inf, a) * math.copysign(1.0, b)
-    try:
-        return a / b
-    except OverflowError:
-        return math.copysign(math.inf, a) * math.copysign(1.0, b)
-
-
-def _safe_pow(a, b):
-    try:
-        r = a ** b
-        if isinstance(r, complex):
-            return math.nan
-        return r
-    except OverflowError:
-        # match numpy: negative base is nan for fractional exponents and
-        # overflows to -inf for odd integer exponents
-        if a < 0.0 and math.isfinite(b):
-            if not float(b).is_integer():
-                return math.nan
-            if int(b) % 2:
-                return -math.inf
-        return math.inf
-    except ZeroDivisionError:
-        return math.inf
-    except ValueError:
-        return math.nan
-
-
-def _eval_node(node, t, x):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return t if node.name == "t" else x
-    if isinstance(node, Unary):
-        return -_eval_node(node.operand, t, x)
-    if isinstance(node, Bin):
-        a = _eval_node(node.left, t, x)
-        b = _eval_node(node.right, t, x)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            try:
-                return a * b
-            except OverflowError:
-                return math.copysign(math.inf, a) * math.copysign(1.0, b)
-        if node.op == "/":
-            return _safe_div(a, b)
-        return _safe_pow(a, b)
-    # Call
-    args = [_eval_node(arg, t, x) for arg in node.args]
-    fn = (_FUNCTIONS_1.get(node.name) or _FUNCTIONS_2[node.name])[0]
-    try:
-        return fn(*args)
-    except OverflowError:
-        return math.inf
-    except ValueError:
-        return math.nan
+# --- compilation -------------------------------------------------------
 
 
 def _compile_array(node):
@@ -317,7 +233,7 @@ def _compile_array(node):
             return lambda t, x: fl(t, x) / fr(t, x)
         return lambda t, x: fl(t, x) ** fr(t, x)
     fns = [_compile_array(arg) for arg in node.args]
-    np_fn = (_FUNCTIONS_1.get(node.name) or _FUNCTIONS_2[node.name])[1]
+    np_fn = _FUNCTIONS_1.get(node.name) or _FUNCTIONS_2[node.name]
     if len(fns) == 1:
         f0 = fns[0]
         return lambda t, x: np_fn(f0(t, x))
@@ -418,8 +334,8 @@ class CoefficientExpr:
         return cls(Num(value))
 
     def eval_raw(self, t: float, x: float) -> float:
-        """Evaluate; returns inf/nan in-band, never raises."""
-        return float(_eval_node(self.ast, float(t), float(x)))
+        """Evaluate at one point; returns inf/nan in-band, never raises."""
+        return float(self.eval_array(float(t), float(x)))
 
     def __call__(self, t: float, x: float) -> float:
         """Evaluate, requiring a finite result."""

@@ -40,9 +40,7 @@ from .errors import (DegenerateDiffusion, MartpropError, PreconditionViolated,
 from .model import (Classification, DiffusionSpec, ExponentSpec,
                     MartingaleVerdict, modified_drift,
                     require_scalar_homogeneous)
-# log_quad_adaptive is not used here; it stays importable under this name
-# because perfbench/tracer.py wraps martprop.feller.log_quad_adaptive
-from .quad import CumulativeIntegral, _logaddexp, log_quad_adaptive  # noqa: F401
+from .quad import CumulativeIntegral, _logaddexp
 
 DIVERGENCE_THRESHOLD = 1e12
 _LOG_DIVERGENCE = math.log(DIVERGENCE_THRESHOLD)
@@ -148,21 +146,6 @@ def _require_positive_c(zs, values):
         raise DegenerateDiffusion(f"c({z}) is not finite")
 
 
-def _coefficients(spec):
-    b_expr = spec.b[0]
-    c_expr = spec.c_expr(0, 0)
-
-    def b(z):
-        return b_expr.eval_raw(0.0, z)
-
-    def c(z):
-        value = c_expr.eval_raw(0.0, z)
-        _require_positive_c((z,), np.array([value]))
-        return value
-
-    return b, c
-
-
 def scale_density(spec: DiffusionSpec, x: float, xi: float) -> float:
     """s'(x) = exp(-int_xi^x 2 b/c dz) for a 1-d homogeneous spec."""
     require_scalar_homogeneous(spec, "scale_density")
@@ -170,9 +153,14 @@ def scale_density(spec: DiffusionSpec, x: float, xi: float) -> float:
 
 
 def log_scale_density(spec: DiffusionSpec, x: float, xi: float) -> float:
-    b, c = _coefficients(spec)
-    g = CumulativeIntegral(lambda z: 2.0 * b(z) / c(z), xi)
-    return -g.at(x)
+    b_expr, c_expr = spec.b[0], spec.c_expr(0, 0)
+
+    def drift_ratio(z):
+        c = c_expr.eval_raw(0.0, z)
+        _require_positive_c((z,), np.array([c]))
+        return 2.0 * b_expr.eval_raw(0.0, z) / c
+
+    return -CumulativeIntegral(drift_ratio, xi).at(x)
 
 
 def _tail(values):

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ValidationError
 from .expr import CoefficientExpr
-from .mc import DeficitCurve, MCEstimate, PathRecord, SimConfig, TerminalStatus
+from .mc import (MCEstimate, PathRecord, SimConfig, TerminalStatus,
+                 survival_curve)
 from .model import LocalizationPlan
 from .rng import path_generator
 
@@ -358,9 +359,8 @@ def estimate_hilbert_expectation(phi: FunctionalSpec, cov: CovarianceSpec,
     """
     if t > config.horizon:
         raise ValidationError("t must not exceed the horizon")
-    cfg = SimConfig(n_paths=config.n_paths, dt_max=min(config.dt_max, t),
-                    horizon=t, seed=config.seed, adaptive=False,
-                    explosion_guard=config.explosion_guard)
+    cfg = replace(config, dt_max=min(config.dt_max, t), horizon=t,
+                  adaptive=False)
     notes = []
     if conditions is not None and not conditions.passed:
         notes.append("conditions report failed; estimates are not "
@@ -374,22 +374,7 @@ def estimate_hilbert_expectation(phi: FunctionalSpec, cov: CovarianceSpec,
                                           levels=plan.levels,
                                           eval_times=(t,), modified=True,
                                           threads=threads)
-    entries = []
-    for j, (m, cap) in enumerate(zip(plan.levels, plan.time_caps)):
-        if cap <= t:
-            q_hat, se = 0.0, 0.0
-        else:
-            survived = passage[:, j] > t
-            q_hat = float(np.mean(survived))
-            se = math.sqrt(q_hat * (1.0 - q_hat) / config.n_paths)
-        entries.append((m, cap, q_hat, se))
-    q_last, se_last = entries[-1][2], entries[-1][3]
-    q_prev, se_prev = entries[-2][2], entries[-2][3]
-    curve = DeficitCurve(
-        entries=entries, extrapolated_expectation=q_last,
-        converged=abs(q_last - q_prev) <= 2.0 * (se_last + se_prev),
-        notes=list(notes))
-    return direct, curve
+    return direct, survival_curve(passage, plan, t, notes)
 
 
 def hilbert_novikov_estimate(phi: FunctionalSpec, cov: CovarianceSpec,
@@ -398,9 +383,8 @@ def hilbert_novikov_estimate(phi: FunctionalSpec, cov: CovarianceSpec,
     """Sample mean of exp(0.5 int ||Q^{1/2} phi||^2 ds) under the
     original dynamics; the running-sup example makes this diverge for
     large t while Z stays a true martingale."""
-    cfg = SimConfig(n_paths=config.n_paths, dt_max=min(config.dt_max, t),
-                    horizon=t, seed=config.seed, adaptive=False,
-                    explosion_guard=config.explosion_guard)
+    cfg = replace(config, dt_max=min(config.dt_max, t), horizon=t,
+                  adaptive=False)
     _, nov, _, _, _, _ = _run_hilbert(cov, phi, cfg, eval_times=(t,),
                                       threads=threads)
     with np.errstate(over="ignore"):

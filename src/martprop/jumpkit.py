@@ -17,13 +17,13 @@ jump-case martingale criterion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (EvalDomain, JumpBoundViolation, ValidationError)
 from .expr import CoefficientExpr
-from .mc import CHUNK_SIZE, MCEstimate, SimConfig
+from .mc import CHUNK_SIZE, SimConfig, survival_curve
 from .model import (Classification, DiffusionSpec, LocalizationPlan,
                     MartingaleVerdict)
 from .rng import normal_block, uniform_block
@@ -164,19 +164,6 @@ def compute_Uhat(trip: JumpTriplet, gd: GirsanovData, t: float) -> float:
     return min(value, 1.0)
 
 
-def compute_Uprime(gd: GirsanovData, trip: JumpTriplet, t: float,
-                   x: float) -> float:
-    """U' = U - 1 + (Uhat - a)/(1 - a), with the 0/0 = 0 convention."""
-    atom = trip.atom_at(t)
-    a = atom.mass if atom is not None else 0.0
-    uhat = compute_Uhat(trip, gd, t)
-    if a >= 1.0 - _TOL:
-        corr = 0.0  # a = 1 forces Uhat = 1; (Uhat - a)/(1 - a) := 0
-    else:
-        corr = (uhat - a) / (1.0 - a)
-    return gd.u(t, x) - 1.0 + corr
-
-
 def validate(trip: JumpTriplet, gd: GirsanovData):
     """Admissibility of (triplet, Girsanov data); raises ValidationError.
 
@@ -247,7 +234,9 @@ def compute_R(trip: JumpTriplet, gd: GirsanovData, grid,
 
     When K depends on the state, `path_states` (one value per grid time)
     supplies the path along which the predictable process is evaluated;
-    deterministic K needs no path.
+    deterministic K needs no path.  Each step adds K^2 c dt at its start
+    point, the compound-Poisson term from the simulation's per-step
+    tables, and the Delta R of each atom in (t0, t1].
     """
     grid = np.asarray(grid, dtype=np.float64)
     k_state_dep = "x" in gd.K.free_variables()
@@ -259,28 +248,25 @@ def compute_R(trip: JumpTriplet, gd: GirsanovData, grid,
     path_states = np.asarray(path_states, dtype=np.float64)
     if len(path_states) != len(grid):
         raise ValidationError("path_states must match the grid length")
+    t0, dt, x0 = grid[:-1], np.diff(grid), path_states[:-1]
     c_expr = trip.base.c_expr(0, 0)
+    kv = gd.K.eval_array(t0, x0)
+    cv = c_expr.eval_array(t0, x0)
+    finite = np.isfinite(kv) & np.isfinite(cv)
+    if not np.all(finite):
+        i = int(np.argmin(finite))
+        expr = gd.K if not np.isfinite(kv[i]) else c_expr
+        raise EvalDomain(f"{expr.render()} is not finite at "
+                         f"(t={float(t0[i])}, x={float(x0[i])})")
     n = len(grid)
     cont = np.zeros(n)
+    cont[1:] = np.cumsum(kv * kv * cv * dt)
     cp = np.zeros(n)
+    if trip.cp_rate > 0:
+        cp[1:] = np.cumsum(_cp_steps(trip, gd, grid, False).hellinger * dt)
     atom_part = np.zeros(n)
-    for i in range(1, n):
-        t0, t1 = grid[i - 1], grid[i]
-        dt = t1 - t0
-        xv = path_states[i - 1]
-        kv = gd.K(t0, xv)
-        cv = c_expr(t0, xv)
-        cont[i] = cont[i - 1] + kv * kv * cv * dt
-        if trip.cp_rate > 0:
-            ef = trip.cp_dist.expect(
-                lambda x: (1.0 - math.sqrt(gd.u(t0, x))) ** 2)
-            cp[i] = cp[i - 1] + trip.cp_rate * ef * dt
-        else:
-            cp[i] = cp[i - 1]
-        atom_part[i] = atom_part[i - 1]
-        atom = trip.atom_at(t1)
-        if atom is not None:
-            atom_part[i] += atom_delta_R(atom, gd, trip)
+    for atom in _atom_steps(trip, gd, grid, False, 0):
+        atom_part[atom.step + 1:] += atom.delta_r
     R = cont + cp + atom_part
     return HellingerPath(times=grid, R=R, continuous_part=cont,
                          cp_part=cp, atom_part=atom_part)
@@ -384,7 +370,7 @@ def _atom_steps(trip, gd, grid, modified, first_column):
     """One _AtomStep per atom on the grid, in time order."""
     out = []
     for atom in trip.atoms:
-        if atom.time > grid[-1]:
+        if not grid[0] < atom.time <= grid[-1]:
             continue
         t = atom.time
         uhat = compute_Uhat(trip, gd, t)
@@ -601,9 +587,7 @@ def verify_compensator_identity(trip: JumpTriplet, gd: GirsanovData,
     C(Z) = <Z^c> + sum (Z_{s-} - sqrt(Z_s Z_{s-}))^2; its compensator is
     Z_-^2 . dR, so the normalized gap is a mean-zero statistic.
     """
-    cfg = SimConfig(n_paths=config.n_paths, dt_max=config.dt_max,
-                    horizon=t, seed=config.seed, adaptive=False,
-                    explosion_guard=config.explosion_guard)
+    cfg = replace(config, horizon=t, adaptive=False)
     result = simulate_jump_exponential(trip, gd, cfg, eval_times=(t,))
     gaps = result.c_over_z_final - result.r_final
     mean = float(np.mean(gaps))
@@ -628,33 +612,18 @@ def verdict_jump(trip: JumpTriplet, gd: GirsanovData, t: float,
     """
     validate(trip, gd)
     config.check_plan(plan)
-    cfg = SimConfig(n_paths=config.n_paths, dt_max=config.dt_max,
-                    horizon=t, seed=config.seed, adaptive=False,
-                    explosion_guard=config.explosion_guard)
+    cfg = replace(config, horizon=t, adaptive=False)
     result = simulate_jump_exponential(trip, gd, cfg, levels=plan.levels,
                                        eval_times=(t,), modified=True)
-    from .mc import DeficitCurve
-    entries = []
-    for j, (m, cap) in enumerate(zip(plan.levels, plan.time_caps)):
-        if cap <= t:
-            q_hat, se = 0.0, 0.0
-        else:
-            survived = result.passage_times[:, j] > t
-            q_hat = float(np.mean(survived))
-            se = math.sqrt(q_hat * (1.0 - q_hat) / config.n_paths)
-        entries.append((m, cap, q_hat, se))
-    q_last, se_last = entries[-1][2], entries[-1][3]
-    q_prev, se_prev = entries[-2][2], entries[-2][3]
-    converged = abs(q_last - q_prev) <= 2.0 * (se_last + se_prev)
-    curve = DeficitCurve(entries=entries, extrapolated_expectation=q_last,
-                         converged=converged,
-                         notes=["modified-triplet survival surrogate for "
-                                "Q(R_{t and rho} < infinity) = 1"])
+    curve = survival_curve(result.passage_times, plan, t,
+                           notes=["modified-triplet survival surrogate for "
+                                  "Q(R_{t and rho} < infinity) = 1"])
     deficit = curve.deficit
+    se_last = curve.entries[-1][3]
     notes = list(curve.notes)
-    if converged and deficit <= max(deficit_tolerance, 3.0 * se_last):
+    if curve.converged and deficit <= max(deficit_tolerance, 3.0 * se_last):
         classification = Classification.TRUE_MARTINGALE
-    elif converged:
+    elif curve.converged:
         classification = Classification.STRICT_LOCAL
         notes.append(f"modified-measure deficit {deficit:.4g}")
     else:
@@ -663,18 +632,3 @@ def verdict_jump(trip: JumpTriplet, gd: GirsanovData, t: float,
     return MartingaleVerdict(classification, deficit_curve=curve,
                              notes=notes)
 
-
-def stopped_mean(trip: JumpTriplet, gd: GirsanovData, t: float,
-                 level: float, config: SimConfig) -> MCEstimate:
-    """Sample mean of Z_{t and rho} under the ORIGINAL triplet, rho the
-    first passage over `level`; must be 1 within MC noise."""
-    cfg = SimConfig(n_paths=config.n_paths, dt_max=config.dt_max,
-                    horizon=t, seed=config.seed, adaptive=False,
-                    explosion_guard=config.explosion_guard)
-    result = simulate_jump_exponential(trip, gd, cfg, levels=(level,),
-                                       eval_times=(t,))
-    pas = result.passage_times[:, 0]
-    z = np.where(pas <= t, result.z_at_passage[:, 0],
-                 result.z_evals[:, 0])
-    z = np.where(np.isnan(z), result.z_final, z)
-    return MCEstimate.from_samples(z)

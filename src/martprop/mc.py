@@ -16,18 +16,17 @@ path-index order, so results are bit-identical for any worker count.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import (EvalDomain, PlanTooCoarse, UnboundedOnCompact,
                      ValidationError)
 from .model import (DiffusionSpec, ExponentSpec, LocalizationPlan,
-                    modified_drift, quadratic_exponent)
+                    _check_compatible, modified_drift, quadratic_exponent)
 from .rng import BRIDGE_STREAM, normal_block, path_generator
 
 CHUNK_SIZE = 4096
@@ -456,26 +455,29 @@ def simulate_path(spec: DiffusionSpec, config: SimConfig,
 def stochastic_exponential(path: PathRecord, spec: DiffusionSpec,
                            exp: ExponentSpec) -> np.ndarray:
     """Z along the path grid: log Z = sum beta.dX^c - 0.5 sum q dt,
-    where dX^c = dX - b dt is the martingale part of the increment."""
-    q_expr = quadratic_exponent(spec, exp)
-    times, states = path.times, path.states
-    n = len(times)
-    logz = np.zeros(n)
-    acc = 0.0
-    for i in range(n - 1):
-        t, xv = times[i], states[i]
-        dt = times[i + 1] - t
-        dx = states[i + 1] - xv
-        bdot = 0.0
-        for j, e in enumerate(exp.beta):
-            bdot += e(t, xv[j]) * (dx[j] - spec.b[j](t, xv[j]) * dt)
-        q = 0.0
-        for a in range(spec.dim):
-            for bb in range(spec.dim):
-                q += (exp.beta[a](t, xv[a]) * spec.c_expr(a, bb)(t, xv[a])
-                      * exp.beta[bb](t, xv[bb]))
-        acc += bdot - 0.5 * q * dt
-        logz[i + 1] = acc
+    where dX^c = dX - b dt is the martingale part of the increment.
+    Coefficients are taken at the start of each step."""
+    _check_compatible(spec, exp)
+    t, x = path.times[:-1], path.states[:-1]
+    dt, dx = np.diff(path.times), np.diff(path.states, axis=0)
+
+    def values(expr, coord):
+        v = expr.eval_array(t, x[:, coord])
+        if not np.all(np.isfinite(v)):
+            i = int(np.argmin(np.isfinite(v)))
+            raise EvalDomain(f"{expr.render()} is not finite at "
+                             f"(t={float(t[i])}, x={float(x[i, coord])})")
+        return v
+
+    beta = [values(e, j) for j, e in enumerate(exp.beta)]
+    bdot = 0.0
+    for j in range(spec.dim):
+        bdot += beta[j] * (dx[:, j] - values(spec.b[j], j) * dt)
+    q = 0.0
+    for a in range(spec.dim):
+        for bb in range(spec.dim):
+            q += beta[a] * values(spec.c_expr(a, bb), a) * beta[bb]
+    logz = np.concatenate(([0.0], np.cumsum(bdot - 0.5 * q * dt)))
     return np.exp(logz)
 
 
@@ -488,11 +490,7 @@ def estimate_mean_direct(spec: DiffusionSpec, exp: ExponentSpec, t: float,
     """
     if t > config.horizon:
         raise ValidationError("t must not exceed the horizon")
-    cfg = config if t == config.horizon else SimConfig(
-        n_paths=config.n_paths, dt_max=min(config.dt_max, t),
-        horizon=t, seed=config.seed, adaptive=config.adaptive,
-        bridge_correction=config.bridge_correction,
-        explosion_guard=config.explosion_guard)
+    cfg = replace(config, dt_max=min(config.dt_max, t), horizon=t)
     result = run_ensemble(spec, cfg, exp=exp, eval_times=(t,),
                           threads=threads)
     logs = result.logz_evals[:, 0]
@@ -515,11 +513,7 @@ def novikov_estimate(spec: DiffusionSpec, exp: ExponentSpec, t: float,
     that keeps growing with n_paths (reported, not proven)."""
     if t > config.horizon:
         raise ValidationError("t must not exceed the horizon")
-    cfg = config if t == config.horizon else SimConfig(
-        n_paths=config.n_paths, dt_max=min(config.dt_max, t),
-        horizon=t, seed=config.seed, adaptive=config.adaptive,
-        bridge_correction=config.bridge_correction,
-        explosion_guard=config.explosion_guard)
+    cfg = replace(config, dt_max=min(config.dt_max, t), horizon=t)
     result = run_ensemble(spec, cfg, exp=exp, eval_times=(t,),
                           threads=threads)
     nov = result.nov_evals[:, 0]
@@ -536,6 +530,29 @@ def novikov_estimate(spec: DiffusionSpec, exp: ExponentSpec, t: float,
     return MCEstimate.from_samples(samples, notes=notes)
 
 
+def survival_curve(passage_times, plan: LocalizationPlan, t: float,
+                   notes=()) -> DeficitCurve:
+    """Survival Q_hat(rho_n > t) per plan level from first-passage times
+    (one row per path, one column per level); a level whose time cap is
+    at most t survives with probability 0 by construction.  Converged
+    when the last two levels agree within twice the summed standard
+    errors."""
+    n = len(passage_times)
+    entries = []
+    for j, (m, cap) in enumerate(zip(plan.levels, plan.time_caps)):
+        if cap <= t:
+            q_hat, se = 0.0, 0.0
+        else:
+            q_hat = float(np.mean(passage_times[:, j] > t))
+            se = math.sqrt(q_hat * (1.0 - q_hat) / n)
+        entries.append((m, cap, q_hat, se))
+    (_, _, q_prev, se_prev), (_, _, q_last, se_last) = entries[-2:]
+    return DeficitCurve(
+        entries=entries, extrapolated_expectation=q_last,
+        converged=abs(q_last - q_prev) <= 2.0 * (se_last + se_prev),
+        notes=list(notes))
+
+
 def estimate_deficit_localized(modified_spec: DiffusionSpec,
                                plan: LocalizationPlan, t: float,
                                config: SimConfig, threads=1,
@@ -549,36 +566,20 @@ def estimate_deficit_localized(modified_spec: DiffusionSpec,
     config.check_plan(plan)
     if t > config.horizon:
         raise ValidationError("t must not exceed the horizon")
-    cfg = SimConfig(n_paths=config.n_paths, dt_max=min(config.dt_max, t),
-                    horizon=t, seed=config.seed, adaptive=config.adaptive,
-                    bridge_correction=config.bridge_correction,
-                    explosion_guard=config.explosion_guard)
+    cfg = replace(config, dt_max=min(config.dt_max, t), horizon=t)
     result = run_ensemble(modified_spec, cfg, levels=plan.levels,
                           eval_times=(t,), stop_at_largest_level=True,
                           threads=threads)
-    n = config.n_paths
-    entries = []
-    notes = []
-    for j, (m, cap) in enumerate(zip(plan.levels, plan.time_caps)):
-        if cap <= t:
-            q_hat, se = 0.0, 0.0
-            notes.append(f"level {m}: time cap {cap} <= t, survival is 0 "
-                         "by construction")
-        else:
-            survived = result.passage_times[:, j] > t
-            q_hat = float(np.mean(survived))
-            se = math.sqrt(q_hat * (1.0 - q_hat) / n)
-        entries.append((m, cap, q_hat, se))
-    q_last, se_last = entries[-1][2], entries[-1][3]
-    q_prev, se_prev = entries[-2][2], entries[-2][3]
-    converged = abs(q_last - q_prev) <= 2.0 * (se_last + se_prev)
+    notes = [f"level {m}: time cap {cap} <= t, survival is 0 by "
+             "construction"
+             for m, cap in zip(plan.levels, plan.time_caps) if cap <= t]
     floored = int(np.sum(result.status == 2))
     if floored:
         notes.append(f"{floored} path(s) hit the step-size floor and were "
                      "treated as exploded (conservative)")
-    curve = DeficitCurve(entries=entries, extrapolated_expectation=q_last,
-                         converged=converged, notes=notes)
-    if not converged and raise_on_coarse:
+    curve = survival_curve(result.passage_times, plan, t, notes)
+    if not curve.converged and raise_on_coarse:
+        q_prev, q_last = curve.entries[-2][2], curve.entries[-1][2]
         raise PlanTooCoarse(
             "survival did not stabilize across the last two levels "
             f"({q_prev:.6g} vs {q_last:.6g}); extend the plan", curve=curve)
@@ -646,10 +647,7 @@ def stopped_exponential_means(spec: DiffusionSpec, exp: ExponentSpec,
     """
     config.check_plan(plan)
     eval_times = sorted({c for c in plan.time_caps if c < t} | {t})
-    cfg = SimConfig(n_paths=config.n_paths, dt_max=min(config.dt_max, t),
-                    horizon=t, seed=config.seed, adaptive=config.adaptive,
-                    bridge_correction=config.bridge_correction,
-                    explosion_guard=config.explosion_guard)
+    cfg = replace(config, dt_max=min(config.dt_max, t), horizon=t)
     result = run_ensemble(spec, cfg, exp=exp, levels=plan.levels,
                           eval_times=tuple(eval_times),
                           stop_at_largest_level=True, threads=threads)
@@ -671,26 +669,6 @@ def stopped_exponential_means(spec: DiffusionSpec, exp: ExponentSpec,
                    [f"{int(np.sum(~valid))} path(s) lacked a value at "
                     f"t_and_rho_{j + 1} and were dropped"])))
     return estimates
-
-
-def export_ensemble_csv(result: EnsembleResult, path):
-    """One row per path: index, status, Z at the last eval time, exit
-    times per level."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["path_index", "status", "end_time", "z_final"]
-        header += [f"exit_time_level_{m:g}" for m in result.levels]
-        writer.writerow(header)
-        for row in range(len(result.indices)):
-            logz = result.logz_evals[row, -1]
-            if math.isnan(logz):
-                logz = result.final_logz[row]
-            writer.writerow(
-                [int(result.indices[row]),
-                 result.terminal_status(row).kind,
-                 repr(float(result.end_time[row])),
-                 repr(float(math.exp(logz)))]
-                + [repr(float(v)) for v in result.passage_times[row]])
 
 
 def deficit_for(spec: DiffusionSpec, exp: ExponentSpec,

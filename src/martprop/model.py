@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DimensionMismatch, IndexOutOfRange, PreconditionViolated,
-                     ValidationError)
+from .errors import DimensionMismatch, PreconditionViolated, ValidationError
 from .expr import ZERO, CoefficientExpr, Num
 from .report import deficit_curve_dict
 
@@ -187,14 +186,6 @@ class LocalizationPlan:
     def __len__(self):
         return len(self.levels)
 
-    def check_inside(self, intervals):
-        """Levels must be strictly inside a bounded interval's radius."""
-        radius = min(min(abs(l), abs(r)) for (l, r) in intervals)
-        if math.isfinite(radius) and self.levels[-1] >= radius:
-            raise ValidationError(
-                f"largest level {self.levels[-1]} reaches the state "
-                f"boundary (radius {radius})")
-
     @classmethod
     def geometric(cls, first=8.0, count=4, horizon=1.0):
         """Doubling levels with a shared time cap max(horizon, index)."""
@@ -227,14 +218,6 @@ class MartingaleVerdict:
         if self.deficit_curve is not None:
             d["deficit_curve"] = deficit_curve_dict(self.deficit_curve)
         return d
-
-
-@dataclass(frozen=True)
-class StoppingRule:
-    """First time the path norm reaches `level`, capped at `time_cap`."""
-
-    level: float
-    time_cap: float
 
 
 def _check_compatible(spec, exp):
@@ -270,15 +253,6 @@ def quadratic_exponent(spec: DiffusionSpec, exp: ExponentSpec) -> CoefficientExp
     return _sum_exprs(terms)
 
 
-def rho_level(plan: LocalizationPlan, n: int) -> StoppingRule:
-    """Stopping rule for plan level n (1-based)."""
-    if not 1 <= n <= len(plan):
-        raise IndexOutOfRange(
-            f"level index {n} outside 1..{len(plan)}")
-    return StoppingRule(level=plan.levels[n - 1],
-                        time_cap=plan.time_caps[n - 1])
-
-
 def check_psd_on_grid(spec: DiffusionSpec, n_points=64, t=0.0):
     """Sampled positive-semidefiniteness check of c on a state grid.
 
@@ -296,30 +270,27 @@ def check_psd_on_grid(spec: DiffusionSpec, n_points=64, t=0.0):
                                 max(2, int(round(n_points ** (1 / spec.dim))))))
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=-1)
-    for p in points:
-        c = np.empty((spec.dim, spec.dim))
-        ok = True
-        for i in range(spec.dim):
-            for j in range(spec.dim):
-                v = spec.c_expr(i, j).eval_raw(t, p[i])
-                if not math.isfinite(v):
-                    failures.append(
-                        f"c[{i}][{j}] non-finite at x={p.tolist()}")
-                    ok = False
-                    break
-                c[i, j] = v
-            if not ok:
-                break
-        if not ok:
-            continue
-        sym_gap = float(np.max(np.abs(c - c.T)))
-        if sym_gap > 1e-9 * (1.0 + float(np.max(np.abs(c)))):
+    d = spec.dim
+    c = np.empty((len(points), d, d))
+    for i in range(d):
+        for j in range(d):
+            c[:, i, j] = spec.c_expr(i, j).eval_array(t, points[:, i])
+    finite = np.isfinite(c).reshape(len(points), d * d)
+    # a point with a non-finite entry is reported as such, not checked
+    c = np.where(np.isfinite(c), c, 0.0)
+    tol = 1e-9 * (1.0 + np.max(np.abs(c), axis=(1, 2)))
+    ct = c.transpose(0, 2, 1)
+    sym_gap = np.max(np.abs(c - ct), axis=(1, 2))
+    eigmin = np.linalg.eigvalsh(0.5 * (c + ct))[:, 0]
+    for k, p in enumerate(points):
+        if not finite[k].all():
+            i, j = divmod(int(np.argmin(finite[k])), d)
+            failures.append(f"c[{i}][{j}] non-finite at x={p.tolist()}")
+        elif sym_gap[k] > tol[k]:
             failures.append(f"c not symmetric at x={p.tolist()}")
-            continue
-        eigmin = float(np.min(np.linalg.eigvalsh(0.5 * (c + c.T))))
-        if eigmin < -1e-9 * (1.0 + float(np.max(np.abs(c)))):
-            failures.append(
-                f"c has negative eigenvalue {eigmin:g} at x={p.tolist()}")
+        elif eigmin[k] < -tol[k]:
+            failures.append(f"c has negative eigenvalue {eigmin[k]:g} at "
+                            f"x={p.tolist()}")
     return failures
 
 

@@ -81,6 +81,36 @@ def test_domain_errors_raise_on_call_but_not_eval_raw():
         math.isnan(parse("1/x").eval_raw(0.0, 0.0))
 
 
+# --- edge semantics: non-finite values stay in-band -----------------------
+
+EDGES = [
+    ("1/x", 0.0, math.inf),
+    ("1/x", -0.0, -math.inf),
+    ("0/0", 0.0, math.nan),
+    ("0^-1", 0.0, math.inf),
+    ("(-8)^(1/3)", 0.0, math.nan),
+    ("(-2)^3", 0.0, -8.0),
+    ("log(0)", 0.0, -math.inf),
+    ("log(-1)", 0.0, math.nan),
+    ("exp(1000)", 0.0, math.inf),
+    ("min(x, 1)", math.nan, math.nan),
+    ("min(1, x)", math.nan, math.nan),
+    ("max(x, 1)", math.nan, math.nan),
+    ("max(1, x)", math.nan, math.nan),
+]
+
+
+@pytest.mark.parametrize("text,xv,expected", EDGES)
+def test_edge_values_at_a_point_and_over_an_array(text, xv, expected):
+    e = parse(text)
+    for value in (e.eval_raw(0.0, xv),
+                  float(e.eval_array(0.0, np.array([xv]))[0])):
+        if math.isnan(expected):
+            assert math.isnan(value)
+        else:
+            assert value == expected
+
+
 # --- purity: same inputs, same outputs ------------------------------------
 
 def test_purity():

@@ -14,9 +14,7 @@ from martprop.jumpkit import (
     atom_delta_R_closed_form,
     compute_R,
     compute_Uhat,
-    compute_Uprime,
     simulate_jump_exponential,
-    stopped_mean,
     validate,
     verdict_jump,
     verify_compensator_identity,
@@ -62,18 +60,6 @@ def test_uhat_and_uprime():
     trip, gd = ATOM_HALF
     assert compute_Uhat(trip, gd, 0.5) == pytest.approx(0.75)
     assert compute_Uhat(trip, gd, 0.25) == 0.0
-    # at the atom: U' = 0.5 + (0.75 - 0.5)/(1 - 0.5) = 1 exactly
-    assert compute_Uprime(gd, trip, 0.5, 1.0) == pytest.approx(1.0)
-    # elsewhere: U' = U - 1
-    assert compute_Uprime(gd, trip, 0.1, 1.0) == pytest.approx(0.5)
-
-
-def test_uprime_zero_over_zero_convention_at_full_mass():
-    trip = JumpTriplet(base=BM, atoms=(
-        Atom(time=0.5, mass=1.0, dist=UNIT),))
-    gd = GirsanovData(K="0", U="1")
-    validate(trip, gd)
-    assert compute_Uprime(gd, trip, 0.5, 1.0) == 0.0
 
 
 def test_atom_delta_R_sum_equals_closed_form():
@@ -161,6 +147,25 @@ def test_R_atom_jump_at_atom_time():
         atom_delta_R(trip.atoms[0], gd, trip), rel=1e-12)
 
 
+def test_R_counts_an_atom_once_on_a_grid_with_near_duplicate_times():
+    # linspace gives 0.30000000000000004 next to the atom time 0.3
+    trip = JumpTriplet(base=BM, atoms=(Atom(time=0.3, mass=0.5, dist=UNIT),))
+    gd = GirsanovData(K="0", U="1.5")
+    grid = jumpkit._grid(trip, 1.0, 0.1)
+    assert 0.3 in grid and 0.30000000000000004 in grid
+    dr = atom_delta_R(trip.atoms[0], gd, trip)
+    assert dr == pytest.approx(0.06815, abs=1e-5)
+    assert compute_R(trip, gd, grid).R[-1] == dr
+
+
+def test_R_counts_an_atom_between_grid_points_in_its_step():
+    trip, gd = ATOM_HALF
+    grid = np.array([0.0, 0.25, 0.75, 1.0])
+    r = compute_R(trip, gd, grid)
+    dr = atom_delta_R(trip.atoms[0], gd, trip)
+    np.testing.assert_array_equal(r.atom_part, [0.0, 0.0, dr, dr])
+
+
 # --- simulation ---------------------------------------------------------------------
 
 CFG = SimConfig(n_paths=2000, dt_max=0.01, horizon=1.0, seed=13,
@@ -179,14 +184,6 @@ def test_delta_N_stays_above_minus_one():
         res = simulate_jump_exponential(trip, gd, CFG, eval_times=(1.0,))
         assert float(np.min(res.min_delta_N)) > -1.0
         assert np.all(res.z_final > 0.0)
-
-
-def test_stopped_mean_is_one_within_noise():
-    for trip, gd in (POISSON_U4, ATOM_HALF):
-        est = stopped_mean(trip, gd, 1.0, 16.0,
-                           SimConfig(n_paths=4000, dt_max=0.01,
-                                     horizon=1.0, seed=21))
-        assert abs(est.mean - 1.0) <= 3.0 * est.std_error
 
 
 def test_compensator_identity():

@@ -10,7 +10,6 @@ from martprop.mc import (
     deficit_for,
     estimate_deficit_localized,
     estimate_mean_direct,
-    export_ensemble_csv,
     localized_bound_check,
     run_ensemble,
     simulate_path,
@@ -235,14 +234,3 @@ def test_eval_times_validation():
     with pytest.raises(ValidationError):
         run_ensemble(BM, CFG, eval_times=(0.5,))  # must end at horizon
 
-
-# --- csv export -------------------------------------------------------------------
-
-def test_export_csv(tmp_path):
-    cfg = SimConfig(n_paths=20, dt_max=0.05, horizon=1.0, seed=8)
-    res = run_ensemble(BM, cfg, exp=BETA_X, levels=(1.0, 2.0))
-    out = tmp_path / "paths.csv"
-    export_ensemble_csv(res, out)
-    lines = out.read_text().strip().splitlines()
-    assert len(lines) == 21
-    assert lines[0].startswith("path_index,status,end_time,z_final")

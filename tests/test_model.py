@@ -5,7 +5,6 @@ import pytest
 
 from martprop.errors import (
     DimensionMismatch,
-    IndexOutOfRange,
     PreconditionViolated,
     ValidationError,
 )
@@ -17,7 +16,6 @@ from martprop.model import (
     modified_drift,
     quadratic_exponent,
     require_scalar_homogeneous,
-    rho_level,
 )
 
 BM = DiffusionSpec.scalar("0", "1")
@@ -121,22 +119,7 @@ def test_plan_validation():
 def test_geometric_plan_and_rho_level():
     plan = LocalizationPlan.geometric(first=8.0, count=4, horizon=1.0)
     assert plan.levels == (8.0, 16.0, 32.0, 64.0)
-    rules = [rho_level(plan, n) for n in range(1, 5)]
-    assert [r.level for r in rules] == list(plan.levels)
-    # monotone: later rules have higher levels and no earlier caps
-    for a, b in zip(rules, rules[1:]):
-        assert a.level < b.level and a.time_cap <= b.time_cap
-    with pytest.raises(IndexOutOfRange):
-        rho_level(plan, 0)
-    with pytest.raises(IndexOutOfRange):
-        rho_level(plan, 5)
-
-
-def test_plan_check_inside():
-    plan = LocalizationPlan(levels=(4.0, 8.0), time_caps=(1.0, 1.0))
-    plan.check_inside(((-math.inf, math.inf),))
-    with pytest.raises(ValidationError):
-        plan.check_inside(((-5.0, 5.0),))
+    assert plan.time_caps == (1.0, 2.0, 3.0, 4.0)
 
 
 # --- grid checks and gates ---------------------------------------------------
