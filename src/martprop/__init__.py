@@ -52,8 +52,6 @@ from .mc import (
     estimate_mean_direct,
     novikov_estimate,
     run_ensemble,
-    simulate_path,
-    stochastic_exponential,
     stopped_exponential_means,
 )
 from .jumpkit import (
@@ -72,7 +70,6 @@ from .hilbert import (
     FunctionalSpec,
     check_conditions,
     estimate_hilbert_expectation,
-    simulate_q_brownian,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

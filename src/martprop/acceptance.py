@@ -213,7 +213,7 @@ def criterion_6(threads=1):
     for name in ("poisson-U4", "atom-half"):
         p = catalog.get(name)
         cfg = SimConfig(n_paths=2000, dt_max=p.mc.dt_max, horizon=p.t,
-                        seed=p.mc.seed, adaptive=False)
+                        seed=p.mc.seed)
         res = simulate_jump_exponential(p.triplet, p.girsanov, cfg,
                                         eval_times=(p.t,))
         min_dn = float(np.min(res.min_delta_N))
@@ -252,8 +252,7 @@ def criterion_6(threads=1):
     grid = np.linspace(0.0, 1.0, 201)
     r_path = compute_R(trip, gd, grid)
     d_exact = r_path.R[-1] == 4.0  # int K^2 c dt = 4t at t=1
-    cfg = SimConfig(n_paths=4000, dt_max=0.005, horizon=1.0, seed=7,
-                    adaptive=False)
+    cfg = SimConfig(n_paths=4000, dt_max=0.005, horizon=1.0, seed=7)
     res = simulate_jump_exponential(trip, gd, cfg, eval_times=(1.0,))
     m_jump = float(np.mean(res.z_evals[:, 0]))
     se_jump = float(np.std(res.z_evals[:, 0], ddof=1)
@@ -282,7 +281,7 @@ def criterion_7(threads=1):
     cov, phi = p.covariance, p.functional
     n_var = 10000
     cfg = SimConfig(n_paths=n_var, dt_max=0.01, horizon=p.t,
-                    seed=p.mc.seed, adaptive=False)
+                    seed=p.mc.seed)
     times, states = sample_path_array(cov, cfg, n_var)
     finals = states[:, -1, :]
     var_ok = True

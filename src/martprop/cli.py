@@ -247,8 +247,7 @@ def hilbert(config_path, preset, seed, threads, output_path, fmt,
     def body():
         rc = _resolve(config_path, preset, seed, kind="hilbert")
         rc.functional.check_modes(rc.covariance.modes)
-        cond_cfg = replace(rc.mc, n_paths=condition_paths, horizon=rc.t,
-                           adaptive=False)
+        cond_cfg = replace(rc.mc, n_paths=condition_paths, horizon=rc.t)
         times, states = sample_path_array(rc.covariance, cond_cfg,
                                           condition_paths)
         cond = check_conditions(rc.functional, rc.covariance, times,

@@ -16,19 +16,19 @@ faithful; convergence in the number of modes is reported, not proven.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ValidationError
 from .expr import CoefficientExpr
-from .mc import (MCEstimate, PathRecord, SimConfig, TerminalStatus,
-                 survival_curve)
+from .mc import MCEstimate, SimConfig, map_chunks, survival_curve
 from .model import LocalizationPlan
-from .rng import path_generator
+from .rng import normal_block
 
-_HILBERT_CHUNK = 512
+# a row holds a path's (T - 1) * K normals, so chunks are smaller than
+# the diffusion engine's
+CHUNK_SIZE = 512
 
 
 @dataclass(frozen=True)
@@ -155,6 +155,14 @@ def phi_values(phi: FunctionalSpec, cov: CovarianceSpec, times,
     return out[0] if single else out
 
 
+def _normals(cov, config, indices, grid):
+    """(n, T-1, K) main-stream normals: path p's step i, mode k is
+    draw i*K + k of its stream."""
+    shape = (len(indices), len(grid) - 1, cov.modes)
+    return normal_block(config.seed, indices,
+                        shape[1] * shape[2]).reshape(shape)
+
+
 def _run_hilbert_chunk(cov, phi, config, indices, levels, eval_times,
                        modified):
     lam = np.asarray(cov.eigenvalues)
@@ -164,11 +172,7 @@ def _run_hilbert_chunk(cov, phi, config, indices, levels, eval_times,
     n = len(indices)
     L, E = len(levels), len(eval_times)
     eval_lookup = {t: j for j, t in enumerate(eval_times)}
-
-    normals = np.empty((n, T - 1, K))
-    for row, idx in enumerate(indices):
-        gen = path_generator(config.seed, int(idx))
-        normals[row] = gen.standard_normal((T - 1, K))
+    normals = _normals(cov, config, indices, grid)
 
     w = None
     d = None
@@ -215,58 +219,36 @@ def _run_hilbert_chunk(cov, phi, config, indices, levels, eval_times,
         if j is not None:
             logz_evals[:, j] = logz
             nov_evals[:, j] = nov
-    return logz_evals, nov_evals, passage, x, grid
+    return logz_evals, nov_evals, passage
 
 
 def _run_hilbert(cov, phi, config, levels=(), eval_times=None,
                  modified=False, threads=1):
+    """(logz_evals, nov_evals, passage_times), one row per path."""
     phi.check_modes(cov.modes)
     if eval_times is None:
         eval_times = (config.horizon,)
     eval_times = tuple(sorted(set(float(t) for t in eval_times)))
-    indices = np.arange(config.n_paths)
-    chunks = [indices[i:i + _HILBERT_CHUNK]
-              for i in range(0, len(indices), _HILBERT_CHUNK)]
 
-    def work(chunk):
-        return _run_hilbert_chunk(cov, phi, config, chunk, levels,
+    def work(indices):
+        return _run_hilbert_chunk(cov, phi, config, indices, levels,
                                   eval_times, modified)
 
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(work, chunks))
-    else:
-        parts = [work(c) for c in chunks]
-    logz = np.concatenate([p[0] for p in parts])
-    nov = np.concatenate([p[1] for p in parts])
-    passage = np.concatenate([p[2] for p in parts])
-    final = np.concatenate([p[3] for p in parts])
-    return logz, nov, passage, final, parts[0][4], eval_times
-
-
-def simulate_q_brownian(cov: CovarianceSpec, config: SimConfig,
-                        path_index: int) -> PathRecord:
-    """One truncated Q-Brownian path on the time grid (dim = modes)."""
-    gen = path_generator(config.seed, int(path_index))
-    grid = _grid(config, (config.horizon,))
-    T = len(grid)
-    normals = gen.standard_normal((T - 1, cov.modes))
-    sqrt_lam = np.sqrt(np.asarray(cov.eigenvalues))
-    dt = np.diff(grid)
-    increments = normals * sqrt_lam[None, :] * np.sqrt(dt)[:, None]
-    states = np.concatenate([np.zeros((1, cov.modes)),
-                             np.cumsum(increments, axis=0)])
-    return PathRecord(times=grid, states=states,
-                      terminal_status=TerminalStatus(
-                          "ReachedHorizon", time=float(grid[-1])))
+    return map_chunks(work, config.n_paths, CHUNK_SIZE, threads)
 
 
 def sample_path_array(cov: CovarianceSpec, config: SimConfig, n: int):
-    """(times, states) with states of shape (n, T, modes); desk scale."""
+    """(times, states) with states of shape (n, T, modes); desk scale.
+    Paths start at 0 and read the same streams as the simulation."""
     grid = _grid(config, (config.horizon,))
-    out = np.empty((n, len(grid), cov.modes))
-    for p in range(n):
-        out[p] = simulate_q_brownian(cov, config, p).states
+    sqrt_lam = np.sqrt(np.asarray(cov.eigenvalues))
+    sqrt_dt = np.sqrt(np.diff(grid))
+    out = np.zeros((n, len(grid), cov.modes))
+    for start in range(0, n, CHUNK_SIZE):
+        rows = np.arange(start, min(start + CHUNK_SIZE, n))
+        increments = (_normals(cov, config, rows, grid) * sqrt_lam
+                      * sqrt_dt[:, None])
+        out[rows, 1:] = np.cumsum(increments, axis=1)
     return grid, out
 
 
@@ -359,21 +341,19 @@ def estimate_hilbert_expectation(phi: FunctionalSpec, cov: CovarianceSpec,
     """
     if t > config.horizon:
         raise ValidationError("t must not exceed the horizon")
-    cfg = replace(config, dt_max=min(config.dt_max, t), horizon=t,
-                  adaptive=False)
+    cfg = replace(config, dt_max=min(config.dt_max, t), horizon=t)
     notes = []
     if conditions is not None and not conditions.passed:
         notes.append("conditions report failed; estimates are not "
                      "certified (verdict Inconclusive)")
-    logz, _, _, _, _, _ = _run_hilbert(cov, phi, cfg, eval_times=(t,),
-                                       threads=threads)
+    logz, _, _ = _run_hilbert(cov, phi, cfg, eval_times=(t,),
+                              threads=threads)
     direct = MCEstimate.from_samples(np.exp(logz[:, 0]), notes=notes)
 
     config.check_plan(plan)
-    _, _, passage, _, _, _ = _run_hilbert(cov, phi, cfg,
-                                          levels=plan.levels,
-                                          eval_times=(t,), modified=True,
-                                          threads=threads)
+    _, _, passage = _run_hilbert(cov, phi, cfg, levels=plan.levels,
+                                 eval_times=(t,), modified=True,
+                                 threads=threads)
     return direct, survival_curve(passage, plan, t, notes)
 
 
@@ -383,10 +363,9 @@ def hilbert_novikov_estimate(phi: FunctionalSpec, cov: CovarianceSpec,
     """Sample mean of exp(0.5 int ||Q^{1/2} phi||^2 ds) under the
     original dynamics; the running-sup example makes this diverge for
     large t while Z stays a true martingale."""
-    cfg = replace(config, dt_max=min(config.dt_max, t), horizon=t,
-                  adaptive=False)
-    _, nov, _, _, _, _ = _run_hilbert(cov, phi, cfg, eval_times=(t,),
-                                      threads=threads)
+    cfg = replace(config, dt_max=min(config.dt_max, t), horizon=t)
+    _, nov, _ = _run_hilbert(cov, phi, cfg, eval_times=(t,),
+                             threads=threads)
     with np.errstate(over="ignore"):
         samples = np.exp(0.5 * nov[:, 0])
     notes = []

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (EvalDomain, JumpBoundViolation, ValidationError)
 from .expr import CoefficientExpr
-from .mc import CHUNK_SIZE, SimConfig, survival_curve
+from .mc import CHUNK_SIZE, SimConfig, map_chunks, survival_curve
 from .model import (Classification, DiffusionSpec, LocalizationPlan,
                     MartingaleVerdict)
 from .rng import normal_block, uniform_block
@@ -144,12 +145,6 @@ class HellingerPath:
     continuous_part: np.ndarray
     cp_part: np.ndarray
     atom_part: np.ndarray
-
-    def to_dict(self):
-        return {"times": self.times.tolist(), "R": self.R.tolist(),
-                "continuous_part": self.continuous_part.tolist(),
-                "cp_part": self.cp_part.tolist(),
-                "atom_part": self.atom_part.tolist()}
 
 
 def compute_Uhat(trip: JumpTriplet, gd: GirsanovData, t: float) -> float:
@@ -272,9 +267,9 @@ def compute_R(trip: JumpTriplet, gd: GirsanovData, grid,
                          cp_part=cp, atom_part=atom_part)
 
 
-@dataclass
-class JumpSimResult:
-    eval_times: np.ndarray
+class JumpSimResult(NamedTuple):
+    """Per-path outputs, in path-index order."""
+
     z_evals: np.ndarray        # (n_paths, E)
     z_final: np.ndarray
     passage_times: np.ndarray  # (n_paths, L)
@@ -282,7 +277,6 @@ class JumpSimResult:
     min_delta_N: np.ndarray    # most negative Delta N per path (inf if none)
     r_final: np.ndarray
     c_over_z_final: np.ndarray  # int (1/Z_-^2) dC(Z) at the horizon
-    levels: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -416,8 +410,8 @@ def simulate_jump_exponential(trip: JumpTriplet, gd: GirsanovData,
     (used by verdict_jump) while R is still evaluated with the original
     (trip, gd) data along those paths.
 
-    The paths of a chunk (CHUNK_SIZE paths; chunks are merged in index
-    order) advance together, and everything that depends only on
+    The paths of a chunk (CHUNK_SIZE paths, through `map_chunks`, on one
+    thread) advance together, and everything that depends only on
     (t, jump size) is tabulated once per grid time.  Path p reads only
     its own streams of (seed, p): one main-stream normal per step, and
     on the jump stream one uniform per step and compound-Poisson support
@@ -444,18 +438,9 @@ def simulate_jump_exponential(trip: JumpTriplet, gd: GirsanovData,
     c_expr = trip.base.c_expr(0, 0)
     guard = config.explosion_guard
 
-    n = config.n_paths
     E, L = len(eval_times), len(levels)
-    z_evals = np.full((n, E), math.nan)
-    z_final = np.empty(n)
-    passage = np.full((n, L), math.inf)
-    z_at_passage = np.full((n, L), math.nan)
-    min_dn = np.full(n, math.inf)
-    r_final = np.empty(n)
-    c_over_z = np.empty(n)
 
-    for start in range(0, n, CHUNK_SIZE):
-        paths = np.arange(start, min(start + CHUNK_SIZE, n))
+    def work(paths):
         normals = normal_block(config.seed, paths, steps)
         uniforms = (uniform_block(config.seed, paths, n_uniforms)
                     if n_uniforms else None)
@@ -466,7 +451,9 @@ def simulate_jump_exponential(trip: JumpTriplet, gd: GirsanovData,
         r_acc = np.zeros(m)
         coz = np.zeros(m)          # int (1/Z_-^2) dC(Z)
         dn_min = np.full(m, math.inf)
-        crossed = np.zeros((m, L), dtype=bool)
+        z_evals = np.full((m, E), math.nan)
+        passage = np.full((m, L), math.inf)
+        z_at_passage = np.full((m, L), math.nan)
         live = np.arange(m)        # rows not stopped at the guard
         for i in range(steps):
             if not live.size:
@@ -540,29 +527,21 @@ def simulate_jump_exponential(trip: JumpTriplet, gd: GirsanovData,
             ax = np.abs(x[live])
             z = np.exp(log_zc[live]) * jump_prod[live]
             if L:
-                newly = ~crossed[live] & (ax[:, None] >= levels)
+                newly = (passage[live] == math.inf) & (ax[:, None] >= levels)
                 if np.any(newly):
                     rows, cols = np.nonzero(newly)
-                    crossed[live[rows], cols] = True
-                    passage[paths[live[rows]], cols] = t1
-                    z_at_passage[paths[live[rows]], cols] = z[rows]
+                    passage[live[rows], cols] = t1
+                    z_at_passage[live[rows], cols] = z[rows]
             going = ax < guard
             if not np.all(going):
                 live, z = live[going], z[going]
             j = eval_column.get(i)
             if j is not None:
-                z_evals[paths[live], j] = z
-        z_final[paths] = np.exp(log_zc) * jump_prod
-        r_final[paths] = r_acc
-        c_over_z[paths] = coz
-        min_dn[paths] = dn_min
+                z_evals[live, j] = z
+        return (z_evals, np.exp(log_zc) * jump_prod, passage, z_at_passage,
+                dn_min, r_acc, coz)
 
-    return JumpSimResult(eval_times=np.asarray(eval_times),
-                         z_evals=z_evals, z_final=z_final,
-                         passage_times=passage, z_at_passage=z_at_passage,
-                         min_delta_N=min_dn, r_final=r_final,
-                         c_over_z_final=c_over_z,
-                         levels=levels)
+    return JumpSimResult(*map_chunks(work, config.n_paths, CHUNK_SIZE))
 
 
 @dataclass
@@ -587,7 +566,7 @@ def verify_compensator_identity(trip: JumpTriplet, gd: GirsanovData,
     C(Z) = <Z^c> + sum (Z_{s-} - sqrt(Z_s Z_{s-}))^2; its compensator is
     Z_-^2 . dR, so the normalized gap is a mean-zero statistic.
     """
-    cfg = replace(config, horizon=t, adaptive=False)
+    cfg = replace(config, horizon=t)
     result = simulate_jump_exponential(trip, gd, cfg, eval_times=(t,))
     gaps = result.c_over_z_final - result.r_final
     mean = float(np.mean(gaps))
@@ -612,7 +591,7 @@ def verdict_jump(trip: JumpTriplet, gd: GirsanovData, t: float,
     """
     validate(trip, gd)
     config.check_plan(plan)
-    cfg = replace(config, horizon=t, adaptive=False)
+    cfg = replace(config, horizon=t)
     result = simulate_jump_exponential(trip, gd, cfg, levels=plan.levels,
                                        eval_times=(t,), modified=True)
     curve = survival_curve(result.passage_times, plan, t,

@@ -18,15 +18,16 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (EvalDomain, PlanTooCoarse, UnboundedOnCompact,
                      ValidationError)
 from .model import (DiffusionSpec, ExponentSpec, LocalizationPlan,
-                    _check_compatible, modified_drift, quadratic_exponent)
+                    modified_drift, quadratic_exponent)
 from .rng import BRIDGE_STREAM, normal_block, path_generator
 
 CHUNK_SIZE = 4096
@@ -65,28 +66,6 @@ class SimConfig:
                 f"explosion guard {self.explosion_guard}")
 
 
-@dataclass(frozen=True)
-class TerminalStatus:
-    kind: str          # ReachedHorizon | ExitedLevel | NumericalExplosion
-    level: float = math.nan
-    time: float = math.nan
-
-    def to_dict(self):
-        d = {"kind": self.kind}
-        if self.kind == "ExitedLevel":
-            d["level"] = self.level
-        if not math.isnan(self.time):
-            d["time"] = self.time
-        return d
-
-
-@dataclass
-class PathRecord:
-    times: np.ndarray          # nondecreasing, starts at 0
-    states: np.ndarray         # (len(times), dim)
-    terminal_status: TerminalStatus
-
-
 @dataclass
 class MCEstimate:
     mean: float
@@ -108,13 +87,6 @@ class MCEstimate:
                    heavy_tail_flag=share > 0.5, max_sample_share=share,
                    notes=list(notes))
 
-    def to_dict(self):
-        return {"mean": self.mean, "std_error": self.std_error,
-                "n_effective": self.n_effective,
-                "heavy_tail_flag": self.heavy_tail_flag,
-                "max_sample_share": self.max_sample_share,
-                "notes": list(self.notes)}
-
 
 @dataclass
 class DeficitCurve:
@@ -129,32 +101,38 @@ class DeficitCurve:
         return 1.0 - self.extrapolated_expectation
 
 
-@dataclass
-class EnsembleResult:
+class EnsembleResult(NamedTuple):
     """Per-path outputs, in path-index order."""
 
-    indices: np.ndarray
     status: np.ndarray          # int8: 0 horizon, 1 guard, 2 dt floor, 3 level
     end_time: np.ndarray
     final_state: np.ndarray     # (n, dim)
     final_logz: np.ndarray
     passage_times: np.ndarray   # (n, L) first time ||X|| >= level, inf if never
     logz_at_passage: np.ndarray
-    eval_times: np.ndarray      # (E,)
     logz_evals: np.ndarray      # (n, E), nan where the path ended earlier
     nov_evals: np.ndarray       # (n, E) accumulated integral of q
-    levels: np.ndarray
-    trajectories: list = None   # [(times, states)] when recording
 
-    def terminal_status(self, row):
-        code = int(self.status[row])
-        t = float(self.end_time[row])
-        if code == 0:
-            return TerminalStatus("ReachedHorizon", time=t)
-        if code == 3:
-            return TerminalStatus("ExitedLevel",
-                                  level=float(self.levels[-1]), time=t)
-        return TerminalStatus("NumericalExplosion", time=t)
+
+def map_chunks(work, n, chunk_size, threads=1):
+    """Map `work` over the index chunks [0, chunk_size), [chunk_size,
+    2 chunk_size), ... of range(n) and concatenate, in index order, each
+    of the per-path arrays that `work` returns as a tuple.
+
+    Chunk boundaries do not depend on `threads`, so neither does the
+    output.  Chunks hold the interpreter lock between numpy calls:
+    threads beyond the core count only trade it back and forth, so no
+    more run than there are chunks or cores.
+    """
+    chunks = [np.arange(i, min(i + chunk_size, n))
+              for i in range(0, n, chunk_size)]
+    workers = min(threads, len(chunks), os.cpu_count() or 1)
+    if workers > 1:
+        with futures.ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(work, chunks))
+    else:
+        parts = [work(c) for c in chunks]
+    return [np.concatenate(column) for column in zip(*parts)]
 
 
 def _eval_matrix(exprs_by_coord, t, x):
@@ -167,7 +145,7 @@ def _eval_matrix(exprs_by_coord, t, x):
 
 
 def _run_chunk(spec, config, indices, levels, eval_times, beta, q_expr,
-               stop_at_largest_level, record_trajectories):
+               stop_at_largest_level):
     d = spec.dim
     n = len(indices)
     L = len(levels)
@@ -200,10 +178,6 @@ def _run_chunk(spec, config, indices, levels, eval_times, beta, q_expr,
     crossed = np.zeros((n, L), dtype=bool)
     logz_evals = np.full((n, E), math.nan)
     nov_evals = np.full((n, E), math.nan)
-
-    trajectories = None
-    if record_trajectories:
-        trajectories = [([0.0], [x[row].copy()]) for row in range(n)]
 
     track_z = beta is not None
     k = 0
@@ -292,11 +266,6 @@ def _run_chunk(spec, config, indices, levels, eval_times, beta, q_expr,
         tnew = np.where(hit, next_eval, tnew)
         tcur[ia] = tnew
 
-        if record_trajectories:
-            for pos, row in enumerate(ia):
-                trajectories[row][0].append(float(tnew[pos]))
-                trajectories[row][1].append(x[row].copy())
-
         norm = np.sqrt(np.sum(x[ia] * x[ia], axis=1))
 
         if L:
@@ -359,45 +328,19 @@ def _run_chunk(spec, config, indices, levels, eval_times, beta, q_expr,
                     alive[done] = False
         k += 1
 
-    return EnsembleResult(
-        indices=np.asarray(indices), status=status, end_time=end_time,
-        final_state=x, final_logz=logz, passage_times=passage,
-        logz_at_passage=logz_pass, eval_times=eval_times,
-        logz_evals=logz_evals, nov_evals=nov_evals, levels=levels,
-        trajectories=trajectories)
-
-
-def _concat_results(parts):
-    first = parts[0]
-    trajectories = None
-    if first.trajectories is not None:
-        trajectories = [t for p in parts for t in p.trajectories]
-    return EnsembleResult(
-        indices=np.concatenate([p.indices for p in parts]),
-        status=np.concatenate([p.status for p in parts]),
-        end_time=np.concatenate([p.end_time for p in parts]),
-        final_state=np.concatenate([p.final_state for p in parts]),
-        final_logz=np.concatenate([p.final_logz for p in parts]),
-        passage_times=np.concatenate([p.passage_times for p in parts]),
-        logz_at_passage=np.concatenate([p.logz_at_passage for p in parts]),
-        eval_times=first.eval_times,
-        logz_evals=np.concatenate([p.logz_evals for p in parts]),
-        nov_evals=np.concatenate([p.nov_evals for p in parts]),
-        levels=first.levels,
-        trajectories=trajectories)
+    return EnsembleResult(status, end_time, x, logz, passage, logz_pass,
+                          logz_evals, nov_evals)
 
 
 def run_ensemble(spec: DiffusionSpec, config: SimConfig, *,
                  exp: ExponentSpec = None, levels=(), eval_times=None,
-                 stop_at_largest_level=False, threads=1,
-                 record_trajectories=False,
-                 indices=None) -> EnsembleResult:
+                 stop_at_largest_level=False,
+                 threads=1) -> EnsembleResult:
     """Simulate an ensemble; the workhorse behind every estimator.
 
     eval_times defaults to (horizon,); it must be sorted, positive and end
-    at the horizon.  Chunk boundaries are fixed (CHUNK_SIZE) and chunks are
-    merged in index order, so `threads` never changes the output.  No
-    more workers run than there are chunks or cores.
+    at the horizon.  Paths run in chunks of CHUNK_SIZE (`map_chunks`), so
+    `threads` never changes the output.
     """
     if eval_times is None:
         eval_times = (config.horizon,)
@@ -416,69 +359,12 @@ def run_ensemble(spec: DiffusionSpec, config: SimConfig, *,
         beta = exp.beta
         q_expr = quadratic_exponent(spec, exp)
 
-    if indices is None:
-        indices = np.arange(config.n_paths, dtype=np.int64)
-    else:
-        indices = np.asarray(indices, dtype=np.int64)
-    chunks = [indices[i:i + CHUNK_SIZE]
-              for i in range(0, len(indices), CHUNK_SIZE)]
+    def work(indices):
+        return _run_chunk(spec, config, indices, levels, eval_times, beta,
+                          q_expr, stop_at_largest_level)
 
-    def work(chunk):
-        return _run_chunk(spec, config, chunk, levels, eval_times, beta,
-                          q_expr, stop_at_largest_level, record_trajectories)
-
-    # chunks hold the interpreter lock between numpy calls: threads beyond
-    # the core count only trade it back and forth
-    workers = min(threads, len(chunks), os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(work, chunks))
-    else:
-        parts = [work(c) for c in chunks]
-    return _concat_results(parts)
-
-
-def simulate_path(spec: DiffusionSpec, config: SimConfig,
-                  path_index: int) -> PathRecord:
-    """One path, bit-identical to ensemble member `path_index`."""
-    if not 0 <= path_index < config.n_paths:
-        raise ValidationError(
-            f"path_index {path_index} outside 0..{config.n_paths - 1}")
-    result = run_ensemble(spec, config, record_trajectories=True,
-                          indices=[path_index])
-    times, states = result.trajectories[0]
-    return PathRecord(times=np.asarray(times),
-                      states=np.asarray(states),
-                      terminal_status=result.terminal_status(0))
-
-
-def stochastic_exponential(path: PathRecord, spec: DiffusionSpec,
-                           exp: ExponentSpec) -> np.ndarray:
-    """Z along the path grid: log Z = sum beta.dX^c - 0.5 sum q dt,
-    where dX^c = dX - b dt is the martingale part of the increment.
-    Coefficients are taken at the start of each step."""
-    _check_compatible(spec, exp)
-    t, x = path.times[:-1], path.states[:-1]
-    dt, dx = np.diff(path.times), np.diff(path.states, axis=0)
-
-    def values(expr, coord):
-        v = expr.eval_array(t, x[:, coord])
-        if not np.all(np.isfinite(v)):
-            i = int(np.argmin(np.isfinite(v)))
-            raise EvalDomain(f"{expr.render()} is not finite at "
-                             f"(t={float(t[i])}, x={float(x[i, coord])})")
-        return v
-
-    beta = [values(e, j) for j, e in enumerate(exp.beta)]
-    bdot = 0.0
-    for j in range(spec.dim):
-        bdot += beta[j] * (dx[:, j] - values(spec.b[j], j) * dt)
-    q = 0.0
-    for a in range(spec.dim):
-        for bb in range(spec.dim):
-            q += beta[a] * values(spec.c_expr(a, bb), a) * beta[bb]
-    logz = np.concatenate(([0.0], np.cumsum(bdot - 0.5 * q * dt)))
-    return np.exp(logz)
+    return EnsembleResult(*map_chunks(work, config.n_paths, CHUNK_SIZE,
+                                      threads))
 
 
 def estimate_mean_direct(spec: DiffusionSpec, exp: ExponentSpec, t: float,

@@ -6,9 +6,13 @@ bit-identical regardless of chunking, worker count, or scheduling.  A
 small stream id carves out auxiliary per-path streams (bridge
 corrections, the jump kit's uniforms) without disturbing the main one.
 
-`path_generator` opens one path's stream.  `normal_block` and
-`uniform_block` draw the normals or uniforms of a whole chunk of paths
-in one batch; their rows are bit-identical to the per-path streams.
+`normal_block` and `uniform_block` draw the normals or uniforms of a
+whole chunk of paths in one batch; their rows are bit-identical to the
+per-path streams that `path_generator` opens.  Every engine draws its
+main-stream normals this way: the diffusion engine d per step, the jump
+kit one per step, and the Hilbert kit K per step (a row of (T-1)*K, step
+by step, mode by mode).  `path_generator` itself is left to the
+diffusion engine's bridge uniforms and to reference computations.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ import pytest
 
 from martprop.errors import ValidationError
 from martprop.hilbert import (
+    _run_hilbert,
     CovarianceSpec,
     FunctionalSpec,
     check_conditions,
@@ -12,10 +13,10 @@ from martprop.hilbert import (
     hilbert_novikov_estimate,
     phi_values,
     sample_path_array,
-    simulate_q_brownian,
 )
 from martprop.mc import SimConfig
 from martprop.model import LocalizationPlan
+from martprop.rng import path_generator
 
 PLAN = LocalizationPlan(levels=(4.0, 8.0, 16.0, 32.0),
                         time_caps=(2.0, 2.0, 2.0, 2.0))
@@ -65,15 +66,55 @@ def test_per_mode_variances_match_spectrum():
     assert np.all(np.abs(off) < 0.1)
 
 
-def test_simulate_q_brownian_deterministic():
+def test_sample_path_array_deterministic():
     cov = CovarianceSpec.dyadic(2)
-    cfg = SimConfig(n_paths=10, dt_max=0.1, horizon=1.0, seed=7,
-                    adaptive=False)
-    p1 = simulate_q_brownian(cov, cfg, 3)
-    p2 = simulate_q_brownian(cov, cfg, 3)
-    np.testing.assert_array_equal(p1.states, p2.states)
-    assert p1.states.shape == (len(p1.times), 2)
-    assert np.all(p1.states[0] == 0.0)
+    cfg = SimConfig(n_paths=10, dt_max=0.1, horizon=1.0, seed=7)
+    t1, s1 = sample_path_array(cov, cfg, 4)
+    t2, s2 = sample_path_array(cov, cfg, 4)
+    np.testing.assert_array_equal(t1, t2)
+    np.testing.assert_array_equal(s1, s2)
+    assert s1.shape == (4, len(t1), 2)
+    assert np.all(s1[:, 0] == 0.0)
+    assert len(np.unique(s1[:, -1, 0])) == 4
+
+
+def test_hilbert_paths_follow_their_documented_streams():
+    # path p's (T-1, K) normals are its main stream (seed, p) in C order,
+    # across more than one 512-path chunk.  A unit-vector running sup
+    # makes every sum below exact in any order.
+    cov = CovarianceSpec.dyadic(3)
+    phi = FunctionalSpec.running_sup(3, mode_index=1)
+    cfg = SimConfig(n_paths=600, dt_max=0.25, horizon=1.0, seed=13)
+    levels, eval_times = (0.5, 1.0), (0.5, 1.0)
+    grid, states = sample_path_array(cov, cfg, cfg.n_paths)
+    res = _run_hilbert(cov, phi, cfg, levels=levels,
+                       eval_times=eval_times)
+    lam = np.asarray(cov.eigenvalues)
+    sqrt_lam = np.sqrt(lam)
+    d = np.asarray(phi.direction)
+    T = len(grid)
+    for p in range(cfg.n_paths):
+        z = path_generator(cfg.seed, p).standard_normal((T - 1, 3))
+        inc = z * sqrt_lam[None, :] * np.sqrt(np.diff(grid))[:, None]
+        np.testing.assert_array_equal(states[p, 1:],
+                                      np.cumsum(inc, axis=0))
+        x, sup, logz = np.zeros(3), 0.0, 0.0
+        passage, logz_evals = [math.inf, math.inf], []
+        for i in range(1, T):
+            dt = grid[i] - grid[i - 1]
+            phi_now = sup * d
+            dw = z[i - 1] * (sqrt_lam * math.sqrt(dt))
+            logz += np.sum(phi_now * dw) - 0.5 * np.sum(
+                lam * phi_now * phi_now) * dt
+            x = x + dw
+            sup = max(sup, x[1])
+            for j, m in enumerate(levels):
+                if passage[j] == math.inf and np.sqrt(np.sum(x * x)) >= m:
+                    passage[j] = grid[i]
+            if grid[i] in eval_times:
+                logz_evals.append(logz)
+        assert res[0][p].tolist() == logz_evals
+        assert res[2][p].tolist() == passage
 
 
 # --- the functional ------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from martprop import mc
 from martprop.errors import PlanTooCoarse, ValidationError
 from martprop.mc import (
     MCEstimate,
@@ -12,8 +13,6 @@ from martprop.mc import (
     estimate_mean_direct,
     localized_bound_check,
     run_ensemble,
-    simulate_path,
-    stochastic_exponential,
     stopped_exponential_means,
 )
 from martprop.model import (
@@ -50,12 +49,19 @@ def test_thread_count_does_not_change_output():
     np.testing.assert_array_equal(r1.nov_evals, r8.nov_evals)
 
 
-def test_single_path_matches_ensemble_member():
+def test_chunk_size_does_not_change_output(monkeypatch):
+    # paths stop at the level at different iterations, so a chunk of 7
+    # and the one default chunk see different live rows at every step
+    spec = DiffusionSpec.scalar("x^3", "1", x0=0.5)
     cfg = SimConfig(n_paths=50, dt_max=0.05, horizon=1.0, seed=9)
-    ens = run_ensemble(BM, cfg, exp=BETA_X)
-    for idx in (0, 17, 49):
-        path = simulate_path(BM, cfg, idx)
-        assert path.states[-1, 0] == ens.final_state[idx, 0]
+    kwargs = dict(exp=BETA_X, levels=(1.0, 2.0), eval_times=(0.5, 1.0),
+                  stop_at_largest_level=True)
+    whole = run_ensemble(spec, cfg, **kwargs)
+    monkeypatch.setattr(mc, "CHUNK_SIZE", 7)
+    chunked = run_ensemble(spec, cfg, threads=2, **kwargs)
+    assert 0 < np.sum(whole.status == 3) < cfg.n_paths
+    for a, b in zip(whole, chunked):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_paths_follow_their_documented_streams():
@@ -104,13 +110,13 @@ def test_seed_changes_output():
 # --- structural invariants -----------------------------------------------------
 
 def test_z_is_positive_along_paths():
-    path = simulate_path(DiffusionSpec.scalar("-x", "1"),
-                         SimConfig(n_paths=5, dt_max=0.01, horizon=1.0,
-                                   seed=11), 2)
-    z = stochastic_exponential(path, DiffusionSpec.scalar("-x", "1"),
-                               BETA_X)
-    assert np.all(z > 0.0)
-    assert z[0] == 1.0
+    res = run_ensemble(DiffusionSpec.scalar("-x", "1"),
+                       SimConfig(n_paths=5, dt_max=0.01, horizon=1.0,
+                                 seed=11),
+                       exp=BETA_X, eval_times=np.linspace(0.1, 1.0, 10))
+    z = np.exp(res.logz_evals)
+    assert np.all(np.isfinite(z)) and np.all(z > 0.0)
+    assert not np.all(z == 1.0)
 
 
 def test_passage_times_monotone_in_level():
@@ -134,14 +140,14 @@ def test_survival_column_nondecreasing():
 
 
 def test_trivial_ode_path():
-    # sigma = 0 reduces to dX = dt: X_t = t exactly and Z = 1 exactly
+    # sigma = 0 reduces to dX = dt: X_t = t and Z = 1 exactly
     spec = DiffusionSpec.scalar("1", "0")
     cfg = SimConfig(n_paths=3, dt_max=0.1, horizon=1.0, seed=0,
                     adaptive=False)
-    path = simulate_path(spec, cfg, 0)
-    assert path.states[-1, 0] == pytest.approx(1.0, abs=1e-12)
-    z = stochastic_exponential(path, spec, BETA_X)
-    np.testing.assert_allclose(z, 1.0, atol=1e-14)
+    res = run_ensemble(spec, cfg, exp=BETA_X)
+    np.testing.assert_allclose(res.final_state, 1.0, rtol=0, atol=1e-12)
+    assert np.all(res.final_logz == 0.0)
+    assert np.all(res.status == 0) and np.all(res.end_time == 1.0)
 
 
 # --- estimators ------------------------------------------------------------------
