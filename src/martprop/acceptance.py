@@ -39,7 +39,8 @@ from .mc import (
     run_ensemble,
     stopped_exponential_means,
 )
-from .model import Classification, DiffusionSpec, modified_drift
+from .model import (Classification, DiffusionSpec, LocalizationPlan,
+                    modified_drift)
 
 _DIFFUSION_PRESETS = ("identity-zero", "brownian-linear",
                       "brownian-cubic", "ou-linear")
@@ -170,9 +171,17 @@ def criterion_4(threads=1):
             f"{elapsed:.1f}s (limit 120s)")
 
 
+def _binding_plan(plan):
+    """`plan` behind levels 0.5 and 1.0 (caps 2.0), which some paths pass
+    by t = 0.25, where no path reaches a preset level."""
+    return LocalizationPlan(levels=(0.5, 1.0) + plan.levels,
+                            time_caps=(2.0, 2.0) + plan.time_caps)
+
+
 def criterion_5(threads=1):
     """Optional stopping: E[Z_{t and rho_n}] = 1 within 3 SE for every
-    plan level of every catalog diffusion passing the bound check.
+    level of every catalog diffusion passing the bound check, at the
+    preset's plan levels and at the two binding levels ahead of them.
 
     Tested at t = 0.25: the fact holds at any t, but for the strict
     local case the sample mean at larger t is dominated by vanishing-
@@ -186,8 +195,9 @@ def criterion_5(threads=1):
     for name in _DIFFUSION_PRESETS:
         p = catalog.with_overrides(catalog.get(name), t=t, n_paths=10000,
                                    dt_max=0.002)
-        localized_bound_check(p.spec, p.exponent, p.plan)
-        ests = stopped_exponential_means(p.spec, p.exponent, t, p.plan,
+        plan = _binding_plan(p.plan)
+        localized_bound_check(p.spec, p.exponent, plan)
+        ests = stopped_exponential_means(p.spec, p.exponent, t, plan,
                                          p.mc, threads=threads)
         worst = max(abs(e.mean - 1.0) - 3.0 * e.std_error for e in ests)
         level_ok = worst <= 0.0 or all(
@@ -327,36 +337,27 @@ def _cli_report_bytes(args, threads):
 def criterion_8(threads=1):
     """Reports are byte-identical across --threads 1 and --threads 8."""
     start = time.monotonic()
-    # shrink the heavier presets via a config override
-    with tempfile.NamedTemporaryFile("w", suffix=".json",
-                                     delete=False) as fh:
-        json.dump({"preset": "ou-linear",
-                   "mc": {"n_paths": 5000, "dt_max": 0.01,
-                          "horizon": 1.0}}, fh)
-        small_ou = fh.name
-    with tempfile.NamedTemporaryFile("w", suffix=".json",
-                                     delete=False) as fh:
-        json.dump({"preset": "atom-half",
-                   "mc": {"n_paths": 1000, "dt_max": 0.01,
-                          "horizon": 1.0}}, fh)
-        small_atom = fh.name
-    runs = [
-        ("classify", "--preset", "identity-zero", "--with-mc"),
-        ("deficit", "--config", small_ou),
-        ("jump", "--config", small_atom),
-    ]
+    # shrink the heavier presets via a config override; the Hilbert run
+    # spans three 512-path chunks
+    small = (("deficit", "ou-linear", 5000), ("jump", "atom-half", 1000),
+             ("hilbert", "running-sup-16", 1500))
     ok = True
     parts = []
-    try:
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = [("classify", "--preset", "identity-zero", "--with-mc")]
+        for command, preset, n_paths in small:
+            path = os.path.join(tmp, f"{preset}.json")
+            with open(path, "w") as fh:
+                json.dump({"preset": preset,
+                           "mc": {"n_paths": n_paths, "dt_max": 0.01,
+                                  "horizon": 1.0}}, fh)
+            runs.append((command, "--config", path))
         for args in runs:
             b1 = _cli_report_bytes(args, 1)
             b8 = _cli_report_bytes(args, 8)
             same = b1 == b8
             ok = ok and same
             parts.append(f"{args[0]}: {'identical' if same else 'DIFFER'}")
-    finally:
-        os.unlink(small_ou)
-        os.unlink(small_atom)
     elapsed = time.monotonic() - start
     return ("criterion 8 (thread-count determinism)", ok,
             "; ".join(parts) + f", {elapsed:.1f}s")

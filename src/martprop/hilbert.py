@@ -163,36 +163,20 @@ def _normals(cov, config, indices, grid):
                         shape[1] * shape[2]).reshape(shape)
 
 
-def _run_hilbert_chunk(cov, phi, config, indices, levels, eval_times,
-                       modified):
+def _steps(cov, phi, grid, normals, modified):
+    """Step one dynamics over `normals`: W itself, or with `modified`
+    the Girsanov-modified W + int Q phi ds.  After each step, yield
+    (its end time, dt, phi on it, dW, the state at its end)."""
     lam = np.asarray(cov.eigenvalues)
-    K = cov.modes
-    grid = _grid(config, eval_times)
-    T = len(grid)
-    n = len(indices)
-    L, E = len(levels), len(eval_times)
-    eval_lookup = {t: j for j, t in enumerate(eval_times)}
-    normals = _normals(cov, config, indices, grid)
-
-    w = None
-    d = None
+    sqrt_lam = np.sqrt(lam)
+    n, K = len(normals), cov.modes
+    x = np.zeros((n, K))
+    sup_before = np.zeros(n)         # running sup strictly before t
     if phi.kind == "running_sup":
         w = np.asarray(phi.weights)
         d = np.asarray(phi.direction)
-
-    x = np.zeros((n, K))
-    sup_before = np.zeros(n)         # running sup strictly before t
-    logz = np.zeros(n)
-    nov = np.zeros(n)                # int ||Q^{1/2} phi||^2 ds
-    passage = np.full((n, L), math.inf)
-    crossed = np.zeros((n, L), dtype=bool)
-    logz_evals = np.full((n, E), math.nan)
-    nov_evals = np.full((n, E), math.nan)
-    sqrt_lam = np.sqrt(lam)
-
-    for i in range(1, T):
-        t0, t1 = grid[i - 1], grid[i]
-        dt = t1 - t0
+    for i in range(1, len(grid)):
+        t0, dt = grid[i - 1], grid[i] - grid[i - 1]
         if phi.kind == "running_sup":
             phi_now = sup_before[:, None] * d[None, :]
         else:
@@ -202,37 +186,65 @@ def _run_hilbert_chunk(cov, phi, config, indices, levels, eval_times,
         dW = normals[:, i - 1, :] * (sqrt_lam * math.sqrt(dt))[None, :]
         if modified:
             dW = dW + lam[None, :] * phi_now * dt
+        x += dW
+        if phi.kind == "running_sup":
+            sup_before = np.maximum(sup_before, x @ w)
+        yield grid[i], dt, phi_now, dW, x
+
+
+def _original_run(cov, phi, grid, normals, eval_times):
+    """log Z and int ||Q^{1/2} phi||^2 ds at eval_times, one row per
+    path, under the original dynamics."""
+    lam = np.asarray(cov.eigenvalues)
+    n = len(normals)
+    eval_lookup = {t: j for j, t in enumerate(eval_times)}
+    logz = np.zeros(n)
+    nov = np.zeros(n)
+    logz_evals = np.full((n, len(eval_times)), math.nan)
+    nov_evals = np.full((n, len(eval_times)), math.nan)
+    for t, dt, phi_now, dW, _ in _steps(cov, phi, grid, normals, False):
         qphi2 = np.sum(lam[None, :] * phi_now * phi_now, axis=1)
         logz += np.sum(phi_now * dW, axis=1) - 0.5 * qphi2 * dt
         nov += qphi2 * dt
-        x += dW
-        if w is not None:
-            sup_before = np.maximum(sup_before, x @ w)
-        if L:
-            norm = np.sqrt(np.sum(x * x, axis=1))
-            newly = (~crossed) & (norm[:, None] >= np.asarray(levels)[None])
-            if np.any(newly):
-                rows, cols = np.nonzero(newly)
-                passage[rows, cols] = t1
-                crossed[rows, cols] = True
-        j = eval_lookup.get(float(t1))
+        j = eval_lookup.get(float(t))
         if j is not None:
             logz_evals[:, j] = logz
             nov_evals[:, j] = nov
-    return logz_evals, nov_evals, passage
+    return logz_evals, nov_evals
 
 
-def _run_hilbert(cov, phi, config, levels=(), eval_times=None,
-                 modified=False, threads=1):
-    """(logz_evals, nov_evals, passage_times), one row per path."""
+def _modified_passages(cov, phi, grid, normals, levels):
+    """First grid time at which ||X|| >= each level under the modified
+    dynamics (inf if never), one row per path."""
+    levels = np.asarray(levels, dtype=np.float64)
+    passage = np.full((len(normals), len(levels)), math.inf)
+    for t, _, _, _, x in _steps(cov, phi, grid, normals, True):
+        norm = np.sqrt(np.sum(x * x, axis=1))
+        newly = np.isinf(passage) & (norm[:, None] >= levels[None])
+        passage[newly] = t
+    return passage
+
+
+def _run_hilbert(cov, phi, config, levels=(), eval_times=None, threads=1):
+    """(logz_evals, nov_evals) under the original dynamics and, per
+    level, passage_times under the modified dynamics, one row per path.
+
+    A chunk draws its normals once and both dynamics read them; with no
+    levels the modified dynamics are not simulated.
+    """
     phi.check_modes(cov.modes)
     if eval_times is None:
         eval_times = (config.horizon,)
     eval_times = tuple(sorted(set(float(t) for t in eval_times)))
+    grid = _grid(config, eval_times)
 
     def work(indices):
-        return _run_hilbert_chunk(cov, phi, config, indices, levels,
-                                  eval_times, modified)
+        normals = _normals(cov, config, indices, grid)
+        logz_evals, nov_evals = _original_run(cov, phi, grid, normals,
+                                              eval_times)
+        passage = (_modified_passages(cov, phi, grid, normals, levels)
+                   if levels else np.empty((len(indices), 0)))
+        return logz_evals, nov_evals, passage
 
     return map_chunks(work, config.n_paths, CHUNK_SIZE, threads)
 
@@ -339,6 +351,7 @@ def estimate_hilbert_expectation(phi: FunctionalSpec, cov: CovarianceSpec,
     ||Q^{1/2} phi||^2 ds.  The deficit simulates the modified dynamics
     (drift Q phi) and measures survival below each plan level.
     """
+    config.check_plan(plan)
     if t > config.horizon:
         raise ValidationError("t must not exceed the horizon")
     cfg = replace(config, dt_max=min(config.dt_max, t), horizon=t)
@@ -346,14 +359,9 @@ def estimate_hilbert_expectation(phi: FunctionalSpec, cov: CovarianceSpec,
     if conditions is not None and not conditions.passed:
         notes.append("conditions report failed; estimates are not "
                      "certified (verdict Inconclusive)")
-    logz, _, _ = _run_hilbert(cov, phi, cfg, eval_times=(t,),
-                              threads=threads)
+    logz, _, passage = _run_hilbert(cov, phi, cfg, levels=plan.levels,
+                                    eval_times=(t,), threads=threads)
     direct = MCEstimate.from_samples(np.exp(logz[:, 0]), notes=notes)
-
-    config.check_plan(plan)
-    _, _, passage = _run_hilbert(cov, phi, cfg, levels=plan.levels,
-                                 eval_times=(t,), modified=True,
-                                 threads=threads)
     return direct, survival_curve(passage, plan, t, notes)
 
 

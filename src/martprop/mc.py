@@ -10,8 +10,11 @@ norm over level m_n capped at cap_n: the deficit 1 - E[Z_t] is the
 limiting modified-measure probability of early exit.
 
 Determinism contract: every path is a pure function of (spec, config,
-path_index) via a counter-based stream, and ensembles are reduced in
-path-index order, so results are bit-identical for any worker count.
+path_index) via its counter-based streams, which a chunk draws for its
+live paths in one batch (`rng.normal_block`, and `rng.uniform_block` for
+the bridge uniforms; no engine calls `path_generator`).  Ensembles are
+reduced in path-index order, so results are bit-identical for any worker
+count.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .errors import (EvalDomain, PlanTooCoarse, UnboundedOnCompact,
                      ValidationError)
 from .model import (DiffusionSpec, ExponentSpec, LocalizationPlan,
                     modified_drift, quadratic_exponent)
-from .rng import BRIDGE_STREAM, normal_block, path_generator
+from .rng import BRIDGE_STREAM, normal_block, uniform_block
 
 CHUNK_SIZE = 4096
 _SNAP_EPS = 1e-12
@@ -152,82 +155,85 @@ def _run_chunk(spec, config, indices, levels, eval_times, beta, q_expr,
     E = len(eval_times)
     levels = np.asarray(levels, dtype=np.float64)
     eval_times = np.asarray(eval_times, dtype=np.float64)
-    guard = config.explosion_guard
     dt_max, dt_min = config.dt_max, config.dt_min
+    bridge = config.bridge_correction and d == 1 and L > 0
 
-    bridge_gens = None
-    if config.bridge_correction and d == 1 and L:
-        bridge_gens = [path_generator(config.seed, int(i), BRIDGE_STREAM)
-                       for i in indices]
-
-    # main-stream normals of the live paths: row slot[r] of `normals` holds
-    # the start of path r's stream, drawn in one batch
-    normals = np.empty((0, 0))
-    slot = np.zeros(n, dtype=np.intp)
-
-    x = np.tile(np.asarray(spec.x0, dtype=np.float64), (n, 1))
-    tcur = np.zeros(n)
-    logz = np.zeros(n)
-    nov = np.zeros(n)
-    alive = np.ones(n, dtype=bool)
+    # per-path outputs: passages and eval-time values are written as they
+    # happen, the rest once, when the path ends
     status = np.zeros(n, dtype=np.int8)
-    end_time = np.full(n, math.nan)
-    eval_idx = np.zeros(n, dtype=np.int64)
+    end_time = np.empty(n)
+    final_state = np.empty((n, d))
+    final_logz = np.empty(n)
     passage = np.full((n, L), math.inf)
     logz_pass = np.full((n, L), math.nan)
-    crossed = np.zeros((n, L), dtype=bool)
     logz_evals = np.full((n, E), math.nan)
     nov_evals = np.full((n, E), math.nan)
 
-    track_z = beta is not None
-    k = 0
-    while np.any(alive):
-        ia = np.nonzero(alive)[0]
-        xa = x[ia]
-        ta = tcur[ia]
+    # state of the live paths only, in path order: `row` is a path's row
+    # in the outputs and `slot` its row in the normal (and bridge uniform)
+    # buffers, which start each live path's stream
+    row = np.arange(n)
+    x = np.tile(np.asarray(spec.x0, dtype=np.float64), (n, 1))
+    t = np.zeros(n)
+    logz = np.zeros(n)
+    nov = np.zeros(n)
+    eidx = np.zeros(n, dtype=np.intp)
+    crossed = np.zeros((n, L), dtype=bool)
+    slot = row
+    normals = uniforms = np.empty((0, 0))
 
-        b_mat = _eval_matrix(spec.b, ta, xa)
-        sig = np.empty((len(ia), d, d))
+    def explode(ended, code):
+        # a path ending at the guard or the step floor passes every level
+        # it has not crossed, at its end time
+        r = row[ended]
+        status[r] = code
+        unc = ~crossed[ended]
+        passage[r] = np.where(unc, t[ended][:, None], passage[r])
+        logz_pass[r] = np.where(unc, logz[ended][:, None], logz_pass[r])
+
+    def retire(ended, *rest):
+        # write the outputs of the ended paths; return the live state of
+        # the others, then each array of `rest` cut the same way
+        r = row[ended]
+        end_time[r] = t[ended]
+        final_state[r] = x[ended]
+        final_logz[r] = logz[ended]
+        keep = ~ended
+        return [a[keep] for a in (row, x, t, logz, nov, eidx, crossed, slot,
+                                  *rest)]
+
+    k = 0
+    while row.size:
+        b_mat = _eval_matrix(spec.b, t, x)
+        sig = np.empty((row.size, d, d))
         for i in range(d):
             for j in range(d):
-                sig[:, i, j] = spec.sigma[i][j].eval_array(ta, xa[:, i])
+                sig[:, i, j] = spec.sigma[i][j].eval_array(t, x[:, i])
         if not (np.all(np.isfinite(b_mat)) and np.all(np.isfinite(sig))):
-            bad = ia[~(np.all(np.isfinite(b_mat), axis=1)
-                       & np.all(np.isfinite(sig), axis=(1, 2)))][0]
+            bad = np.nonzero(~(np.all(np.isfinite(b_mat), axis=1)
+                               & np.all(np.isfinite(sig), axis=(1, 2))))[0][0]
             raise EvalDomain(
-                f"non-finite coefficient on path {int(indices[bad])} "
-                f"at t={tcur[bad]:.6g}, x={x[bad].tolist()}")
+                f"non-finite coefficient on path {int(indices[row[bad]])} "
+                f"at t={t[bad]:.6g}, x={x[bad].tolist()}")
 
         if config.adaptive:
             load = (np.sqrt(np.sum(b_mat * b_mat, axis=1))
                     + np.sum(sig * sig, axis=(1, 2)) + 1.0)
             dt = np.minimum(dt_max, dt_max / load)
         else:
-            dt = np.full(len(ia), dt_max)
+            dt = np.full(row.size, dt_max)
 
         # hard floor: terminate as numerical explosion (checked pre-clip)
         floored = dt < dt_min
         if np.any(floored):
-            rows = ia[floored]
-            status[rows] = 2
-            end_time[rows] = tcur[rows]
-            if L:
-                unc = ~crossed[rows]
-                passage[rows] = np.where(unc, tcur[rows][:, None],
-                                         passage[rows])
-                logz_pass[rows] = np.where(unc, logz[rows][:, None],
-                                           logz_pass[rows])
-                crossed[rows] = True
-            alive[rows] = False
-            keep = ~floored
-            if not np.any(keep):
-                k += 1
-                continue
-            ia, xa, ta = ia[keep], xa[keep], ta[keep]
-            b_mat, sig, dt = b_mat[keep], sig[keep], dt[keep]
+            explode(floored, 2)
+            (row, x, t, logz, nov, eidx, crossed, slot,
+             b_mat, sig, dt) = retire(floored, b_mat, sig, dt)
+            if not row.size:
+                break
 
-        next_eval = eval_times[eval_idx[ia]]
-        dt = np.minimum(dt, next_eval - ta)
+        next_eval = eval_times[eidx]
+        dt = np.minimum(dt, next_eval - t)
 
         if (k + 1) * d > normals.shape[1]:
             if k == 0:
@@ -236,100 +242,82 @@ def _run_chunk(spec, config, indices, levels, eval_times, beta, q_expr,
                     float(dt[0]), dt_max / _FIRST_LOAD_CAP))) + E + 8
             else:
                 steps = 2 * k
-            # live rows draw their streams from the start, so a grown
+            # live paths draw their streams from the start, so a grown
             # buffer continues each stream where the old one ended
-            live = np.nonzero(alive)[0]
-            normals = normal_block(config.seed, indices[live], steps * d)
-            slot[live] = np.arange(live.size)
+            live = indices[row]
+            normals = normal_block(config.seed, live, steps * d)
+            if bridge:
+                uniforms = uniform_block(config.seed, live, steps,
+                                         BRIDGE_STREAM)
+            slot = np.arange(row.size)
+        # a plain slice until some path ends after the draw
+        rows = slice(None) if slot.size == len(normals) else slot
 
-        dW = normals[slot[ia], k * d:(k + 1) * d] * np.sqrt(dt)[:, None]
+        dW = normals[rows, k * d:(k + 1) * d] * np.sqrt(dt)[:, None]
         dx = b_mat * dt[:, None] + np.einsum("nij,nj->ni", sig, dW)
 
-        if track_z:
-            beta_mat = _eval_matrix(beta, ta, xa)
-            q = q_expr.eval_array(ta, xa[:, 0]) if d == 1 else np.einsum(
+        if beta is not None:
+            beta_mat = _eval_matrix(beta, t, x)
+            q = q_expr.eval_array(t, x[:, 0]) if d == 1 else np.einsum(
                 "ni,nij,nj->n", beta_mat,
                 np.einsum("nik,njk->nij", sig, sig), beta_mat)
             if not (np.all(np.isfinite(beta_mat)) and np.all(np.isfinite(q))):
                 raise EvalDomain("non-finite exponent coefficient")
             # beta integrates against the martingale part X^c only
             dx_mart = dx - b_mat * dt[:, None]
-            logz[ia] += np.sum(beta_mat * dx_mart, axis=1) - 0.5 * q * dt
-            nov[ia] += q * dt
+            logz += np.sum(beta_mat * dx_mart, axis=1) - 0.5 * q * dt
+            nov += q * dt
 
-        x_old_sup = None
-        if bridge_gens is not None:
-            x_old_sup = xa[:, 0].copy()
-        x[ia] += dx
-        tnew = ta + dt
-        hit = tnew >= next_eval - _SNAP_EPS
-        tnew = np.where(hit, next_eval, tnew)
-        tcur[ia] = tnew
-
-        norm = np.sqrt(np.sum(x[ia] * x[ia], axis=1))
+        if bridge:
+            x_old = x[:, 0].copy()
+        x += dx
+        t = t + dt
+        hit = t >= next_eval - _SNAP_EPS
+        t = np.where(hit, next_eval, t)
+        norm = np.sqrt(np.sum(x * x, axis=1))
 
         if L:
-            newly = (~crossed[ia]) & (norm[:, None] >= levels[None, :])
-            if bridge_gens is not None:
-                # Brownian-bridge intra-step crossing for the nearest
-                # uncrossed level (scalar case only)
+            newly = ~crossed & (norm[:, None] >= levels[None, :])
+            if bridge:
+                # Brownian-bridge crossing inside the step, scalar case,
+                # for level column 0 only
+                m = levels[0]
                 c_diag = sig[:, 0, 0] ** 2
-                u = np.array([bridge_gens[row].random() for row in ia])
-                for col in range(L):
-                    m = levels[col]
-                    cand = (~crossed[ia, col]) & (~newly[:, col]) \
-                        & (x_old_sup < m) & (x[ia][:, 0] < m) & (c_diag > 0)
-                    if np.any(cand):
-                        p = np.exp(-2.0 * (m - x_old_sup[cand])
-                                   * (m - x[ia][cand, 0])
-                                   / (c_diag[cand] * dt[cand]))
-                        newly[np.nonzero(cand)[0], col] |= u[cand] < p
-                    break  # nearest uncrossed level only
+                cand = (~crossed[:, 0] & ~newly[:, 0] & (x_old < m)
+                        & (x[:, 0] < m) & (c_diag > 0))
+                if np.any(cand):
+                    p = np.exp(-2.0 * (m - x_old[cand]) * (m - x[cand, 0])
+                               / (c_diag[cand] * dt[cand]))
+                    newly[cand, 0] |= uniforms[rows, k][cand] < p
             if np.any(newly):
-                rows, cols = np.nonzero(newly)
-                passage[ia[rows], cols] = tnew[rows]
-                logz_pass[ia[rows], cols] = logz[ia[rows]]
-                crossed[ia[rows], cols] = True
+                rr, cols = np.nonzero(newly)
+                passage[row[rr], cols] = t[rr]
+                logz_pass[row[rr], cols] = logz[rr]
+                crossed |= newly
 
         # guard crossing: numerical explosion proxy
-        blown = norm >= guard
-        if np.any(blown):
-            rows = ia[blown]
-            status[rows] = 1
-            end_time[rows] = tnew[blown]
-            if L:
-                unc = ~crossed[rows]
-                passage[rows] = np.where(unc, tnew[blown][:, None],
-                                         passage[rows])
-                logz_pass[rows] = np.where(unc, logz[rows][:, None],
-                                           logz_pass[rows])
-                crossed[rows] = True
-            alive[rows] = False
-
+        ended = norm >= config.explosion_guard
+        if np.any(ended):
+            explode(ended, 1)
         if stop_at_largest_level and L:
-            stopped = crossed[ia, L - 1] & alive[ia]
-            if np.any(stopped):
-                rows = ia[stopped]
-                status[rows] = 3
-                end_time[rows] = passage[rows, L - 1]
-                alive[rows] = False
-
+            # a path stops the step it first crosses the largest level,
+            # so its end time `t` is that passage
+            stopped = crossed[:, -1] & ~ended
+            status[row[stopped]] = 3
+            ended |= stopped
+        hit &= ~ended
         if np.any(hit):
-            rows = ia[hit & alive[ia]]
-            if rows.size:
-                cols = eval_idx[rows]
-                logz_evals[rows, cols] = logz[rows]
-                nov_evals[rows, cols] = nov[rows]
-                eval_idx[rows] = cols + 1
-                done = rows[eval_idx[rows] >= E]
-                if done.size:
-                    status[done] = 0
-                    end_time[done] = tcur[done]
-                    alive[done] = False
+            rr, cols = row[hit], eidx[hit]
+            logz_evals[rr, cols] = logz[hit]
+            nov_evals[rr, cols] = nov[hit]
+            eidx[hit] = cols + 1
+            ended |= eidx >= E
+        if np.any(ended):
+            row, x, t, logz, nov, eidx, crossed, slot = retire(ended)
         k += 1
 
-    return EnsembleResult(status, end_time, x, logz, passage, logz_pass,
-                          logz_evals, nov_evals)
+    return EnsembleResult(status, end_time, final_state, final_logz, passage,
+                          logz_pass, logz_evals, nov_evals)
 
 
 def run_ensemble(spec: DiffusionSpec, config: SimConfig, *,

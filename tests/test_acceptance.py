@@ -1,9 +1,13 @@
 """Acceptance gate: one test per criterion, each printing a single
-PASS/FAIL line with the measured numbers."""
+PASS/FAIL line with the measured numbers, and a check that criterion 5's
+plan binds."""
 
-import pytest
+from dataclasses import replace
 
-from martprop import acceptance
+import numpy as np
+
+from martprop import acceptance, catalog
+from martprop.mc import run_ensemble
 
 _THREADS = 4
 
@@ -48,3 +52,15 @@ def test_criterion_8_thread_determinism():
 
 def test_criterion_9_feller_invariance():
     _check(acceptance.criterion_9(threads=_THREADS))
+
+
+def test_criterion_5_levels_bind():
+    # some paths pass the added level 1.0 before t = 0.25, so its stopped
+    # mean differs from the unstopped one that the preset levels give
+    p = catalog.get("brownian-linear")
+    plan = acceptance._binding_plan(p.plan)
+    assert plan.levels[1] == 1.0
+    cfg = replace(p.mc, n_paths=2000, dt_max=0.002, horizon=0.25)
+    res = run_ensemble(p.spec, cfg, levels=plan.levels)
+    assert np.any(res.passage_times[:, 1] < 0.25)
+    assert np.all(res.passage_times[:, 2:] == np.inf)

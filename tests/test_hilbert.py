@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from martprop import hilbert
 from martprop.errors import ValidationError
 from martprop.hilbert import (
     _run_hilbert,
@@ -14,7 +15,7 @@ from martprop.hilbert import (
     phi_values,
     sample_path_array,
 )
-from martprop.mc import SimConfig
+from martprop.mc import MCEstimate, SimConfig, survival_curve
 from martprop.model import LocalizationPlan
 from martprop.rng import path_generator
 
@@ -80,8 +81,9 @@ def test_sample_path_array_deterministic():
 
 def test_hilbert_paths_follow_their_documented_streams():
     # path p's (T-1, K) normals are its main stream (seed, p) in C order,
-    # across more than one 512-path chunk.  A unit-vector running sup
-    # makes every sum below exact in any order.
+    # across more than one 512-path chunk, and both dynamics read them:
+    # logz follows W, the passages follow W + int Q phi ds.  A unit-vector
+    # running sup makes every sum below exact in any order.
     cov = CovarianceSpec.dyadic(3)
     phi = FunctionalSpec.running_sup(3, mode_index=1)
     cfg = SimConfig(n_paths=600, dt_max=0.25, horizon=1.0, seed=13)
@@ -93,13 +95,16 @@ def test_hilbert_paths_follow_their_documented_streams():
     sqrt_lam = np.sqrt(lam)
     d = np.asarray(phi.direction)
     T = len(grid)
+    moved = 0
     for p in range(cfg.n_paths):
         z = path_generator(cfg.seed, p).standard_normal((T - 1, 3))
         inc = z * sqrt_lam[None, :] * np.sqrt(np.diff(grid))[:, None]
         np.testing.assert_array_equal(states[p, 1:],
                                       np.cumsum(inc, axis=0))
         x, sup, logz = np.zeros(3), 0.0, 0.0
+        xm, supm = np.zeros(3), 0.0
         passage, logz_evals = [math.inf, math.inf], []
+        crossed_w = [False, False]
         for i in range(1, T):
             dt = grid[i] - grid[i - 1]
             phi_now = sup * d
@@ -108,13 +113,20 @@ def test_hilbert_paths_follow_their_documented_streams():
                 lam * phi_now * phi_now) * dt
             x = x + dw
             sup = max(sup, x[1])
+            xm = xm + (dw + lam * (supm * d) * dt)
+            supm = max(supm, xm[1])
             for j, m in enumerate(levels):
-                if passage[j] == math.inf and np.sqrt(np.sum(x * x)) >= m:
+                if passage[j] == math.inf and np.sqrt(np.sum(xm * xm)) >= m:
                     passage[j] = grid[i]
+                crossed_w[j] |= bool(np.sqrt(np.sum(x * x)) >= m)
             if grid[i] in eval_times:
                 logz_evals.append(logz)
         assert res[0][p].tolist() == logz_evals
         assert res[2][p].tolist() == passage
+        moved += [s < math.inf for s in passage] != crossed_w
+    # the drift moves some passages, so the check above tells the
+    # dynamics apart
+    assert moved > 0
 
 
 # --- the functional ------------------------------------------------------------------
@@ -188,6 +200,36 @@ def test_expectation_deterministic_across_threads():
                                           threads=8)
     assert d1.mean == d8.mean
     assert c1.entries == c8.entries
+
+
+def test_one_draw_gives_both_dynamics_their_separate_runs(monkeypatch):
+    # the direct mean reads the original dynamics and the curve the
+    # modified ones, each as if simulated alone over the same streams
+    cov = CovarianceSpec.dyadic(4)
+    phi = FunctionalSpec.running_sup(4)
+    cfg = SimConfig(n_paths=700, dt_max=0.05, horizon=1.0, seed=17)
+    plan = LocalizationPlan(levels=(0.5, 1.0), time_caps=(2.0, 2.0))
+    direct, curve = estimate_hilbert_expectation(phi, cov, 1.0, plan, cfg,
+                                                 threads=2)
+    logz, _, no_levels = _run_hilbert(cov, phi, cfg, eval_times=(1.0,))
+    assert no_levels.shape == (cfg.n_paths, 0)
+    grid = hilbert._grid(cfg, (1.0,))
+    normals = hilbert._normals(cov, cfg, np.arange(cfg.n_paths), grid)
+    passage = hilbert._modified_passages(cov, phi, grid, normals,
+                                         plan.levels)
+    assert direct == MCEstimate.from_samples(np.exp(logz[:, 0]))
+    assert curve == survival_curve(passage, plan, 1.0)
+    assert 0.0 < curve.entries[0][2] < 1.0
+
+    # a plan reaching the guard is refused before any path is simulated
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before the plan was checked")
+    monkeypatch.setattr(hilbert, "map_chunks", no_simulation)
+    with pytest.raises(ValidationError):
+        estimate_hilbert_expectation(
+            phi, cov, 1.0, plan,
+            SimConfig(n_paths=10, dt_max=0.05, horizon=1.0,
+                      explosion_guard=1.0))
 
 
 def test_novikov_probe_heavy_at_large_t():

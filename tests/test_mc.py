@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from martprop import mc
-from martprop.errors import PlanTooCoarse, ValidationError
+from martprop.errors import EvalDomain, PlanTooCoarse, ValidationError
 from martprop.mc import (
     MCEstimate,
     SimConfig,
@@ -21,7 +21,7 @@ from martprop.model import (
     LocalizationPlan,
     modified_drift,
 )
-from martprop.rng import path_generator
+from martprop.rng import BRIDGE_STREAM, path_generator
 
 BM = DiffusionSpec.scalar("0", "1")
 BETA_X = ExponentSpec.scalar("x")
@@ -97,6 +97,105 @@ def test_paths_follow_their_documented_streams():
         assert ens.final_state[idx, 0] == x
         assert ens.status[idx] == (3 if abs(x) >= 4.0 else 0)
     assert 0 < stopped < cfg.n_paths
+
+
+def test_compaction_does_not_change_output(monkeypatch):
+    # one chunk whose paths end by all four statuses at different
+    # iterations: sigma > 1e3 below x = -1.1 trips the step floor, a step
+    # from below 2 to past 2.5 the guard, |x| >= 2 the level stop, and
+    # the rest reach the horizon.  One path per chunk never compacts.
+    spec = DiffusionSpec.scalar("0", "2 + 1e4*max(-x - 1, 0)")
+    cfg = SimConfig(n_paths=200, dt_max=1.0, horizon=1.0, seed=5,
+                    explosion_guard=2.5)
+    kwargs = dict(exp=BETA_X, levels=(1.0, 2.0), eval_times=(0.25, 0.5, 1.0),
+                  stop_at_largest_level=True)
+    whole = run_ensemble(spec, cfg, **kwargs)
+    assert set(whole.status.tolist()) == {0, 1, 2, 3}
+    monkeypatch.setattr(mc, "CHUNK_SIZE", 1)
+    single = run_ensemble(spec, cfg, **kwargs)
+    for a, b in zip(whole, single):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_eval_domain_names_the_path_after_others_ended():
+    # sigma = 1 (b = 0) wherever log(x + 0.9) is finite, so every path
+    # steps dt = dt_max / 2 with X = x0 + sum sqrt(dt) Z until it stops
+    # at |X| >= 2 or stands at x <= -0.9, where sigma is nan
+    spec = DiffusionSpec.scalar("0", "1 + 0*log(x + 0.9)", x0=1.0)
+    cfg = SimConfig(n_paths=64, dt_max=0.02, horizon=1.0, seed=4)
+    first = None                     # (step, path, t, x) of the failure
+    stopped_before = set()
+    for idx in range(cfg.n_paths):
+        z = path_generator(cfg.seed, idx).standard_normal(200)
+        x, t = 1.0, 0.0
+        for k in range(200):
+            if x <= -0.9:
+                if first is None or k < first[0]:
+                    first = (k, idx, t, float(x))
+                break
+            if t == cfg.horizon:
+                break
+            dt = min(cfg.dt_max / 2.0, cfg.horizon - t)
+            x += z[k] * math.sqrt(dt)
+            t = t + dt
+            if t >= cfg.horizon - 1e-12:
+                t = cfg.horizon
+            if abs(x) >= 2.0:
+                stopped_before.add((k, idx))
+                break
+    assert first is not None
+    k_bad, bad, t_bad, x_bad = first
+    # some path with a lower index stopped earlier, so the failing path
+    # no longer sits at its own index among the live rows
+    assert any(k < k_bad and idx < bad for k, idx in stopped_before)
+    with pytest.raises(EvalDomain) as exc:
+        run_ensemble(spec, cfg, levels=(2.0,), stop_at_largest_level=True)
+    assert str(exc.value) == (f"non-finite coefficient on path {bad} "
+                              f"at t={t_bad:.6g}, x={[x_bad]}")
+
+
+def test_bridge_uniforms_follow_their_documented_streams():
+    # the setting of test_paths_follow_their_documented_streams with the
+    # bridge correction on: each step draws the next uniform of the
+    # path's BRIDGE_STREAM and marks level 0 crossed inside the step with
+    # the frozen-coefficient bridge probability
+    spec = DiffusionSpec.scalar("0", "1 + 4*t", x0=0.5)
+    cfg = SimConfig(n_paths=200, dt_max=0.05, horizon=1.0, seed=21,
+                    bridge_correction=True)
+    levels = (1.5, 4.0)
+    ens = run_ensemble(spec, cfg, levels=levels, stop_at_largest_level=True)
+    steps = []
+    t = 0.0
+    while t < cfg.horizon:
+        s = 1.0 + 4.0 * t
+        dt = min(cfg.dt_max / (s * s + 1.0), cfg.horizon - t)
+        t = t + dt
+        if t >= cfg.horizon - 1e-12:
+            t = cfg.horizon
+        steps.append((s, dt, t))
+    by_bridge = 0
+    for idx in range(cfg.n_paths):
+        z = path_generator(cfg.seed, idx).standard_normal(len(steps))
+        gen = path_generator(cfg.seed, idx, BRIDGE_STREAM)
+        x, m = 0.5, levels[0]
+        passage = [math.inf, math.inf]
+        for (s, dt, t), zk in zip(steps, z):
+            x_old = x
+            x += s * (zk * math.sqrt(dt))
+            u = gen.random()
+            if passage[0] == math.inf:
+                if abs(x) >= m:
+                    passage[0] = t
+                elif x_old < m and x < m and u < np.exp(
+                        -2.0 * (m - x_old) * (m - x) / (s ** 2 * dt)):
+                    passage[0] = t
+                    by_bridge += 1
+            if abs(x) >= levels[1]:
+                passage[1] = t
+                break
+        assert ens.final_state[idx, 0] == x
+        assert ens.passage_times[idx].tolist() == passage
+    assert by_bridge > 0
 
 
 def test_seed_changes_output():
