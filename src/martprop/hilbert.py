@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .expr import CoefficientExpr
-from .mc import MCEstimate, SimConfig, map_chunks, survival_curve
+from .mc import (MCEstimate, Passages, SimConfig, map_chunks,
+                 survival_curve)
 from .model import LocalizationPlan
 from .rng import normal_block
 
@@ -216,13 +217,13 @@ def _original_run(cov, phi, grid, normals, eval_times):
 def _modified_passages(cov, phi, grid, normals, levels):
     """First grid time at which ||X|| >= each level under the modified
     dynamics (inf if never), one row per path."""
-    levels = np.asarray(levels, dtype=np.float64)
-    passage = np.full((len(normals), len(levels)), math.inf)
+    n = len(normals)
+    passages = Passages(n, levels)
+    count = np.zeros(n, dtype=np.intp)
+    rows = np.arange(n)
     for t, _, _, _, x in _steps(cov, phi, grid, normals, True):
-        norm = np.sqrt(np.sum(x * x, axis=1))
-        newly = np.isinf(passage) & (norm[:, None] >= levels[None])
-        passage[newly] = t
-    return passage
+        passages.cross(count, rows, np.sqrt(np.sum(x * x, axis=1)), t)
+    return passages.times
 
 
 def _run_hilbert(cov, phi, config, levels=(), eval_times=None, threads=1):
@@ -371,6 +372,8 @@ def hilbert_novikov_estimate(phi: FunctionalSpec, cov: CovarianceSpec,
     """Sample mean of exp(0.5 int ||Q^{1/2} phi||^2 ds) under the
     original dynamics; the running-sup example makes this diverge for
     large t while Z stays a true martingale."""
+    if t > config.horizon:
+        raise ValidationError("t must not exceed the horizon")
     cfg = replace(config, dt_max=min(config.dt_max, t), horizon=t)
     _, nov, _ = _run_hilbert(cov, phi, cfg, eval_times=(t,),
                              threads=threads)

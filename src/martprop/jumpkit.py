@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import (EvalDomain, JumpBoundViolation, ValidationError)
 from .expr import CoefficientExpr
-from .mc import CHUNK_SIZE, SimConfig, map_chunks, survival_curve
+from .mc import (CHUNK_SIZE, Passages, SimConfig, map_chunks,
+                 survival_curve)
 from .model import (Classification, DiffusionSpec, LocalizationPlan,
                     MartingaleVerdict)
 from .rng import normal_block, uniform_block
@@ -452,9 +453,9 @@ def simulate_jump_exponential(trip: JumpTriplet, gd: GirsanovData,
         coz = np.zeros(m)          # int (1/Z_-^2) dC(Z)
         dn_min = np.full(m, math.inf)
         z_evals = np.full((m, E), math.nan)
-        passage = np.full((m, L), math.inf)
-        z_at_passage = np.full((m, L), math.nan)
+        passages = Passages(m, levels)
         live = np.arange(m)        # rows not stopped at the guard
+        count = np.zeros(m, dtype=np.intp)   # levels crossed, per live row
         for i in range(steps):
             if not live.size:
                 break
@@ -527,19 +528,15 @@ def simulate_jump_exponential(trip: JumpTriplet, gd: GirsanovData,
             ax = np.abs(x[live])
             z = np.exp(log_zc[live]) * jump_prod[live]
             if L:
-                newly = (passage[live] == math.inf) & (ax[:, None] >= levels)
-                if np.any(newly):
-                    rows, cols = np.nonzero(newly)
-                    passage[live[rows], cols] = t1
-                    z_at_passage[live[rows], cols] = z[rows]
+                passages.cross(count, live, ax, t1, z)
             going = ax < guard
             if not np.all(going):
-                live, z = live[going], z[going]
+                live, z, count = live[going], z[going], count[going]
             j = eval_column.get(i)
             if j is not None:
                 z_evals[live, j] = z
-        return (z_evals, np.exp(log_zc) * jump_prod, passage, z_at_passage,
-                dn_min, r_acc, coz)
+        return (z_evals, np.exp(log_zc) * jump_prod, passages.times,
+                passages.values, dn_min, r_acc, coz)
 
     return JumpSimResult(*map_chunks(work, config.n_paths, CHUNK_SIZE))
 

@@ -15,11 +15,19 @@ live paths in one batch (`rng.normal_block`, and `rng.uniform_block` for
 the bridge uniforms; no engine calls `path_generator`).  Ensembles are
 reduced in path-index order, so results are bit-identical for any worker
 count.
+
+A chunk holds the state of its live paths coordinate-major, one vector
+per coordinate, and evaluates b and sigma per coordinate; sums over
+coordinates run term by term in a fixed order.  `Passages` records first
+passages for this engine and for the jump and Hilbert kits: a live path
+carries only the number of levels it has crossed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import os
 from concurrent import futures
 from dataclasses import dataclass, field, replace
@@ -138,24 +146,68 @@ def map_chunks(work, n, chunk_size, threads=1):
     return [np.concatenate(column) for column in zip(*parts)]
 
 
-def _eval_matrix(exprs_by_coord, t, x):
-    """Evaluate per-coordinate expressions; x has shape (n, d)."""
-    n, d = x.shape
-    out = np.empty((n, d))
-    for i, e in enumerate(exprs_by_coord):
-        out[:, i] = e.eval_array(t, x[:, i])
-    return out
+def _total(terms):
+    """Sum of per-path vectors, term by term, as numpy sums a row of
+    fewer than 8; numpy starts from +0.0, which only fixes the sign of a
+    zero."""
+    return functools.reduce(operator.add, terms)
+
+
+class Passages:
+    """First passages of a path norm over increasing levels, for paths
+    that advance in lockstep; the diffusion, jump and Hilbert engines
+    record through it.
+
+    `times[p, j]` is the first time path p's norm reached `levels[j]`
+    (inf if never) and `values[p, j]` the value the caller passes with
+    it (log Z or Z; nan if none).  The levels a path has crossed are
+    always the first ones, because the levels increase, so each live
+    path carries only their number: `count`, an array of the caller's
+    live state, which each call updates in place.  `rows` maps the
+    caller's live positions to rows of `times`.
+    """
+
+    def __init__(self, n, levels):
+        self.levels = np.asarray(levels, dtype=np.float64)
+        if np.any(self.levels[1:] < self.levels[:-1]):
+            raise ValidationError("levels must be increasing")
+        self._next = np.append(self.levels, math.inf)
+        self.times = np.full((n, len(self.levels)), math.inf)
+        self.values = np.full((n, len(self.levels)), math.nan)
+
+    def cross(self, count, rows, norm, t, value=None):
+        """Record every level at or below `norm` that a live path had not
+        crossed, at time `t`; return the live positions that crossed."""
+        i = np.flatnonzero(norm >= self._next[count])
+        if i.size:
+            self.mark(count, rows, i, np.searchsorted(
+                self.levels, norm[i], side="right"), t, value)
+        return i
+
+    def mark(self, count, rows, i, upto, t, value=None):
+        """Live paths `i` pass levels count[i], ..., upto - 1 at time `t`
+        (a scalar, or one per live path), with `value` (one per live
+        path)."""
+        cols = np.arange(len(self.levels))
+        k, col = np.nonzero((cols >= count[i][:, None])
+                            & (cols < np.reshape(upto, (-1, 1))))
+        live = i[k]
+        self.times[rows[live], col] = t[live] if np.ndim(t) else t
+        if value is not None:
+            self.values[rows[live], col] = value[live]
+        count[i] = upto
 
 
 def _run_chunk(spec, config, indices, levels, eval_times, beta, q_expr,
                stop_at_largest_level):
     d = spec.dim
     n = len(indices)
-    L = len(levels)
     E = len(eval_times)
-    levels = np.asarray(levels, dtype=np.float64)
-    eval_times = np.asarray(eval_times, dtype=np.float64)
+    eval_times = np.append(np.asarray(eval_times, dtype=np.float64),
+                           math.inf)
     dt_max, dt_min = config.dt_max, config.dt_min
+    passages = Passages(n, levels)
+    L = len(passages.levels)
     bridge = config.bridge_correction and d == 1 and L > 0
 
     # per-path outputs: passages and eval-time values are written as they
@@ -164,75 +216,79 @@ def _run_chunk(spec, config, indices, levels, eval_times, beta, q_expr,
     end_time = np.empty(n)
     final_state = np.empty((n, d))
     final_logz = np.empty(n)
-    passage = np.full((n, L), math.inf)
-    logz_pass = np.full((n, L), math.nan)
     logz_evals = np.full((n, E), math.nan)
     nov_evals = np.full((n, E), math.nan)
 
-    # state of the live paths only, in path order: `row` is a path's row
-    # in the outputs and `slot` its row in the normal (and bridge uniform)
-    # buffers, which start each live path's stream
+    # state of the live paths only, in path order, coordinate-major (x[i]
+    # is coordinate i of every live path): `row` is a path's row in the
+    # outputs and `slot` its row in the normal (and bridge uniform)
+    # buffers, which start each live path's stream; `count` is its number
+    # of levels crossed and `eidx` of eval times passed, and `next_eval`
+    # the eval time it steps towards
     row = np.arange(n)
-    x = np.tile(np.asarray(spec.x0, dtype=np.float64), (n, 1))
+    x = np.repeat(np.asarray(spec.x0, dtype=np.float64)[:, None], n, axis=1)
     t = np.zeros(n)
     logz = np.zeros(n)
     nov = np.zeros(n)
     eidx = np.zeros(n, dtype=np.intp)
-    crossed = np.zeros((n, L), dtype=bool)
+    next_eval = np.full(n, eval_times[0])
+    count = np.zeros(n, dtype=np.intp)
     slot = row
     normals = uniforms = np.empty((0, 0))
 
     def explode(ended, code):
         # a path ending at the guard or the step floor passes every level
         # it has not crossed, at its end time
-        r = row[ended]
-        status[r] = code
-        unc = ~crossed[ended]
-        passage[r] = np.where(unc, t[ended][:, None], passage[r])
-        logz_pass[r] = np.where(unc, logz[ended][:, None], logz_pass[r])
+        status[row[ended]] = code
+        passages.mark(count, row, np.flatnonzero(ended), L, t, logz)
 
-    def retire(ended, *rest):
+    def retire(ended):
         # write the outputs of the ended paths; return the live state of
-        # the others, then each array of `rest` cut the same way
+        # the others and the mask that cuts it
         r = row[ended]
         end_time[r] = t[ended]
-        final_state[r] = x[ended]
+        final_state[r] = x[:, ended].T
         final_logz[r] = logz[ended]
         keep = ~ended
-        return [a[keep] for a in (row, x, t, logz, nov, eidx, crossed, slot,
-                                  *rest)]
+        return (keep, row[keep], x[:, keep], t[keep], logz[keep], nov[keep],
+                eidx[keep], next_eval[keep], count[keep], slot[keep])
 
     k = 0
     while row.size:
-        b_mat = _eval_matrix(spec.b, t, x)
-        sig = np.empty((row.size, d, d))
-        for i in range(d):
-            for j in range(d):
-                sig[:, i, j] = spec.sigma[i][j].eval_array(t, x[:, i])
-        if not (np.all(np.isfinite(b_mat)) and np.all(np.isfinite(sig))):
-            bad = np.nonzero(~(np.all(np.isfinite(b_mat), axis=1)
-                               & np.all(np.isfinite(sig), axis=(1, 2))))[0][0]
-            raise EvalDomain(
-                f"non-finite coefficient on path {int(indices[row[bad]])} "
-                f"at t={t[bad]:.6g}, x={x[bad].tolist()}")
+        b = [e.eval_array(t, xi) for e, xi in zip(spec.b, x)]
+        sig = [[e.eval_array(t, xi) for e in es]
+               for es, xi in zip(spec.sigma, x)]
+        coefs = b + [s for si in sig for s in si]
+        if config.adaptive:
+            load = (np.sqrt(_total(v * v for v in b))
+                    + _total(v * v for v in coefs[d:]) + 1.0)
+        # a non-finite coefficient makes the load non-finite
+        if not (config.adaptive and np.isfinite(load).all()):
+            finite = np.logical_and.reduce([np.isfinite(c) for c in coefs])
+            if not finite.all():
+                bad = np.flatnonzero(~finite)[0]
+                raise EvalDomain(
+                    f"non-finite coefficient on path "
+                    f"{int(indices[row[bad]])} at t={t[bad]:.6g}, "
+                    f"x={x[:, bad].tolist()}")
 
         if config.adaptive:
-            load = (np.sqrt(np.sum(b_mat * b_mat, axis=1))
-                    + np.sum(sig * sig, axis=(1, 2)) + 1.0)
-            dt = np.minimum(dt_max, dt_max / load)
+            dt = dt_max / load          # load >= 1, so dt <= dt_max
+            # hard floor: terminate as numerical explosion (checked
+            # pre-clip)
+            floored = dt < dt_min
+            if floored.any():
+                explode(floored, 2)
+                (keep, row, x, t, logz, nov, eidx, next_eval, count,
+                 slot) = retire(floored)
+                if not row.size:
+                    break
+                b = [v[keep] for v in b]
+                sig = [[v[keep] for v in si] for si in sig]
+                dt = dt[keep]
         else:
             dt = np.full(row.size, dt_max)
 
-        # hard floor: terminate as numerical explosion (checked pre-clip)
-        floored = dt < dt_min
-        if np.any(floored):
-            explode(floored, 2)
-            (row, x, t, logz, nov, eidx, crossed, slot,
-             b_mat, sig, dt) = retire(floored, b_mat, sig, dt)
-            if not row.size:
-                break
-
-        next_eval = eval_times[eidx]
         dt = np.minimum(dt, next_eval - t)
 
         if (k + 1) * d > normals.shape[1]:
@@ -253,71 +309,89 @@ def _run_chunk(spec, config, indices, levels, eval_times, beta, q_expr,
         # a plain slice until some path ends after the draw
         rows = slice(None) if slot.size == len(normals) else slot
 
-        dW = normals[rows, k * d:(k + 1) * d] * np.sqrt(dt)[:, None]
-        dx = b_mat * dt[:, None] + np.einsum("nij,nj->ni", sig, dW)
+        root = np.sqrt(dt)
+        dW = [normals[rows, k * d + j] * root for j in range(d)]
+        b_dt = [bi * dt for bi in b]
+        # sigma dW sums from +0, as einsum does, so a -0.0 product adds
+        # as +0.0
+        dx = [bi + sum(s * w for s, w in zip(si, dW))
+              for bi, si in zip(b_dt, sig)]
 
         if beta is not None:
-            beta_mat = _eval_matrix(beta, t, x)
-            q = q_expr.eval_array(t, x[:, 0]) if d == 1 else np.einsum(
-                "ni,nij,nj->n", beta_mat,
-                np.einsum("nik,njk->nij", sig, sig), beta_mat)
-            if not (np.all(np.isfinite(beta_mat)) and np.all(np.isfinite(q))):
+            bv = [e.eval_array(t, xi) for e, xi in zip(beta, x)]
+            if d == 1:
+                q = q_expr.eval_array(t, x[0])
+            else:
+                sig_t = np.stack([np.stack(si, axis=1) for si in sig],
+                                 axis=1)
+                beta_t = np.stack(bv, axis=1)
+                q = np.einsum("ni,nij,nj->n", beta_t,
+                              np.einsum("nik,njk->nij", sig_t, sig_t),
+                              beta_t)
+            if not (all(np.isfinite(v).all() for v in bv)
+                    and np.isfinite(q).all()):
                 raise EvalDomain("non-finite exponent coefficient")
             # beta integrates against the martingale part X^c only
-            dx_mart = dx - b_mat * dt[:, None]
-            logz += np.sum(beta_mat * dx_mart, axis=1) - 0.5 * q * dt
+            logz += (_total(v * (dxi - bdt)
+                            for v, dxi, bdt in zip(bv, dx, b_dt))
+                     - 0.5 * q * dt)
             nov += q * dt
 
         if bridge:
-            x_old = x[:, 0].copy()
-        x += dx
-        t = t + dt
+            x_old = x[0].copy()
+            c_diag = sig[0][0] ** 2
+        for xi, dxi in zip(x, dx):
+            xi += dxi
+        t += dt
         hit = t >= next_eval - _SNAP_EPS
-        t = np.where(hit, next_eval, t)
-        norm = np.sqrt(np.sum(x * x, axis=1))
+        any_hit = hit.any()
+        if any_hit:
+            t[hit] = next_eval[hit]
+        norm = np.sqrt(_total(xi * xi for xi in x))
 
-        if L:
-            newly = ~crossed & (norm[:, None] >= levels[None, :])
-            if bridge:
-                # Brownian-bridge crossing inside the step, scalar case,
-                # for level column 0 only
-                m = levels[0]
-                c_diag = sig[:, 0, 0] ** 2
-                cand = (~crossed[:, 0] & ~newly[:, 0] & (x_old < m)
-                        & (x[:, 0] < m) & (c_diag > 0))
-                if np.any(cand):
-                    p = np.exp(-2.0 * (m - x_old[cand]) * (m - x[cand, 0])
-                               / (c_diag[cand] * dt[cand]))
-                    newly[cand, 0] |= uniforms[rows, k][cand] < p
-            if np.any(newly):
-                rr, cols = np.nonzero(newly)
-                passage[row[rr], cols] = t[rr]
-                logz_pass[row[rr], cols] = logz[rr]
-                crossed |= newly
+        crossed = passages.cross(count, row, norm, t, logz) if L else ()
+        if bridge:
+            # Brownian-bridge crossing inside the step, scalar case,
+            # for level column 0 only
+            m = passages.levels[0]
+            cand = np.flatnonzero((count == 0) & (x_old < m) & (x[0] < m)
+                                  & (c_diag > 0))
+            if cand.size:
+                p = np.exp(-2.0 * (m - x_old[cand]) * (m - x[0][cand])
+                           / (c_diag[cand] * dt[cand]))
+                up = cand[uniforms[rows, k][cand] < p]
+                passages.mark(count, row, up, 1, t, logz)
+                crossed = np.union1d(crossed, up)
 
         # guard crossing: numerical explosion proxy
         ended = norm >= config.explosion_guard
-        if np.any(ended):
+        done = ended.any()
+        if done:
             explode(ended, 1)
-        if stop_at_largest_level and L:
+        if stop_at_largest_level and len(crossed):
             # a path stops the step it first crosses the largest level,
             # so its end time `t` is that passage
-            stopped = crossed[:, -1] & ~ended
+            stopped = crossed[(count[crossed] == L) & ~ended[crossed]]
             status[row[stopped]] = 3
-            ended |= stopped
-        hit &= ~ended
-        if np.any(hit):
+            ended[stopped] = True
+            done |= stopped.size > 0
+        if any_hit:
+            hit &= ~ended
             rr, cols = row[hit], eidx[hit]
             logz_evals[rr, cols] = logz[hit]
             nov_evals[rr, cols] = nov[hit]
             eidx[hit] = cols + 1
+            next_eval[hit] = eval_times[cols + 1]
             ended |= eidx >= E
-        if np.any(ended):
-            row, x, t, logz, nov, eidx, crossed, slot = retire(ended)
+            done = ended.any()
+        if done:
+            (_, row, x, t, logz, nov, eidx, next_eval, count,
+             slot) = retire(ended)
         k += 1
 
-    return EnsembleResult(status, end_time, final_state, final_logz, passage,
-                          logz_pass, logz_evals, nov_evals)
+    return EnsembleResult(status, end_time, final_state, final_logz,
+                          passages.times, passages.values, logz_evals,
+                          nov_evals)
 
 
 def run_ensemble(spec: DiffusionSpec, config: SimConfig, *,
@@ -338,9 +412,6 @@ def run_ensemble(spec: DiffusionSpec, config: SimConfig, *,
     if eval_times[0] <= 0 or eval_times[-1] != config.horizon:
         raise ValidationError(
             "eval_times must be positive and end at the horizon")
-    levels = tuple(float(m) for m in levels)
-    if list(levels) != sorted(levels):
-        raise ValidationError("levels must be increasing")
 
     beta = q_expr = None
     if exp is not None:

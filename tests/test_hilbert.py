@@ -243,3 +243,12 @@ def test_novikov_probe_heavy_at_large_t():
                           seed=42, adaptive=False)
     calm = hilbert_novikov_estimate(phi, cov, 0.25, cfg_small)
     assert not calm.heavy_tail_flag
+
+
+def test_novikov_refuses_t_beyond_the_horizon():
+    # as mc.novikov_estimate does; it used to simulate to t = 3 anyway
+    cov = CovarianceSpec(modes=1, eigenvalues=(1.0,))
+    phi = FunctionalSpec.running_sup(1)
+    cfg = SimConfig(n_paths=100, dt_max=0.02, horizon=1.0, seed=1)
+    with pytest.raises(ValidationError):
+        hilbert_novikov_estimate(phi, cov, 3.0, cfg)

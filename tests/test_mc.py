@@ -158,11 +158,12 @@ def test_bridge_uniforms_follow_their_documented_streams():
     # the setting of test_paths_follow_their_documented_streams with the
     # bridge correction on: each step draws the next uniform of the
     # path's BRIDGE_STREAM and marks level 0 crossed inside the step with
-    # the frozen-coefficient bridge probability
+    # the frozen-coefficient bridge probability, from below only.  Level
+    # 1 lies just above level 0, and only |X| reaching it crosses it.
     spec = DiffusionSpec.scalar("0", "1 + 4*t", x0=0.5)
     cfg = SimConfig(n_paths=200, dt_max=0.05, horizon=1.0, seed=21,
                     bridge_correction=True)
-    levels = (1.5, 4.0)
+    levels = (1.5, 1.55, 4.0)
     ens = run_ensemble(spec, cfg, levels=levels, stop_at_largest_level=True)
     steps = []
     t = 0.0
@@ -178,7 +179,7 @@ def test_bridge_uniforms_follow_their_documented_streams():
         z = path_generator(cfg.seed, idx).standard_normal(len(steps))
         gen = path_generator(cfg.seed, idx, BRIDGE_STREAM)
         x, m = 0.5, levels[0]
-        passage = [math.inf, math.inf]
+        passage = [math.inf] * 3
         for (s, dt, t), zk in zip(steps, z):
             x_old = x
             x += s * (zk * math.sqrt(dt))
@@ -190,12 +191,154 @@ def test_bridge_uniforms_follow_their_documented_streams():
                         -2.0 * (m - x_old) * (m - x) / (s ** 2 * dt)):
                     passage[0] = t
                     by_bridge += 1
-            if abs(x) >= levels[1]:
+            if passage[1] == math.inf and abs(x) >= levels[1]:
                 passage[1] = t
+            if abs(x) >= levels[2]:
+                passage[2] = t
                 break
         assert ens.final_state[idx, 0] == x
         assert ens.passage_times[idx].tolist() == passage
     assert by_bridge > 0
+
+
+def test_paths_ending_at_guard_or_floor_pass_every_level_left():
+    # b = 0 and sigma(t) = 3 up to t = 0.5, then 3 + 1e9 (t - 0.5): every
+    # path takes the same steps, and one step past t = 0.5 sigma trips
+    # the step floor.  Paths reaching |X| >= 3 end at the guard first.
+    # An ended path records its end time at every level it had not
+    # crossed, level 4 above the guard included.
+    spec = DiffusionSpec.scalar("0", "3 + 1e9*max(t - 0.5, 0)")
+    cfg = SimConfig(n_paths=60, dt_max=0.05, horizon=1.0, seed=6,
+                    explosion_guard=3.0)
+    levels = (1.0, 2.0, 4.0)
+    ens = run_ensemble(spec, cfg, levels=levels)
+    for idx in range(cfg.n_paths):
+        z = path_generator(cfg.seed, idx).standard_normal(200)
+        x, t = 0.0, 0.0
+        passage = [math.inf] * 3
+        for zk in z:
+            s = 3.0 + 1e9 * max(t - 0.5, 0.0)
+            dt = cfg.dt_max / (s * s + 1.0)
+            if dt < cfg.dt_min:
+                status = 2
+                break
+            dt = min(dt, cfg.horizon - t)
+            x += 0.0 + s * (zk * math.sqrt(dt))
+            t = t + dt
+            passage = [t if p == math.inf and abs(x) >= m else p
+                       for p, m in zip(passage, levels)]
+            if abs(x) >= cfg.explosion_guard:
+                status = 1
+                break
+        passage = [min(p, t) for p in passage]
+        assert (ens.status[idx], ens.end_time[idx]) == (status, t)
+        assert ens.final_state[idx, 0] == x
+        assert ens.passage_times[idx].tolist() == passage
+    assert set(ens.status.tolist()) == {1, 2}
+    assert np.any(ens.passage_times[:, 0] < ens.end_time)
+
+
+def test_correlated_2d_ensemble_matches_a_scalar_loop():
+    # constant correlated sigma, so each coordinate's coefficients need
+    # only that coordinate; the loop sums over coordinates in the
+    # engine's order, and q = beta . c beta in einsum's
+    sig = ((1.0, 0.5), (0.0, 1.0))
+    spec = DiffusionSpec(dim=2, intervals=((-math.inf, math.inf),) * 2,
+                         b=("x", "-x"), sigma=(("1", "0.5"), ("0", "1")),
+                         x0=(0.3, -0.2))
+    exp = ExponentSpec(beta=("x", "x"))
+    cfg = SimConfig(n_paths=30, dt_max=0.05, horizon=1.0, seed=12)
+    levels, eval_times = (0.5, 1.0, 2.0), (0.5, 1.0)
+    ens = run_ensemble(spec, cfg, exp=exp, levels=levels,
+                       eval_times=eval_times)
+    c = [[sig[i][0] * sig[j][0] + sig[i][1] * sig[j][1] for j in range(2)]
+         for i in range(2)]
+    trace = sig[0][0] ** 2 + sig[0][1] ** 2 + sig[1][0] ** 2 + sig[1][1] ** 2
+    want = [[] for _ in ens]
+    for idx in range(cfg.n_paths):
+        z = iter(path_generator(cfg.seed, idx).standard_normal(1000))
+        x, t, logz, nov = [0.3, -0.2], 0.0, 0.0, 0.0
+        passage, logz_pass = [math.inf] * 3, [math.nan] * 3
+        logz_evals, nov_evals = [], []
+        for t_eval in eval_times:
+            while t < t_eval:
+                b = (x[0], -x[1])
+                load = math.sqrt(b[0] * b[0] + b[1] * b[1]) + trace + 1.0
+                dt = min(cfg.dt_max / load, t_eval - t)
+                dw = [next(z) * math.sqrt(dt) for _ in range(2)]
+                b_dt = [bi * dt for bi in b]
+                dx = [b_dt[i] + (0.0 + sig[i][0] * dw[0]
+                                 + sig[i][1] * dw[1]) for i in range(2)]
+                q = 0.0
+                for i in range(2):
+                    for j in range(2):
+                        q += x[i] * c[i][j] * x[j]
+                logz += (x[0] * (dx[0] - b_dt[0]) + x[1] * (dx[1] - b_dt[1])
+                         - 0.5 * q * dt)
+                nov += q * dt
+                x = [x[0] + dx[0], x[1] + dx[1]]
+                t = t + dt
+                if t >= t_eval - 1e-12:
+                    t = t_eval
+                norm = math.sqrt(x[0] * x[0] + x[1] * x[1])
+                for j, m in enumerate(levels):
+                    if passage[j] == math.inf and norm >= m:
+                        passage[j], logz_pass[j] = t, logz
+            logz_evals.append(logz)
+            nov_evals.append(nov)
+        for column, value in zip(want, (0, t, x, logz, passage, logz_pass,
+                                        logz_evals, nov_evals)):
+            column.append(value)
+    for field, got, value in zip(ens._fields, ens, want):
+        np.testing.assert_array_equal(got, np.array(value, dtype=got.dtype),
+                                      err_msg=field)
+    assert np.any(np.isfinite(ens.passage_times[:, 1]))
+    assert np.any(np.isinf(ens.passage_times[:, 1]))
+
+
+# --- the passage recorder -------------------------------------------------------
+
+def test_passages_record_one_step_at_every_level_it_crosses():
+    # live positions 0, 1, 2 are rows 2, 0, 1 of the outputs
+    rec = mc.Passages(3, (1.0, 2.0, 3.0))
+    count = np.zeros(3, dtype=np.intp)
+    rows = np.array([2, 0, 1])
+    crossed = rec.cross(count, rows, np.array([2.5, 0.5, 1.0]), 0.25,
+                        np.array([-1.0, -2.0, -3.0]))
+    assert crossed.tolist() == [0, 2]
+    assert count.tolist() == [2, 0, 1]
+    inf, nan = math.inf, math.nan
+    np.testing.assert_array_equal(
+        rec.times, [[inf] * 3, [0.25, inf, inf], [0.25, 0.25, inf]])
+    np.testing.assert_array_equal(
+        rec.values, [[nan] * 3, [-3.0, nan, nan], [-1.0, -1.0, nan]])
+    # per-path times; a crossed level is never recorded again
+    crossed = rec.cross(count, rows, np.array([9.0, 0.0, 1.5]),
+                        np.array([0.5, 0.6, 0.7]), np.array([4.0, 5.0, 6.0]))
+    assert crossed.tolist() == [0]
+    assert count.tolist() == [3, 0, 1]
+    np.testing.assert_array_equal(rec.times[2], [0.25, 0.25, 0.5])
+    np.testing.assert_array_equal(rec.values[2], [-1.0, -1.0, 4.0])
+    assert rec.cross(count, rows, np.array([9.0, 0.9, 1.9]), 0.75).size == 0
+
+
+def test_passages_mark_every_level_left_at_an_end():
+    rec = mc.Passages(2, (1.0, 2.0, 3.0))
+    count = np.array([0, 2])
+    rec.mark(count, np.arange(2), np.array([0, 1]), 3, np.array([0.5, 0.7]),
+             np.array([1.0, 2.0]))
+    assert count.tolist() == [3, 3]
+    # levels 0 and 1 of path 1 were crossed before, and stay unrecorded
+    np.testing.assert_array_equal(rec.times,
+                                  [[0.5, 0.5, 0.5], [math.inf] * 2 + [0.7]])
+    np.testing.assert_array_equal(rec.values[1], [math.nan] * 2 + [2.0])
+
+
+def test_passages_need_increasing_levels():
+    with pytest.raises(ValidationError):
+        mc.Passages(1, (2.0, 1.0))
+    with pytest.raises(ValidationError):
+        run_ensemble(BM, CFG, levels=(2.0, 1.0))
 
 
 def test_seed_changes_output():
