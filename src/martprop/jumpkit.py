@@ -228,24 +228,25 @@ def compute_R(trip: JumpTriplet, gd: GirsanovData, grid,
               path_states=None) -> HellingerPath:
     """Hellinger-type process R on a time grid.
 
-    When K depends on the state, `path_states` (one value per grid time)
-    supplies the path along which the predictable process is evaluated;
-    deterministic K needs no path.  Each step adds K^2 c dt at its start
-    point, the compound-Poisson term from the simulation's per-step
-    tables, and the Delta R of each atom in (t0, t1].
+    When K^2 c depends on the state (K does, or c does and K is not 0),
+    `path_states` (one value per grid time) supplies the path along which
+    the predictable process is evaluated; otherwise no path is needed.
+    Each step adds K^2 c dt at its start point, the compound-Poisson term
+    from the simulation's per-step tables, and the Delta R of each atom in
+    (t0, t1].
     """
     grid = np.asarray(grid, dtype=np.float64)
-    k_state_dep = "x" in gd.K.free_variables()
-    if k_state_dep and path_states is None:
+    c_expr = trip.base.c_expr(0, 0)
+    if path_states is None and ("x" in gd.K.free_variables() or (
+            "x" in c_expr.free_variables() and not gd.K.is_zero())):
         raise ValidationError(
-            "K depends on the state; compute_R needs path_states")
+            "K^2 c depends on the state; compute_R needs path_states")
     if path_states is None:
         path_states = np.full(len(grid), trip.base.x0[0])
     path_states = np.asarray(path_states, dtype=np.float64)
     if len(path_states) != len(grid):
         raise ValidationError("path_states must match the grid length")
     t0, dt, x0 = grid[:-1], np.diff(grid), path_states[:-1]
-    c_expr = trip.base.c_expr(0, 0)
     kv = gd.K.eval_array(t0, x0)
     cv = c_expr.eval_array(t0, x0)
     finite = np.isfinite(kv) & np.isfinite(cv)
@@ -286,7 +287,7 @@ class _CompoundPoissonSteps:
     support point y_j of the size law."""
 
     sizes: np.ndarray        # (J,)
-    cdf: np.ndarray          # (steps, J, k_max + 1): CDF of each count
+    cdf: np.ndarray          # (steps, J, k_max): CDF of each count
     delta_n: np.ndarray      # Delta N of one jump, U' = U(t0, y_j) - 1
     c_term: np.ndarray       # its term of C(Z), (1 - sqrt(1 + Delta N))^2
     compensator: np.ndarray  # (steps,) lambda E_F[U - 1], drift of log Z
@@ -301,7 +302,7 @@ class _AtomStep:
     step: int
     column: int              # its two uniforms: fire, then size
     fire_mass: float
-    size_cdf: np.ndarray
+    size_cdf: np.ndarray     # CDF at every size but the last
     sizes: np.ndarray
     delta_n_fired: np.ndarray  # per support point
     delta_n_still: float
@@ -324,11 +325,12 @@ def _u_table(gd, times, sizes):
 
 
 def _poisson_cdf(mu):
-    """CDF of Poisson(mu) at 0..k_max along a new last axis.  The tail past
-    k_max = mu + 12 sqrt(mu) + 12 (for the largest mu) is far below the
-    2^-53 resolution of a uniform."""
+    """CDF of Poisson(mu) at 0..k_max - 1 along a new last axis: the number
+    of entries at or below a uniform is a count, capped at k_max.  The tail
+    past k_max = mu + 12 sqrt(mu) + 12 (for the largest mu) is far below
+    the 2^-53 resolution of a uniform."""
     top = float(np.max(mu))
-    k = np.arange(int(math.ceil(top + 12.0 * math.sqrt(top) + 12.0)) + 1)
+    k = np.arange(int(math.ceil(top + 12.0 * math.sqrt(top) + 12.0)))
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(k[1:]))))
     with np.errstate(divide="ignore", invalid="ignore"):
         log_mu = np.log(mu)[..., None]
@@ -383,7 +385,7 @@ def _atom_steps(trip, gd, grid, modified, first_column):
             step=int(np.searchsorted(grid, t)) - 1,
             column=first_column + 2 * len(out),
             fire_mass=fire_mass,
-            size_cdf=np.cumsum(law.probs),
+            size_cdf=np.cumsum(law.probs[:-1]),
             sizes=np.array(law.support),
             delta_n_fired=_u_table(gd, [t], law.support)[0] - 1.0,
             delta_n_still=still,
@@ -412,8 +414,10 @@ def simulate_jump_exponential(trip: JumpTriplet, gd: GirsanovData,
     (trip, gd) data along those paths.
 
     The paths of a chunk (CHUNK_SIZE paths, through `map_chunks`, on one
-    thread) advance together, and everything that depends only on
-    (t, jump size) is tabulated once per grid time.  Path p reads only
+    thread) advance together; only those below the guard are held.
+    Everything that depends only on (t, jump size) is tabulated once per
+    grid time, and so is each of b, sigma, c and K free of x; the others
+    are evaluated each step on the live paths.  Path p reads only
     its own streams of (seed, p): one main-stream normal per step, and
     on the jump stream one uniform per step and compound-Poisson support
     point (that point's jump count, by inversion of its Poisson CDF),
@@ -434,10 +438,11 @@ def simulate_jump_exponential(trip: JumpTriplet, gd: GirsanovData,
     atoms = {a.step: a for a in _atom_steps(trip, gd, grid, modified,
                                             steps * n_sizes)}
     n_uniforms = steps * n_sizes + 2 * len(atoms)
-    b_expr = trip.base.b[0]
-    sig_expr = trip.base.sigma[0][0]
-    c_expr = trip.base.c_expr(0, 0)
-    guard = config.explosion_guard
+    coefs = (trip.base.b[0], trip.base.sigma[0][0], trip.base.c_expr(0, 0),
+             gd.K)
+    # x-free coefficients: one value per grid time (x only sets the shape)
+    tables = [None if "x" in e.free_variables()
+              else e.eval_array(grid[:-1], grid[:-1]) for e in coefs]
 
     E, L = len(eval_times), len(levels)
 
@@ -446,36 +451,37 @@ def simulate_jump_exponential(trip: JumpTriplet, gd: GirsanovData,
         uniforms = (uniform_block(config.seed, paths, n_uniforms)
                     if n_uniforms else None)
         m = paths.size
+        z_evals = np.full((m, E), math.nan)
+        finals = np.empty((4, m))  # final z, min Delta N, R and C/Z
+        passages = Passages(m, levels)
+        # the state of the live paths only; `row` is a path's row in the
+        # outputs and the draws
+        row = np.arange(m)
         x = np.full(m, trip.base.x0[0])
         log_zc = np.zeros(m)       # continuous part: N^c - 0.5 <N^c>
         jump_prod = np.ones(m)     # product of (1 + Delta N)
         r_acc = np.zeros(m)
         coz = np.zeros(m)          # int (1/Z_-^2) dC(Z)
         dn_min = np.full(m, math.inf)
-        z_evals = np.full((m, E), math.nan)
-        passages = Passages(m, levels)
-        live = np.arange(m)        # rows not stopped at the guard
-        count = np.zeros(m, dtype=np.intp)   # levels crossed, per live row
+        count = np.zeros(m, dtype=np.intp)   # levels crossed
         for i in range(steps):
-            if not live.size:
+            if not row.size:
                 break
             t0, t1 = grid[i], grid[i + 1]
             dt = t1 - t0
-            xa = x[live]
-            bv = b_expr.eval_array(t0, xa)
-            sv = sig_expr.eval_array(t0, xa)
-            cv = c_expr.eval_array(t0, xa)
-            kv = gd.K.eval_array(t0, xa)
+            rows = slice(None) if row.size == m else row  # draw rows
+            bv, sv, cv, kv = [e.eval_array(t0, x) if tab is None else tab[i]
+                              for e, tab in zip(coefs, tables)]
             finite = (np.isfinite(bv) & np.isfinite(sv) & np.isfinite(cv)
                       & np.isfinite(kv))
             if not np.all(finite):
                 r = int(np.argmin(finite))
                 raise EvalDomain(
-                    f"non-finite coefficient on path {int(paths[live[r]])} "
-                    f"at t={t0:.6g}, x={float(xa[r])}")
+                    f"non-finite coefficient on path {int(paths[row[r]])} "
+                    f"at t={t0:.6g}, x={float(x[r])}")
             if modified:
                 bv = bv + kv * cv
-            dW = normals[live, i] * math.sqrt(dt)
+            dW = normals[rows, i] * math.sqrt(dt)
             # exponent N: continuous part and CP compensator drift
             quad_var = kv * kv * cv * dt
             dlog = kv * sv * dW - 0.5 * quad_var
@@ -485,58 +491,57 @@ def simulate_jump_exponential(trip: JumpTriplet, gd: GirsanovData,
                 dr = dr + cp.hellinger[i] * dt
                 if modified:
                     bv = bv + cp.drift_shift[i]
-            log_zc[live] += dlog
-            r_acc[live] += dr
-            coz[live] += quad_var
-            x[live] = xa + (bv * dt + sv * dW)
+            log_zc += dlog
+            r_acc += dr
+            coz += quad_var
+            x += bv * dt + sv * dW
 
             if cp is not None:
-                u = uniforms[live, i * n_sizes:(i + 1) * n_sizes]
-                rows = np.nonzero(np.any(u >= cp.cdf[i, :, 0], axis=1))[0]
-                if rows.size:
-                    cdf = cp.cdf[i]
-                    counts = np.minimum(
-                        np.sum(u[rows, :, None] >= cdf, axis=2),
-                        cdf.shape[1] - 1)
+                u = uniforms[rows, i * n_sizes:(i + 1) * n_sizes]
+                hit = np.flatnonzero(np.any(u >= cp.cdf[i, :, 0], axis=1))
+                if hit.size:
+                    counts = np.sum(u[hit, :, None] >= cp.cdf[i], axis=2)
                     dn = np.min(np.where(counts > 0, cp.delta_n[i],
                                          math.inf), axis=1)
-                    rows = live[rows]
-                    _check_jump_bound(dn, t0, paths[rows])
-                    x[rows] += counts @ cp.sizes
-                    jump_prod[rows] *= np.prod(
+                    _check_jump_bound(dn, t0, paths[row[hit]])
+                    x[hit] += counts @ cp.sizes
+                    jump_prod[hit] *= np.prod(
                         (1.0 + cp.delta_n[i]) ** counts, axis=1)
-                    dn_min[rows] = np.minimum(dn_min[rows], dn)
-                    coz[rows] += counts @ cp.c_term[i]
+                    dn_min[hit] = np.minimum(dn_min[hit], dn)
+                    coz[hit] += counts @ cp.c_term[i]
 
             atom = atoms.get(i)
             if atom is not None:
-                fired = uniforms[live, atom.column] < atom.fire_mass
-                k = np.minimum(
-                    np.searchsorted(atom.size_cdf,
-                                    uniforms[live, atom.column + 1],
-                                    side="right"), atom.sizes.size - 1)
+                u = uniforms[rows, atom.column:atom.column + 2]
+                fired = u[:, 0] < atom.fire_mass
+                k = np.searchsorted(atom.size_cdf, u[:, 1], side="right")
                 dn = np.where(fired, atom.delta_n_fired[k],
                               atom.delta_n_still)
-                _check_jump_bound(dn, t1, paths[live])
-                x[live] += np.where(fired, atom.sizes[k], 0.0)
-                jump_prod[live] *= 1.0 + dn
-                dn_min[live] = np.minimum(dn_min[live], dn)
-                r_acc[live] += atom.delta_r
-                coz[live] += (1.0 - np.sqrt(1.0 + dn)) ** 2
+                _check_jump_bound(dn, t1, paths[row])
+                x += np.where(fired, atom.sizes[k], 0.0)
+                jump_prod *= 1.0 + dn
+                dn_min = np.minimum(dn_min, dn)
+                r_acc += atom.delta_r
+                coz += (1.0 - np.sqrt(1.0 + dn)) ** 2
 
             # levels before the guard; a stopped path records no eval time
-            ax = np.abs(x[live])
-            z = np.exp(log_zc[live]) * jump_prod[live]
+            ax = np.abs(x)
+            z = np.exp(log_zc) * jump_prod
             if L:
-                passages.cross(count, live, ax, t1, z)
-            going = ax < guard
-            if not np.all(going):
-                live, z, count = live[going], z[going], count[going]
+                passages.cross(count, row, ax, t1, z)
+            going = ax < config.explosion_guard
+            if not going.all():
+                # the rows still going are written again at the end
+                finals[:, row] = z, dn_min, r_acc, coz
+                row, x, log_zc, jump_prod, r_acc, coz, dn_min, count, z = (
+                    v[going] for v in (row, x, log_zc, jump_prod, r_acc,
+                                       coz, dn_min, count, z))
             j = eval_column.get(i)
             if j is not None:
-                z_evals[live, j] = z
-        return (z_evals, np.exp(log_zc) * jump_prod, passages.times,
-                passages.values, dn_min, r_acc, coz)
+                z_evals[row, j] = z
+        finals[:, row] = z, dn_min, r_acc, coz
+        return (z_evals, finals[0], passages.times, passages.values,
+                *finals[1:])
 
     return JumpSimResult(*map_chunks(work, config.n_paths, CHUNK_SIZE))
 

@@ -137,6 +137,17 @@ def test_R_state_dependent_K_needs_path():
     assert r.R[-1] == pytest.approx(4.0, rel=1e-12)
 
 
+def test_R_state_dependent_c_needs_path_unless_K_is_zero():
+    trip = JumpTriplet(base=DiffusionSpec.scalar("0", "1 + x"))
+    grid = np.linspace(0.0, 1.0, 11)
+    gd = GirsanovData(K="1", U="1")
+    with pytest.raises(ValidationError, match="needs path_states"):
+        compute_R(trip, gd, grid)
+    r = compute_R(trip, gd, grid, path_states=np.full(11, 2.0))
+    assert r.R[-1] == pytest.approx(9.0, rel=1e-12)  # (1 + 2)^2 t
+    assert compute_R(trip, GirsanovData(K="0", U="1"), grid).R[-1] == 0.0
+
+
 def test_R_atom_jump_at_atom_time():
     trip, gd = ATOM_HALF
     grid = np.linspace(0.0, 1.0, 101)
@@ -279,8 +290,10 @@ def test_atom_fires_with_its_mass_and_with_uhat_when_modified():
 
 def test_non_finite_coefficient_names_path_time_and_state():
     trip = JumpTriplet(base=BM)
-    with pytest.raises(EvalDomain, match=r"on path 0 at t=0, x=0\.0"):
-        simulate_jump_exponential(trip, GirsanovData(K="1/x", U="1"), CFG)
+    # "1/t" is free of x, so the step reads it from its per-grid-time table
+    for k in ("1/x", "1/t"):
+        with pytest.raises(EvalDomain, match=r"on path 0 at t=0, x=0\.0"):
+            simulate_jump_exponential(trip, GirsanovData(K=k, U="1"), CFG)
 
 
 def test_jump_of_minus_one_after_rounding_is_rejected():
@@ -376,17 +389,28 @@ def _reference_path(trip, gd, grid, seed, path, levels, eval_times,
     return (z_evals, z, passage, z_pass, dn_min, r, coz)
 
 
-@pytest.mark.parametrize("modified", [False, True])
-def test_lockstep_chunks_match_a_scalar_loop_per_path(monkeypatch, modified):
-    # state-dependent coefficients, a time-dependent U on a two-point law,
-    # an atom off the regular grid, and a guard that stops some paths
-    base = DiffusionSpec.scalar("-x", "1 + 0.1*x^2", x0=0.2)
+_STATE_COEFS = ("-x", "1 + 0.1*x^2", "tanh(x)")
+_TIME_COEFS = ("0.5*t", "1 + t", "0.3*t")  # read from per-grid-time tables
+
+
+@pytest.mark.parametrize("modified, b, sigma, k", [
+    pytest.param(False, *_STATE_COEFS, id="False"),
+    pytest.param(True, *_STATE_COEFS, id="True"),
+    pytest.param(False, *_TIME_COEFS, id="False-x-free"),
+    pytest.param(True, *_TIME_COEFS, id="True-x-free"),
+])
+def test_lockstep_chunks_match_a_scalar_loop_per_path(monkeypatch, modified,
+                                                      b, sigma, k):
+    # state- or time-dependent coefficients, a time-dependent U on a
+    # two-point law, an atom off the regular grid, and a guard that stops
+    # some paths
+    base = DiffusionSpec.scalar(b, sigma, x0=0.2)
     trip = JumpTriplet(
         base=base, cp_rate=3.0,
         cp_dist=DiscreteDist((0.5, -1.5), (0.4, 0.6)),
         atoms=(Atom(time=0.375, mass=0.4,
                     dist=DiscreteDist((1.0, 2.0), (0.7, 0.3))),))
-    gd = GirsanovData(K="tanh(x)", U="1 + 0.5*t + 0.1*x")
+    gd = GirsanovData(K=k, U="1 + 0.5*t + 0.1*x")
     levels, eval_times = (0.5, 1.5), (0.5, 1.0)
     cfg = SimConfig(n_paths=40, dt_max=0.05, horizon=1.0, seed=3,
                     adaptive=False, explosion_guard=2.5)
