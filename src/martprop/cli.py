@@ -37,8 +37,7 @@ from .hilbert import (
     hilbert_novikov_estimate,
     sample_path_array,
 )
-from .jumpkit import validate as validate_jump
-from .jumpkit import verdict_jump, verify_compensator_identity
+from .jumpkit import validate_jump, verdict_jump, verify_compensator_identity
 from .mc import (
     deficit_for,
     estimate_mean_direct,
@@ -247,7 +246,7 @@ def hilbert(config_path, preset, seed, threads, output_path, fmt,
     def body():
         rc = _resolve(config_path, preset, seed, kind="hilbert")
         rc.functional.check_modes(rc.covariance.modes)
-        cond_cfg = replace(rc.mc, n_paths=condition_paths, horizon=rc.t)
+        cond_cfg = replace(rc.mc.until(rc.t), n_paths=condition_paths)
         times, states = sample_path_array(rc.covariance, cond_cfg,
                                           condition_paths)
         cond = check_conditions(rc.functional, rc.covariance, times,

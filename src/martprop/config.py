@@ -110,7 +110,6 @@ def mc_from_dict(d, base=None, fld="mc"):
 def mc_to_dict(mc):
     return {"n_paths": mc.n_paths, "dt_max": mc.dt_max,
             "horizon": mc.horizon, "seed": mc.seed,
-            "adaptive": mc.adaptive,
             "bridge_correction": mc.bridge_correction,
             "explosion_guard": mc.explosion_guard}
 

@@ -286,21 +286,6 @@ def _free_vars(node, acc):
             _free_vars(a, acc)
 
 
-def _substitute(node, name, replacement):
-    if isinstance(node, Num):
-        return node
-    if isinstance(node, Var):
-        return replacement if node.name == name else node
-    if isinstance(node, Unary):
-        return Unary(node.op, _substitute(node.operand, name, replacement))
-    if isinstance(node, Bin):
-        return Bin(node.op,
-                   _substitute(node.left, name, replacement),
-                   _substitute(node.right, name, replacement))
-    return Call(node.name, tuple(_substitute(a, name, replacement)
-                                 for a in node.args))
-
-
 # --- public type -------------------------------------------------------
 
 
@@ -366,11 +351,6 @@ class CoefficientExpr:
     def depends_on_time(self) -> bool:
         return "t" in self.free_variables()
 
-    def substitute_x(self, value: float) -> "CoefficientExpr":
-        """Replace x by a constant (used to specialize jump-size laws)."""
-        repl = Num(value) if value >= 0 else Unary("-", Num(-value))
-        return CoefficientExpr(_substitute(self.ast, "x", repl))
-
     # small algebra used to build modified drifts and quadratic exponents
     def __add__(self, other):
         return CoefficientExpr(Bin("+", self.ast, _coerce(other)))
@@ -406,4 +386,3 @@ def parse(text: str) -> CoefficientExpr:
 
 
 ZERO = CoefficientExpr.constant(0.0)
-ONE = CoefficientExpr.constant(1.0)

@@ -45,6 +45,7 @@ from .quad import CumulativeIntegral, _logaddexp
 DIVERGENCE_THRESHOLD = 1e12
 _LOG_DIVERGENCE = math.log(DIVERGENCE_THRESHOLD)
 PROBE_REL_TOL = 1e-3
+_LOG_PROBE_REL_TOL = math.log(PROBE_REL_TOL)
 # increments of a doubling-probe partial integral that shrink no faster
 # than this ratio over three consecutive probes indicate (at least)
 # logarithmic divergence
@@ -258,16 +259,15 @@ class _Sweep:
         return s + math.log(area), s + math.log(k[-1])
 
 
-def feller_v(spec: DiffusionSpec, endpoint: str, xi: float,
-             tolerance: float = PROBE_REL_TOL) -> VSide:
+def feller_v(spec: DiffusionSpec, endpoint: str, xi: float) -> VSide:
     """Evaluate v at one endpoint ("left"/"right") of the state interval.
 
     Probe points march geometrically toward the endpoint; the partial
     integral is declared infinite once it exceeds DIVERGENCE_THRESHOLD or
     its per-probe increments stop decaying, and finite once the increments
-    fall below tolerance * value while decaying (or decay geometrically
-    with a remainder below tolerance * value).  Raises QuadratureFailure
-    when the probes are exhausted undecided.
+    fall below PROBE_REL_TOL * value while decaying (or decay
+    geometrically with a remainder below PROBE_REL_TOL * value).  Raises
+    QuadratureFailure when the probes are exhausted undecided.
     """
     require_scalar_homogeneous(spec, "feller_v")
     l, r = spec.intervals[0]
@@ -320,12 +320,12 @@ def feller_v(spec: DiffusionSpec, endpoint: str, xi: float,
                              "increments (divergent tail)",
                              probes_used=k + 1, log_partial=log_v)
         if (len(prev_increments) >= 2
-                and log_dv < log_v + math.log(tolerance)
+                and log_dv < log_v + _LOG_PROBE_REL_TOL
                 and log_dv < prev_increments[-2] + math.log(0.5)):
             return VSide("finite", value=math.exp(log_v),
                          probes_used=k + 1, log_partial=log_v)
         if (ratios and max(ratios) <= math.log(GEOMETRIC_RATIO)
-                and log_dv + _LOG_GEOMETRIC_REST < log_v + math.log(tolerance)):
+                and log_dv + _LOG_GEOMETRIC_REST < log_v + _LOG_PROBE_REL_TOL):
             return VSide("finite", value=math.exp(log_v),
                          probes_used=k + 1, log_partial=log_v)
 
@@ -369,13 +369,11 @@ def _grid_check_bounded(exprs, intervals, n_points=201):
 
 
 def martingale_verdict(spec: DiffusionSpec, exp: ExponentSpec,
-                       xi: float = None,
-                       grid_checks: str = "gate") -> MartingaleVerdict:
+                       xi: float = None) -> MartingaleVerdict:
     """Classify Z = E(beta(X).X^c) via Feller's test on both dynamics.
 
-    grid_checks: "gate" raises PreconditionViolated when c <= 0 on the
-    validation grid and downgrades to Inconclusive on soft failures;
-    "warn" only records notes.
+    Raises PreconditionViolated when c <= 0 on the validation grid, and
+    answers Inconclusive when b or beta is non-finite on it.
     """
     require_scalar_homogeneous(spec, "martingale_verdict")
     notes = []
@@ -388,18 +386,14 @@ def martingale_verdict(spec: DiffusionSpec, exp: ExponentSpec,
     try:
         _require_positive_c(zs, spec.c_expr(0, 0).eval_array(0.0, zs))
     except DegenerateDiffusion as exc:
-        if grid_checks == "gate":
-            raise PreconditionViolated(str(exc)) from None
-        notes.append(str(exc))
+        raise PreconditionViolated(str(exc)) from None
     soft = _grid_check_bounded(list(spec.b) + list(exp.beta),
                                spec.intervals)
     if soft:
         notes.extend(soft)
-        if grid_checks == "gate":
-            notes.append("coefficient boundedness check failed; "
-                         "verdict downgraded to Inconclusive")
-            return MartingaleVerdict(Classification.INCONCLUSIVE,
-                                     notes=notes)
+        notes.append("coefficient boundedness check failed; "
+                     "verdict downgraded to Inconclusive")
+        return MartingaleVerdict(Classification.INCONCLUSIVE, notes=notes)
 
     report_orig = classify_explosion(spec, xi=xi)
     report_mod = classify_explosion(modified_drift(spec, exp), xi=xi)

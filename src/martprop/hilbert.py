@@ -16,13 +16,13 @@ faithful; convergence in the number of modes is reported, not proven.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
 from .expr import CoefficientExpr
-from .mc import (MCEstimate, Passages, SimConfig, map_chunks,
+from .mc import (MCEstimate, Passages, SimConfig, fixed_grid, map_chunks,
                  survival_curve)
 from .model import LocalizationPlan
 from .rng import normal_block
@@ -118,13 +118,6 @@ class FunctionalSpec:
         return cls(kind="running_sup", weights=tuple(w), direction=tuple(w),
                    claimed_lipschitz=claimed_lipschitz,
                    claimed_growth=claimed_growth)
-
-
-def _grid(config, eval_times):
-    steps = max(1, int(math.ceil(config.horizon / config.dt_max)))
-    times = set(np.linspace(0.0, config.horizon, steps + 1).tolist())
-    times.update(float(t) for t in eval_times)
-    return np.array(sorted(times))
 
 
 def phi_values(phi: FunctionalSpec, cov: CovarianceSpec, times,
@@ -237,7 +230,7 @@ def _run_hilbert(cov, phi, config, levels=(), eval_times=None, threads=1):
     if eval_times is None:
         eval_times = (config.horizon,)
     eval_times = tuple(sorted(set(float(t) for t in eval_times)))
-    grid = _grid(config, eval_times)
+    grid = fixed_grid(config.horizon, config.dt_max, eval_times)
 
     def work(indices):
         normals = _normals(cov, config, indices, grid)
@@ -253,7 +246,7 @@ def _run_hilbert(cov, phi, config, levels=(), eval_times=None, threads=1):
 def sample_path_array(cov: CovarianceSpec, config: SimConfig, n: int):
     """(times, states) with states of shape (n, T, modes); desk scale.
     Paths start at 0 and read the same streams as the simulation."""
-    grid = _grid(config, (config.horizon,))
+    grid = fixed_grid(config.horizon, config.dt_max)
     sqrt_lam = np.sqrt(np.asarray(cov.eigenvalues))
     sqrt_dt = np.sqrt(np.diff(grid))
     out = np.zeros((n, len(grid), cov.modes))
@@ -353,15 +346,13 @@ def estimate_hilbert_expectation(phi: FunctionalSpec, cov: CovarianceSpec,
     (drift Q phi) and measures survival below each plan level.
     """
     config.check_plan(plan)
-    if t > config.horizon:
-        raise ValidationError("t must not exceed the horizon")
-    cfg = replace(config, dt_max=min(config.dt_max, t), horizon=t)
     notes = []
     if conditions is not None and not conditions.passed:
         notes.append("conditions report failed; estimates are not "
                      "certified (verdict Inconclusive)")
-    logz, _, passage = _run_hilbert(cov, phi, cfg, levels=plan.levels,
-                                    eval_times=(t,), threads=threads)
+    logz, _, passage = _run_hilbert(cov, phi, config.until(t),
+                                    levels=plan.levels, eval_times=(t,),
+                                    threads=threads)
     direct = MCEstimate.from_samples(np.exp(logz[:, 0]), notes=notes)
     return direct, survival_curve(passage, plan, t, notes)
 
@@ -372,10 +363,7 @@ def hilbert_novikov_estimate(phi: FunctionalSpec, cov: CovarianceSpec,
     """Sample mean of exp(0.5 int ||Q^{1/2} phi||^2 ds) under the
     original dynamics; the running-sup example makes this diverge for
     large t while Z stays a true martingale."""
-    if t > config.horizon:
-        raise ValidationError("t must not exceed the horizon")
-    cfg = replace(config, dt_max=min(config.dt_max, t), horizon=t)
-    _, nov, _ = _run_hilbert(cov, phi, cfg, eval_times=(t,),
+    _, nov, _ = _run_hilbert(cov, phi, config.until(t), eval_times=(t,),
                              threads=threads)
     with np.errstate(over="ignore"):
         samples = np.exp(0.5 * nov[:, 0])

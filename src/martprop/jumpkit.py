@@ -17,14 +17,14 @@ jump-case martingale criterion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (EvalDomain, JumpBoundViolation, ValidationError)
 from .expr import CoefficientExpr
-from .mc import (CHUNK_SIZE, Passages, SimConfig, map_chunks,
+from .mc import (CHUNK_SIZE, Passages, SimConfig, fixed_grid, map_chunks,
                  survival_curve)
 from .model import (Classification, DiffusionSpec, LocalizationPlan,
                     MartingaleVerdict)
@@ -160,7 +160,7 @@ def compute_Uhat(trip: JumpTriplet, gd: GirsanovData, t: float) -> float:
     return min(value, 1.0)
 
 
-def validate(trip: JumpTriplet, gd: GirsanovData):
+def validate_jump(trip: JumpTriplet, gd: GirsanovData):
     """Admissibility of (triplet, Girsanov data); raises ValidationError.
 
     Checks U > 0 on every size law's support (at t = 0 and atom times),
@@ -188,10 +188,6 @@ def validate(trip: JumpTriplet, gd: GirsanovData):
                 "rejected")
 
 
-# unambiguous name for the package namespace
-validate_jump = validate
-
-
 def atom_delta_R(atom: Atom, gd: GirsanovData, trip: JumpTriplet) -> float:
     """Atom increment of R, sum form:
     a sum_G (1 - sqrt(U))^2 + (sqrt(1-a) - sqrt(1-Uhat))^2."""
@@ -214,14 +210,6 @@ def atom_delta_R_closed_form(atom: Atom, gd: GirsanovData,
         lambda x: math.sqrt(gd.u(t, x)))
     return 2.0 * (1.0 - weighted_root
                   - math.sqrt(max(0.0, (1.0 - atom.mass) * (1.0 - uhat))))
-
-
-def _grid(trip, horizon, dt_max, extra=()):
-    steps = max(1, int(math.ceil(horizon / dt_max)))
-    times = set(np.linspace(0.0, horizon, steps + 1).tolist())
-    times.update(a.time for a in trip.atoms if a.time <= horizon)
-    times.update(float(t) for t in extra if 0.0 < t <= horizon)
-    return np.array(sorted(times))
 
 
 def compute_R(trip: JumpTriplet, gd: GirsanovData, grid,
@@ -424,12 +412,13 @@ def simulate_jump_exponential(trip: JumpTriplet, gd: GirsanovData,
     then two per atom (fire, size).  So results do not depend on
     chunking or ordering.
     """
-    validate(trip, gd)
+    validate_jump(trip, gd)
     if eval_times is None:
         eval_times = (config.horizon,)
     eval_times = tuple(sorted(set(float(t) for t in eval_times)))
     levels = np.array([float(m) for m in levels])
-    grid = _grid(trip, config.horizon, config.dt_max, extra=eval_times)
+    grid = fixed_grid(config.horizon, config.dt_max,
+                      [a.time for a in trip.atoms] + list(eval_times))
     steps = len(grid) - 1
     eval_column = {int(np.searchsorted(grid, t)) - 1: j
                    for j, t in enumerate(eval_times)}
@@ -568,8 +557,8 @@ def verify_compensator_identity(trip: JumpTriplet, gd: GirsanovData,
     C(Z) = <Z^c> + sum (Z_{s-} - sqrt(Z_s Z_{s-}))^2; its compensator is
     Z_-^2 . dR, so the normalized gap is a mean-zero statistic.
     """
-    cfg = replace(config, horizon=t)
-    result = simulate_jump_exponential(trip, gd, cfg, eval_times=(t,))
+    result = simulate_jump_exponential(trip, gd, config.until(t),
+                                       eval_times=(t,))
     gaps = result.c_over_z_final - result.r_final
     mean = float(np.mean(gaps))
     se = (float(np.std(gaps, ddof=1) / math.sqrt(len(gaps)))
@@ -581,28 +570,28 @@ def verify_compensator_identity(trip: JumpTriplet, gd: GirsanovData,
 
 
 def verdict_jump(trip: JumpTriplet, gd: GirsanovData, t: float,
-                 plan: LocalizationPlan, config: SimConfig,
-                 deficit_tolerance: float = 0.01) -> MartingaleVerdict:
+                 plan: LocalizationPlan,
+                 config: SimConfig) -> MartingaleVerdict:
     """Martingale check: survival of the MODIFIED triplet's paths.
 
     Simulates the modified dynamics and, per plan level, the fraction of
     paths whose norm stays below m_n up to t (with R evaluated along the
     way as the finiteness witness).  TrueMartingale when the survival
-    column converges to 1 (deficit within max(tolerance, 3 SE)),
+    column converges to 1 (deficit within max(0.01, 3 SE)),
     StrictLocal when it converges elsewhere, Inconclusive otherwise.
     """
-    validate(trip, gd)
+    validate_jump(trip, gd)
     config.check_plan(plan)
-    cfg = replace(config, horizon=t)
-    result = simulate_jump_exponential(trip, gd, cfg, levels=plan.levels,
-                                       eval_times=(t,), modified=True)
+    result = simulate_jump_exponential(trip, gd, config.until(t),
+                                       levels=plan.levels, eval_times=(t,),
+                                       modified=True)
     curve = survival_curve(result.passage_times, plan, t,
                            notes=["modified-triplet survival surrogate for "
                                   "Q(R_{t and rho} < infinity) = 1"])
     deficit = curve.deficit
     se_last = curve.entries[-1][3]
     notes = list(curve.notes)
-    if curve.converged and deficit <= max(deficit_tolerance, 3.0 * se_last):
+    if curve.converged and deficit <= max(0.01, 3.0 * se_last):
         classification = Classification.TRUE_MARTINGALE
     elif curve.converged:
         classification = Classification.STRICT_LOCAL

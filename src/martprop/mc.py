@@ -44,7 +44,7 @@ from .rng import BRIDGE_STREAM, normal_block, uniform_block
 CHUNK_SIZE = 4096
 _SNAP_EPS = 1e-12
 # the first normal buffer holds at most horizon * _FIRST_LOAD_CAP / dt_max
-# steps per path, whatever the adaptive load at x0; longer paths grow it
+# steps per path, whatever the load at x0; longer paths grow it
 _FIRST_LOAD_CAP = 4.0
 
 
@@ -54,7 +54,6 @@ class SimConfig:
     dt_max: float
     horizon: float
     seed: int = 0
-    adaptive: bool = True
     bridge_correction: bool = False
     explosion_guard: float = 1e6
 
@@ -69,6 +68,13 @@ class SimConfig:
     @property
     def dt_min(self):
         return self.dt_max * 1e-6
+
+    def until(self, t):
+        """The config of a run to time t: horizon t, dt_max capped at t.
+        Refuses a t beyond the horizon."""
+        if t > self.horizon:
+            raise ValidationError("t must not exceed the horizon")
+        return replace(self, dt_max=min(self.dt_max, t), horizon=t)
 
     def check_plan(self, plan: LocalizationPlan):
         if plan.levels[-1] >= self.explosion_guard:
@@ -144,6 +150,16 @@ def map_chunks(work, n, chunk_size, threads=1):
     else:
         parts = [work(c) for c in chunks]
     return [np.concatenate(column) for column in zip(*parts)]
+
+
+def fixed_grid(horizon, dt_max, extra=()):
+    """Times 0 = t_0 < ... = horizon: ceil(horizon / dt_max) equal steps,
+    plus the times in `extra` that lie in (0, horizon]; the fixed grid
+    of the jump and Hilbert kits."""
+    steps = max(1, int(math.ceil(horizon / dt_max)))
+    times = set(np.linspace(0.0, horizon, steps + 1).tolist())
+    times.update(float(t) for t in extra if 0.0 < t <= horizon)
+    return np.array(sorted(times))
 
 
 def _total(terms):
@@ -259,11 +275,10 @@ def _run_chunk(spec, config, indices, levels, eval_times, beta, q_expr,
         sig = [[e.eval_array(t, xi) for e in es]
                for es, xi in zip(spec.sigma, x)]
         coefs = b + [s for si in sig for s in si]
-        if config.adaptive:
-            load = (np.sqrt(_total(v * v for v in b))
-                    + _total(v * v for v in coefs[d:]) + 1.0)
+        load = (np.sqrt(_total(v * v for v in b))
+                + _total(v * v for v in coefs[d:]) + 1.0)
         # a non-finite coefficient makes the load non-finite
-        if not (config.adaptive and np.isfinite(load).all()):
+        if not np.isfinite(load).all():
             finite = np.logical_and.reduce([np.isfinite(c) for c in coefs])
             if not finite.all():
                 bad = np.flatnonzero(~finite)[0]
@@ -272,22 +287,18 @@ def _run_chunk(spec, config, indices, levels, eval_times, beta, q_expr,
                     f"{int(indices[row[bad]])} at t={t[bad]:.6g}, "
                     f"x={x[:, bad].tolist()}")
 
-        if config.adaptive:
-            dt = dt_max / load          # load >= 1, so dt <= dt_max
-            # hard floor: terminate as numerical explosion (checked
-            # pre-clip)
-            floored = dt < dt_min
-            if floored.any():
-                explode(floored, 2)
-                (keep, row, x, t, logz, nov, eidx, next_eval, count,
-                 slot) = retire(floored)
-                if not row.size:
-                    break
-                b = [v[keep] for v in b]
-                sig = [[v[keep] for v in si] for si in sig]
-                dt = dt[keep]
-        else:
-            dt = np.full(row.size, dt_max)
+        dt = dt_max / load          # load >= 1, so dt <= dt_max
+        # hard floor: terminate as numerical explosion (checked pre-clip)
+        floored = dt < dt_min
+        if floored.any():
+            explode(floored, 2)
+            (keep, row, x, t, logz, nov, eidx, next_eval, count,
+             slot) = retire(floored)
+            if not row.size:
+                break
+            b = [v[keep] for v in b]
+            sig = [[v[keep] for v in si] for si in sig]
+            dt = dt[keep]
 
         dt = np.minimum(dt, next_eval - t)
 
@@ -433,10 +444,7 @@ def estimate_mean_direct(spec: DiffusionSpec, exp: ExponentSpec, t: float,
     Downward-biased for strict local martingales: the missing mass sits in
     rare huge samples, which the heavy-tail diagnostic flags.
     """
-    if t > config.horizon:
-        raise ValidationError("t must not exceed the horizon")
-    cfg = replace(config, dt_max=min(config.dt_max, t), horizon=t)
-    result = run_ensemble(spec, cfg, exp=exp, eval_times=(t,),
+    result = run_ensemble(spec, config.until(t), exp=exp, eval_times=(t,),
                           threads=threads)
     logs = result.logz_evals[:, 0]
     incomplete = np.isnan(logs)
@@ -456,10 +464,7 @@ def novikov_estimate(spec: DiffusionSpec, exp: ExponentSpec, t: float,
     """Sample mean of exp(0.5 int_0^t q(s, X_s) ds) under the original
     dynamics; divergence shows up as heavy_tail_flag plus a sample mean
     that keeps growing with n_paths (reported, not proven)."""
-    if t > config.horizon:
-        raise ValidationError("t must not exceed the horizon")
-    cfg = replace(config, dt_max=min(config.dt_max, t), horizon=t)
-    result = run_ensemble(spec, cfg, exp=exp, eval_times=(t,),
+    result = run_ensemble(spec, config.until(t), exp=exp, eval_times=(t,),
                           threads=threads)
     nov = result.nov_evals[:, 0]
     notes = []
@@ -509,12 +514,9 @@ def estimate_deficit_localized(modified_spec: DiffusionSpec,
     within twice the summed standard errors.
     """
     config.check_plan(plan)
-    if t > config.horizon:
-        raise ValidationError("t must not exceed the horizon")
-    cfg = replace(config, dt_max=min(config.dt_max, t), horizon=t)
-    result = run_ensemble(modified_spec, cfg, levels=plan.levels,
-                          eval_times=(t,), stop_at_largest_level=True,
-                          threads=threads)
+    result = run_ensemble(modified_spec, config.until(t),
+                          levels=plan.levels, eval_times=(t,),
+                          stop_at_largest_level=True, threads=threads)
     notes = [f"level {m}: time cap {cap} <= t, survival is 0 by "
              "construction"
              for m, cap in zip(plan.levels, plan.time_caps) if cap <= t]
@@ -592,9 +594,8 @@ def stopped_exponential_means(spec: DiffusionSpec, exp: ExponentSpec,
     """
     config.check_plan(plan)
     eval_times = sorted({c for c in plan.time_caps if c < t} | {t})
-    cfg = replace(config, dt_max=min(config.dt_max, t), horizon=t)
-    result = run_ensemble(spec, cfg, exp=exp, levels=plan.levels,
-                          eval_times=tuple(eval_times),
+    result = run_ensemble(spec, config.until(t), exp=exp,
+                          levels=plan.levels, eval_times=tuple(eval_times),
                           stop_at_largest_level=True, threads=threads)
     eval_index = {tv: j for j, tv in enumerate(eval_times)}
     estimates = []

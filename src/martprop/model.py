@@ -14,8 +14,6 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import DimensionMismatch, PreconditionViolated, ValidationError
 from .expr import ZERO, CoefficientExpr, Num
 from .report import deficit_curve_dict
@@ -251,47 +249,6 @@ def quadratic_exponent(spec: DiffusionSpec, exp: ExponentSpec) -> CoefficientExp
             terms.append(_prod_exprs(
                 [exp.beta[i], spec.c_expr(i, j), exp.beta[j]]))
     return _sum_exprs(terms)
-
-
-def check_psd_on_grid(spec: DiffusionSpec, n_points=64, t=0.0):
-    """Sampled positive-semidefiniteness check of c on a state grid.
-
-    Returns a list of human-readable failure strings (empty = pass).
-    Hard failures (c not PSD where evaluated) are reported, not raised;
-    callers decide whether to gate or warn.
-    """
-    failures = []
-    axes = []
-    for (l, r) in spec.intervals:
-        lo = l if math.isfinite(l) else -10.0
-        hi = r if math.isfinite(r) else 10.0
-        pad = (hi - lo) * 1e-6
-        axes.append(np.linspace(lo + pad, hi - pad,
-                                max(2, int(round(n_points ** (1 / spec.dim))))))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=-1)
-    d = spec.dim
-    c = np.empty((len(points), d, d))
-    for i in range(d):
-        for j in range(d):
-            c[:, i, j] = spec.c_expr(i, j).eval_array(t, points[:, i])
-    finite = np.isfinite(c).reshape(len(points), d * d)
-    # a point with a non-finite entry is reported as such, not checked
-    c = np.where(np.isfinite(c), c, 0.0)
-    tol = 1e-9 * (1.0 + np.max(np.abs(c), axis=(1, 2)))
-    ct = c.transpose(0, 2, 1)
-    sym_gap = np.max(np.abs(c - ct), axis=(1, 2))
-    eigmin = np.linalg.eigvalsh(0.5 * (c + ct))[:, 0]
-    for k, p in enumerate(points):
-        if not finite[k].all():
-            i, j = divmod(int(np.argmin(finite[k])), d)
-            failures.append(f"c[{i}][{j}] non-finite at x={p.tolist()}")
-        elif sym_gap[k] > tol[k]:
-            failures.append(f"c not symmetric at x={p.tolist()}")
-        elif eigmin[k] < -tol[k]:
-            failures.append(f"c has negative eigenvalue {eigmin[k]:g} at "
-                            f"x={p.tolist()}")
-    return failures
 
 
 def require_scalar_homogeneous(spec: DiffusionSpec, context: str):

@@ -150,6 +150,25 @@ def test_novikov_command(runner, tmp_path):
     assert "novikov" in rep["estimates"]
 
 
+@pytest.mark.parametrize("command, preset", [
+    ("deficit", "ou-linear"), ("hilbert", "running-sup-1"),
+    ("jump", "atom-half")])
+def test_resolved_config_reproduces_the_report(runner, tmp_path, command,
+                                               preset):
+    first, again = tmp_path / "first.json", tmp_path / "again.json"
+    res = runner.invoke(main, [command, "--config",
+                               _small(tmp_path, preset, n_paths=300),
+                               "--output", str(first)])
+    assert res.exit_code == 0
+    resolved = tmp_path / "resolved.json"
+    resolved.write_text(json.dumps(
+        json.loads(first.read_text())["resolved_config"]))
+    res = runner.invoke(main, [command, "--config", str(resolved),
+                               "--output", str(again)])
+    assert res.exit_code == 0
+    assert again.read_bytes() == first.read_bytes()
+
+
 # --- exit codes ----------------------------------------------------------------
 
 def test_exit_1_on_unknown_preset(runner):
@@ -169,6 +188,17 @@ def test_exit_1_on_invalid_config(runner, tmp_path):
     res = runner.invoke(main, ["deficit", "--config", str(p)])
     assert res.exit_code == 1
     assert "mc" in res.output
+
+
+def test_exit_1_on_a_removed_mc_field(runner, tmp_path):
+    # `adaptive` is not a SimConfig field: a config that names it, such
+    # as the resolved config of a report written when it was, is refused
+    p = tmp_path / "old.json"
+    p.write_text(json.dumps({"preset": "identity-zero",
+                             "mc": {"adaptive": False}}))
+    res = runner.invoke(main, ["deficit", "--config", str(p)])
+    assert res.exit_code == 1
+    assert "error: mc: " in res.output and "adaptive" in res.output
 
 
 def test_exit_1_on_bad_expression(runner, tmp_path):

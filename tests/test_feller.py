@@ -295,9 +295,6 @@ def test_grid_gate_on_degenerate_c():
     bad = DiffusionSpec.scalar("0", "x")  # c = x^2 vanishes at 0
     with pytest.raises(PreconditionViolated):
         martingale_verdict(bad, ExponentSpec.scalar("x"))
-    v = martingale_verdict(bad, ExponentSpec.scalar("x"),
-                           grid_checks="warn")
-    assert v.notes  # recorded, not raised
 
 
 def _first_bad_c(spec, zs):

@@ -15,7 +15,7 @@ from martprop.hilbert import (
     phi_values,
     sample_path_array,
 )
-from martprop.mc import MCEstimate, SimConfig, survival_curve
+from martprop.mc import MCEstimate, SimConfig, fixed_grid, survival_curve
 from martprop.model import LocalizationPlan
 from martprop.rng import path_generator
 
@@ -53,8 +53,7 @@ def test_functional_validation():
 
 def test_per_mode_variances_match_spectrum():
     cov = CovarianceSpec(modes=3, eigenvalues=(1.0, 0.5, 0.25))
-    cfg = SimConfig(n_paths=4000, dt_max=0.05, horizon=1.0, seed=31,
-                    adaptive=False)
+    cfg = SimConfig(n_paths=4000, dt_max=0.05, horizon=1.0, seed=31)
     _, states = sample_path_array(cov, cfg, 4000)
     finals = states[:, -1, :]
     for k, lam in enumerate(cov.eigenvalues):
@@ -156,8 +155,7 @@ def test_pointwise_functional():
 def test_running_sup_conditions_pass():
     cov = CovarianceSpec(modes=1, eigenvalues=(1.0,))
     phi = FunctionalSpec.running_sup(1)
-    cfg = SimConfig(n_paths=256, dt_max=0.02, horizon=1.0, seed=23,
-                    adaptive=False)
+    cfg = SimConfig(n_paths=256, dt_max=0.02, horizon=1.0, seed=23)
     times, states = sample_path_array(cov, cfg, 256)
     rep = check_conditions(phi, cov, times, states)
     assert rep.lipschitz_hat <= 1.0 + 1e-9
@@ -169,8 +167,7 @@ def test_quadratic_growth_fails_check():
     cov = CovarianceSpec(modes=1, eigenvalues=(1.0,))
     phi = FunctionalSpec(kind="pointwise", exprs=("x^3",),
                          claimed_lipschitz=1.0, claimed_growth=1.0)
-    cfg = SimConfig(n_paths=256, dt_max=0.02, horizon=4.0, seed=29,
-                    adaptive=False)
+    cfg = SimConfig(n_paths=256, dt_max=0.02, horizon=4.0, seed=29)
     times, states = sample_path_array(cov, cfg, 256)
     rep = check_conditions(phi, cov, times, states)
     assert not rep.passed
@@ -181,8 +178,7 @@ def test_quadratic_growth_fails_check():
 def test_expectation_one_mode():
     cov = CovarianceSpec(modes=1, eigenvalues=(1.0,))
     phi = FunctionalSpec.running_sup(1)
-    cfg = SimConfig(n_paths=5000, dt_max=0.01, horizon=1.0, seed=42,
-                    adaptive=False)
+    cfg = SimConfig(n_paths=5000, dt_max=0.01, horizon=1.0, seed=42)
     direct, curve = estimate_hilbert_expectation(phi, cov, 1.0, PLAN, cfg)
     assert abs(direct.mean - 1.0) <= 3.0 * direct.std_error
     assert curve.converged
@@ -192,8 +188,7 @@ def test_expectation_one_mode():
 def test_expectation_deterministic_across_threads():
     cov = CovarianceSpec.dyadic(4)
     phi = FunctionalSpec.running_sup(4)
-    cfg = SimConfig(n_paths=2000, dt_max=0.02, horizon=1.0, seed=1,
-                    adaptive=False)
+    cfg = SimConfig(n_paths=2000, dt_max=0.02, horizon=1.0, seed=1)
     d1, c1 = estimate_hilbert_expectation(phi, cov, 1.0, PLAN, cfg,
                                           threads=1)
     d8, c8 = estimate_hilbert_expectation(phi, cov, 1.0, PLAN, cfg,
@@ -213,7 +208,7 @@ def test_one_draw_gives_both_dynamics_their_separate_runs(monkeypatch):
                                                  threads=2)
     logz, _, no_levels = _run_hilbert(cov, phi, cfg, eval_times=(1.0,))
     assert no_levels.shape == (cfg.n_paths, 0)
-    grid = hilbert._grid(cfg, (1.0,))
+    grid = fixed_grid(1.0, 0.05)
     normals = hilbert._normals(cov, cfg, np.arange(cfg.n_paths), grid)
     passage = hilbert._modified_passages(cov, phi, grid, normals,
                                          plan.levels)
@@ -235,12 +230,10 @@ def test_one_draw_gives_both_dynamics_their_separate_runs(monkeypatch):
 def test_novikov_probe_heavy_at_large_t():
     cov = CovarianceSpec(modes=1, eigenvalues=(1.0,))
     phi = FunctionalSpec.running_sup(1)
-    cfg = SimConfig(n_paths=20000, dt_max=0.02, horizon=3.0, seed=42,
-                    adaptive=False)
+    cfg = SimConfig(n_paths=20000, dt_max=0.02, horizon=3.0, seed=42)
     heavy = hilbert_novikov_estimate(phi, cov, 3.0, cfg)
     assert heavy.heavy_tail_flag
-    cfg_small = SimConfig(n_paths=20000, dt_max=0.02, horizon=0.25,
-                          seed=42, adaptive=False)
+    cfg_small = SimConfig(n_paths=20000, dt_max=0.02, horizon=0.25, seed=42)
     calm = hilbert_novikov_estimate(phi, cov, 0.25, cfg_small)
     assert not calm.heavy_tail_flag
 

@@ -15,11 +15,11 @@ from martprop.jumpkit import (
     compute_R,
     compute_Uhat,
     simulate_jump_exponential,
-    validate,
+    validate_jump,
     verdict_jump,
     verify_compensator_identity,
 )
-from martprop.mc import SimConfig
+from martprop.mc import SimConfig, fixed_grid
 from martprop.model import Classification, DiffusionSpec, LocalizationPlan
 from martprop.rng import JUMP_STREAM, path_generator
 
@@ -77,36 +77,36 @@ def test_atom_delta_R_sum_equals_closed_form():
 # --- admissibility validation ----------------------------------------------------
 
 def test_validate_accepts_catalog_pairs():
-    validate(*POISSON_U4)
-    validate(*ATOM_HALF)
+    validate_jump(*POISSON_U4)
+    validate_jump(*ATOM_HALF)
 
 
 def test_validate_rejects_nonpositive_U():
     with pytest.raises(ValidationError):
-        validate(JumpTriplet(base=BM, cp_rate=1.0, cp_dist=UNIT),
-                 GirsanovData(K="0", U="x - 1"))  # U(1) = 0
+        validate_jump(JumpTriplet(base=BM, cp_rate=1.0, cp_dist=UNIT),
+                      GirsanovData(K="0", U="x - 1"))  # U(1) = 0
 
 
 def test_validate_rejects_uhat_above_one():
     trip = JumpTriplet(base=BM, atoms=(
         Atom(time=0.5, mass=0.5, dist=UNIT),))
     with pytest.raises(ValidationError):
-        validate(trip, GirsanovData(K="0", U="3"))  # Uhat = 1.5
+        validate_jump(trip, GirsanovData(K="0", U="3"))  # Uhat = 1.5
 
 
 def test_validate_rejects_uhat_one_with_partial_mass():
     trip = JumpTriplet(base=BM, atoms=(
         Atom(time=0.5, mass=0.5, dist=UNIT),))
     with pytest.raises(ValidationError):
-        validate(trip, GirsanovData(K="0", U="2"))  # Uhat = 1, a = 0.5
+        validate_jump(trip, GirsanovData(K="0", U="2"))  # Uhat = 1, a = 0.5
 
 
 def test_validate_full_mass_needs_uhat_one():
     trip = JumpTriplet(base=BM, atoms=(
         Atom(time=0.5, mass=1.0, dist=UNIT),))
     with pytest.raises(ValidationError):
-        validate(trip, GirsanovData(K="0", U="1.5"))
-    validate(trip, GirsanovData(K="0", U="1"))
+        validate_jump(trip, GirsanovData(K="0", U="1.5"))
+    validate_jump(trip, GirsanovData(K="0", U="1"))
 
 
 # --- Hellinger-type process R -----------------------------------------------------
@@ -162,7 +162,7 @@ def test_R_counts_an_atom_once_on_a_grid_with_near_duplicate_times():
     # linspace gives 0.30000000000000004 next to the atom time 0.3
     trip = JumpTriplet(base=BM, atoms=(Atom(time=0.3, mass=0.5, dist=UNIT),))
     gd = GirsanovData(K="0", U="1.5")
-    grid = jumpkit._grid(trip, 1.0, 0.1)
+    grid = fixed_grid(1.0, 0.1, (0.3,))
     assert 0.3 in grid and 0.30000000000000004 in grid
     dr = atom_delta_R(trip.atoms[0], gd, trip)
     assert dr == pytest.approx(0.06815, abs=1e-5)
@@ -179,8 +179,7 @@ def test_R_counts_an_atom_between_grid_points_in_its_step():
 
 # --- simulation ---------------------------------------------------------------------
 
-CFG = SimConfig(n_paths=2000, dt_max=0.01, horizon=1.0, seed=13,
-                adaptive=False)
+CFG = SimConfig(n_paths=2000, dt_max=0.01, horizon=1.0, seed=13)
 
 
 def test_simulation_deterministic():
@@ -228,6 +227,18 @@ def test_verdict_strict_local_for_cubic_K():
     assert v.deficit_curve.deficit > 0.1
 
 
+def test_jump_checks_refuse_t_beyond_the_horizon(monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated past the horizon")
+    monkeypatch.setattr(jumpkit, "simulate_jump_exponential", no_simulation)
+    trip, gd = POISSON_U4
+    plan = LocalizationPlan(levels=(8.0, 16.0), time_caps=(3.0, 3.0))
+    with pytest.raises(ValidationError, match="must not exceed the horizon"):
+        verify_compensator_identity(trip, gd, CFG, 2.0)
+    with pytest.raises(ValidationError, match="must not exceed the horizon"):
+        verdict_jump(trip, gd, 2.0, plan, CFG)
+
+
 # --- lockstep sampler ---------------------------------------------------------
 
 def _within(samples, mean, var, z=5.0):
@@ -238,8 +249,7 @@ def _within(samples, mean, var, z=5.0):
 
 def test_cp_count_is_poisson_under_both_triplets():
     trip, gd = POISSON_U4
-    cfg = SimConfig(n_paths=4000, dt_max=0.01, horizon=1.0, seed=5,
-                    adaptive=False)
+    cfg = SimConfig(n_paths=4000, dt_max=0.01, horizon=1.0, seed=5)
     # lambda t = 1; the modified rate is lambda E_F[U] = 4
     for modified, mean in ((False, 1.0), (True, 4.0)):
         res = simulate_jump_exponential(trip, gd, cfg, modified=modified)
@@ -259,8 +269,7 @@ def test_two_point_law_counts_per_support_point():
                        cp_dist=DiscreteDist((1.0, 2.0), probs))
     gd = GirsanovData(K="0", U="(x + 1)^2")
     compensator = lam * (probs[0] * 3.0 + probs[1] * 8.0)
-    cfg = SimConfig(n_paths=4000, dt_max=0.01, horizon=1.0, seed=8,
-                    adaptive=False)
+    cfg = SimConfig(n_paths=4000, dt_max=0.01, horizon=1.0, seed=8)
     for modified, weights in ((False, (1.0, 1.0)), (True, (4.0, 9.0))):
         res = simulate_jump_exponential(trip, gd, cfg, modified=modified)
         c = res.c_over_z_final
@@ -277,8 +286,7 @@ def test_two_point_law_counts_per_support_point():
 
 def test_atom_fires_with_its_mass_and_with_uhat_when_modified():
     trip, gd = ATOM_HALF
-    cfg = SimConfig(n_paths=4000, dt_max=0.01, horizon=1.0, seed=9,
-                    adaptive=False)
+    cfg = SimConfig(n_paths=4000, dt_max=0.01, horizon=1.0, seed=9)
     for modified, mass in ((False, 0.5), (True, 0.75)):
         res = simulate_jump_exponential(trip, gd, cfg, modified=modified)
         # Delta N = U - 1 = 0.5 when the atom fires and
@@ -310,8 +318,7 @@ def test_time_dependent_U_is_checked_at_every_grid_time():
     with pytest.raises(ValidationError,
                        match=r"U\(t=1\.0, x=1\.0\) = 0\.0 must be positive"):
         simulate_jump_exponential(
-            trip, gd, SimConfig(n_paths=10, dt_max=0.25, horizon=1.5,
-                                seed=1, adaptive=False))
+            trip, gd, SimConfig(n_paths=10, dt_max=0.25, horizon=1.5, seed=1))
 
 
 def _poisson_inverse(u, mu):
@@ -413,12 +420,12 @@ def test_lockstep_chunks_match_a_scalar_loop_per_path(monkeypatch, modified,
     gd = GirsanovData(K=k, U="1 + 0.5*t + 0.1*x")
     levels, eval_times = (0.5, 1.5), (0.5, 1.0)
     cfg = SimConfig(n_paths=40, dt_max=0.05, horizon=1.0, seed=3,
-                    adaptive=False, explosion_guard=2.5)
+                    explosion_guard=2.5)
     monkeypatch.setattr(jumpkit, "CHUNK_SIZE", 7)
     res = simulate_jump_exponential(trip, gd, cfg, levels=levels,
                                     eval_times=eval_times,
                                     modified=modified)
-    grid = jumpkit._grid(trip, 1.0, 0.05, extra=eval_times)
+    grid = fixed_grid(1.0, 0.05, (0.375, *eval_times))
     stopped = 0
     for p in range(cfg.n_paths):
         z_ev, z_fin, pas, z_pas, dn_min, r, coz = _reference_path(

@@ -384,8 +384,7 @@ def test_survival_column_nondecreasing():
 def test_trivial_ode_path():
     # sigma = 0 reduces to dX = dt: X_t = t and Z = 1 exactly
     spec = DiffusionSpec.scalar("1", "0")
-    cfg = SimConfig(n_paths=3, dt_max=0.1, horizon=1.0, seed=0,
-                    adaptive=False)
+    cfg = SimConfig(n_paths=3, dt_max=0.1, horizon=1.0, seed=0)
     res = run_ensemble(spec, cfg, exp=BETA_X)
     np.testing.assert_allclose(res.final_state, 1.0, rtol=0, atol=1e-12)
     assert np.all(res.final_logz == 0.0)
@@ -467,6 +466,31 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         SimConfig(n_paths=10, dt_max=0.01, horizon=1.0,
                   explosion_guard=-1.0)
+
+
+def test_until_caps_the_horizon_and_the_step():
+    cfg = SimConfig(n_paths=10, dt_max=0.5, horizon=2.0, seed=4)
+    assert cfg.until(1.0) == SimConfig(n_paths=10, dt_max=0.5, horizon=1.0,
+                                       seed=4)
+    assert cfg.until(0.25) == SimConfig(n_paths=10, dt_max=0.25,
+                                        horizon=0.25, seed=4)
+    with pytest.raises(ValidationError, match="must not exceed the horizon"):
+        cfg.until(2.5)
+
+
+def test_every_estimator_refuses_t_beyond_the_horizon(monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated past the horizon")
+    monkeypatch.setattr(mc, "run_ensemble", no_simulation)
+    cfg = SimConfig(n_paths=10, dt_max=0.01, horizon=1.0)
+    for call in (
+            lambda: estimate_mean_direct(BM, BETA_X, 2.0, cfg),
+            lambda: mc.novikov_estimate(BM, BETA_X, 2.0, cfg),
+            lambda: estimate_deficit_localized(BM, PLAN, 2.0, cfg),
+            lambda: stopped_exponential_means(BM, BETA_X, 2.0, PLAN, cfg)):
+        with pytest.raises(ValidationError,
+                           match="must not exceed the horizon"):
+            call()
 
 
 def test_plan_must_stay_below_guard():

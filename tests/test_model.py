@@ -12,7 +12,6 @@ from martprop.model import (
     DiffusionSpec,
     ExponentSpec,
     LocalizationPlan,
-    check_psd_on_grid,
     modified_drift,
     quadratic_exponent,
     require_scalar_homogeneous,
@@ -122,13 +121,7 @@ def test_geometric_plan_and_rho_level():
     assert plan.time_caps == (1.0, 2.0, 3.0, 4.0)
 
 
-# --- grid checks and gates ---------------------------------------------------
-
-def test_check_psd_on_grid():
-    assert check_psd_on_grid(BM) == []
-    bad = DiffusionSpec.scalar("0", "sqrt(x)")  # c = x < 0 on half-line
-    assert check_psd_on_grid(bad) != []
-
+# --- gates -----------------------------------------------------------------
 
 def test_require_scalar_homogeneous():
     require_scalar_homogeneous(BM, "test")
