@@ -26,7 +26,7 @@ from .errors import (
     ValidationError,
 )
 from .expr import CoefficientExpr, parse
-from .quad import CumulativeIntegral, log_quad_adaptive, quad_adaptive
+from .quad import CumulativeIntegral, quad_adaptive
 from .feller import (
     FellerReport,
     classify_explosion,

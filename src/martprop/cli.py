@@ -113,9 +113,8 @@ def _run(body):
     try:
         body()
     except _VALIDATION_ERRORS as exc:
-        fld = getattr(exc, "field", "")
-        prefix = f"{fld}: " if fld else ""
-        click.echo(f"error: {prefix}{exc}", err=True)
+        # a ConfigError's message already starts with its field
+        click.echo(f"error: {exc}", err=True)
         sys.exit(1)
     except _NUMERICAL_ERRORS + (MartpropError,) as exc:
         click.echo(f"numerical failure: {exc}", err=True)

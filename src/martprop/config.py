@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 from . import catalog
@@ -44,8 +45,22 @@ def _bound_out(value):
 # --- section parsers -----------------------------------------------------
 
 
-def spec_from_dict(d, fld="spec"):
+@contextmanager
+def _section(fld):
+    """Report a failure to parse section `fld` as a ConfigError there; a
+    ConfigError raised by an inner section already names its field."""
     try:
+        yield
+    except ConfigError:
+        raise
+    except KeyError as exc:
+        raise ConfigError(f"missing key {exc}", field=fld) from None
+    except (MartpropError, TypeError) as exc:
+        raise ConfigError(str(exc), field=fld) from None
+
+
+def spec_from_dict(d, fld="spec"):
+    with _section(fld):
         dim = int(d.get("dim", 1))
         intervals = [( _bound(pair[0], f"{fld}.intervals"),
                        _bound(pair[1], f"{fld}.intervals"))
@@ -55,10 +70,6 @@ def spec_from_dict(d, fld="spec"):
                              b=tuple(d["b"]),
                              sigma=tuple(tuple(row) for row in d["sigma"]),
                              x0=tuple(d.get("x0", [0.0] * dim)))
-    except KeyError as exc:
-        raise ConfigError(f"missing key {exc}", field=fld) from None
-    except MartpropError as exc:
-        raise ConfigError(str(exc), field=fld) from None
 
 
 def spec_to_dict(spec):
@@ -71,12 +82,8 @@ def spec_to_dict(spec):
 
 
 def exponent_from_dict(d, fld="exponent"):
-    try:
+    with _section(fld):
         return ExponentSpec(beta=tuple(d["beta"]))
-    except KeyError as exc:
-        raise ConfigError(f"missing key {exc}", field=fld) from None
-    except MartpropError as exc:
-        raise ConfigError(str(exc), field=fld) from None
 
 
 def exponent_to_dict(exp):
@@ -84,13 +91,9 @@ def exponent_to_dict(exp):
 
 
 def plan_from_dict(d, fld="plan"):
-    try:
+    with _section(fld):
         return LocalizationPlan(levels=tuple(d["levels"]),
                                 time_caps=tuple(d["time_caps"]))
-    except KeyError as exc:
-        raise ConfigError(f"missing key {exc}", field=fld) from None
-    except MartpropError as exc:
-        raise ConfigError(str(exc), field=fld) from None
 
 
 def plan_to_dict(plan):
@@ -99,29 +102,20 @@ def plan_to_dict(plan):
 
 def mc_from_dict(d, base=None, fld="mc"):
     d = d or {}
-    try:
+    with _section(fld):
         return SimConfig(**d) if base is None else replace(base, **d)
-    except TypeError as exc:
-        raise ConfigError(str(exc), field=fld) from None
-    except MartpropError as exc:
-        raise ConfigError(str(exc), field=fld) from None
 
 
 def mc_to_dict(mc):
     return {"n_paths": mc.n_paths, "dt_max": mc.dt_max,
             "horizon": mc.horizon, "seed": mc.seed,
-            "bridge_correction": mc.bridge_correction,
             "explosion_guard": mc.explosion_guard}
 
 
 def _dist_from_dict(d, fld):
-    try:
+    with _section(fld):
         return DiscreteDist(support=tuple(d["support"]),
                             probs=tuple(d["probs"]))
-    except KeyError as exc:
-        raise ConfigError(f"missing key {exc}", field=fld) from None
-    except MartpropError as exc:
-        raise ConfigError(str(exc), field=fld) from None
 
 
 def _dist_to_dict(dist):
@@ -129,7 +123,7 @@ def _dist_to_dict(dist):
 
 
 def triplet_from_dict(d, fld="triplet"):
-    try:
+    with _section(fld):
         base = spec_from_dict(d["base"], fld=f"{fld}.base")
         cp_rate = float(d.get("cp_rate", 0.0))
         cp_dist = (_dist_from_dict(d["cp_dist"], f"{fld}.cp_dist")
@@ -140,10 +134,6 @@ def triplet_from_dict(d, fld="triplet"):
             for a in d.get("atoms", ()))
         return JumpTriplet(base=base, cp_rate=cp_rate, cp_dist=cp_dist,
                            atoms=atoms)
-    except KeyError as exc:
-        raise ConfigError(f"missing key {exc}", field=fld) from None
-    except MartpropError as exc:
-        raise ConfigError(str(exc), field=fld) from None
 
 
 def triplet_to_dict(trip):
@@ -157,12 +147,8 @@ def triplet_to_dict(trip):
 
 
 def girsanov_from_dict(d, fld="girsanov"):
-    try:
+    with _section(fld):
         return GirsanovData(K=d["K"], U=d["U"])
-    except KeyError as exc:
-        raise ConfigError(f"missing key {exc}", field=fld) from None
-    except MartpropError as exc:
-        raise ConfigError(str(exc), field=fld) from None
 
 
 def girsanov_to_dict(gd):
@@ -170,13 +156,9 @@ def girsanov_to_dict(gd):
 
 
 def covariance_from_dict(d, fld="covariance"):
-    try:
+    with _section(fld):
         return CovarianceSpec(modes=int(d["modes"]),
                               eigenvalues=tuple(d["eigenvalues"]))
-    except KeyError as exc:
-        raise ConfigError(f"missing key {exc}", field=fld) from None
-    except MartpropError as exc:
-        raise ConfigError(str(exc), field=fld) from None
 
 
 def covariance_to_dict(cov):
@@ -184,17 +166,13 @@ def covariance_to_dict(cov):
 
 
 def functional_from_dict(d, fld="functional"):
-    try:
+    with _section(fld):
         return FunctionalSpec(
             kind=d["kind"], exprs=tuple(d.get("exprs", ())),
             weights=tuple(d.get("weights", ())),
             direction=tuple(d.get("direction", ())),
             claimed_lipschitz=d.get("claimed_lipschitz"),
             claimed_growth=d.get("claimed_growth"))
-    except KeyError as exc:
-        raise ConfigError(f"missing key {exc}", field=fld) from None
-    except MartpropError as exc:
-        raise ConfigError(str(exc), field=fld) from None
 
 
 def functional_to_dict(phi):

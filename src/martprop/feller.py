@@ -98,7 +98,6 @@ class VSide:
     value: float = math.nan     # finite value when status == "finite"
     reason: str = ""
     probes_used: int = 0
-    log_partial: float = -math.inf
 
     def to_dict(self):
         d = {"status": self.status, "probes_used": self.probes_used}
@@ -309,25 +308,21 @@ def feller_v(spec: DiffusionSpec, endpoint: str, xi: float) -> VSide:
 
         if log_v > _LOG_DIVERGENCE:
             return VSide("infinite", reason="partial integral exceeded "
-                         "divergence threshold", probes_used=k + 1,
-                         log_partial=log_v)
+                         "divergence threshold", probes_used=k + 1)
         ratios = []
         if len(prev_increments) >= 4:
             ratios = [prev_increments[-i] - prev_increments[-i - 1]
                       for i in (1, 2, 3)]
             if all(rho >= math.log(FLAT_RATIO) for rho in ratios):
                 return VSide("infinite", reason="non-decaying probe "
-                             "increments (divergent tail)",
-                             probes_used=k + 1, log_partial=log_v)
+                             "increments (divergent tail)", probes_used=k + 1)
         if (len(prev_increments) >= 2
                 and log_dv < log_v + _LOG_PROBE_REL_TOL
                 and log_dv < prev_increments[-2] + math.log(0.5)):
-            return VSide("finite", value=math.exp(log_v),
-                         probes_used=k + 1, log_partial=log_v)
+            return VSide("finite", value=math.exp(log_v), probes_used=k + 1)
         if (ratios and max(ratios) <= math.log(GEOMETRIC_RATIO)
                 and log_dv + _LOG_GEOMETRIC_REST < log_v + _LOG_PROBE_REL_TOL):
-            return VSide("finite", value=math.exp(log_v),
-                         probes_used=k + 1, log_partial=log_v)
+            return VSide("finite", value=math.exp(log_v), probes_used=k + 1)
 
     raise QuadratureFailure(
         f"feller_v undecided after {len(probes)} probes toward the "

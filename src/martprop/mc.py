@@ -11,10 +11,9 @@ limiting modified-measure probability of early exit.
 
 Determinism contract: every path is a pure function of (spec, config,
 path_index) via its counter-based streams, which a chunk draws for its
-live paths in one batch (`rng.normal_block`, and `rng.uniform_block` for
-the bridge uniforms; no engine calls `path_generator`).  Ensembles are
-reduced in path-index order, so results are bit-identical for any worker
-count.
+live paths in one batch (`rng.normal_block`; no engine calls
+`path_generator`).  Ensembles are reduced in path-index order, so results
+are bit-identical for any worker count.
 
 A chunk holds the state of its live paths coordinate-major, one vector
 per coordinate, and evaluates b and sigma per coordinate; sums over
@@ -39,7 +38,7 @@ from .errors import (EvalDomain, PlanTooCoarse, UnboundedOnCompact,
                      ValidationError)
 from .model import (DiffusionSpec, ExponentSpec, LocalizationPlan,
                     modified_drift, quadratic_exponent)
-from .rng import BRIDGE_STREAM, normal_block, uniform_block
+from .rng import normal_block
 
 CHUNK_SIZE = 4096
 _SNAP_EPS = 1e-12
@@ -54,7 +53,6 @@ class SimConfig:
     dt_max: float
     horizon: float
     seed: int = 0
-    bridge_correction: bool = False
     explosion_guard: float = 1e6
 
     def __post_init__(self):
@@ -224,7 +222,6 @@ def _run_chunk(spec, config, indices, levels, eval_times, beta, q_expr,
     dt_max, dt_min = config.dt_max, config.dt_min
     passages = Passages(n, levels)
     L = len(passages.levels)
-    bridge = config.bridge_correction and d == 1 and L > 0
 
     # per-path outputs: passages and eval-time values are written as they
     # happen, the rest once, when the path ends
@@ -237,10 +234,10 @@ def _run_chunk(spec, config, indices, levels, eval_times, beta, q_expr,
 
     # state of the live paths only, in path order, coordinate-major (x[i]
     # is coordinate i of every live path): `row` is a path's row in the
-    # outputs and `slot` its row in the normal (and bridge uniform)
-    # buffers, which start each live path's stream; `count` is its number
-    # of levels crossed and `eidx` of eval times passed, and `next_eval`
-    # the eval time it steps towards
+    # outputs and `slot` its row in the normal buffer, which starts each
+    # live path's stream; `count` is its number of levels crossed and
+    # `eidx` of eval times passed, and `next_eval` the eval time it steps
+    # towards
     row = np.arange(n)
     x = np.repeat(np.asarray(spec.x0, dtype=np.float64)[:, None], n, axis=1)
     t = np.zeros(n)
@@ -250,7 +247,7 @@ def _run_chunk(spec, config, indices, levels, eval_times, beta, q_expr,
     next_eval = np.full(n, eval_times[0])
     count = np.zeros(n, dtype=np.intp)
     slot = row
-    normals = uniforms = np.empty((0, 0))
+    normals = np.empty((0, 0))
 
     def explode(ended, code):
         # a path ending at the guard or the step floor passes every level
@@ -311,11 +308,7 @@ def _run_chunk(spec, config, indices, levels, eval_times, beta, q_expr,
                 steps = 2 * k
             # live paths draw their streams from the start, so a grown
             # buffer continues each stream where the old one ended
-            live = indices[row]
-            normals = normal_block(config.seed, live, steps * d)
-            if bridge:
-                uniforms = uniform_block(config.seed, live, steps,
-                                         BRIDGE_STREAM)
+            normals = normal_block(config.seed, indices[row], steps * d)
             slot = np.arange(row.size)
         # a plain slice until some path ends after the draw
         rows = slice(None) if slot.size == len(normals) else slot
@@ -348,9 +341,6 @@ def _run_chunk(spec, config, indices, levels, eval_times, beta, q_expr,
                      - 0.5 * q * dt)
             nov += q * dt
 
-        if bridge:
-            x_old = x[0].copy()
-            c_diag = sig[0][0] ** 2
         for xi, dxi in zip(x, dx):
             xi += dxi
         t += dt
@@ -361,18 +351,6 @@ def _run_chunk(spec, config, indices, levels, eval_times, beta, q_expr,
         norm = np.sqrt(_total(xi * xi for xi in x))
 
         crossed = passages.cross(count, row, norm, t, logz) if L else ()
-        if bridge:
-            # Brownian-bridge crossing inside the step, scalar case,
-            # for level column 0 only
-            m = passages.levels[0]
-            cand = np.flatnonzero((count == 0) & (x_old < m) & (x[0] < m)
-                                  & (c_diag > 0))
-            if cand.size:
-                p = np.exp(-2.0 * (m - x_old[cand]) * (m - x[0][cand])
-                           / (c_diag[cand] * dt[cand]))
-                up = cand[uniforms[rows, k][cand] < p]
-                passages.mark(count, row, up, 1, t, logz)
-                crossed = np.union1d(crossed, up)
 
         # guard crossing: numerical explosion proxy
         ended = norm >= config.explosion_guard

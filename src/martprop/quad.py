@@ -1,10 +1,9 @@
-"""Adaptive Gauss-Kronrod quadrature, with a log-domain variant.
+"""Adaptive Gauss-Kronrod quadrature and a memoized antiderivative.
 
-The log-domain routine integrates exp(g(x)) for exponents g far outside
-the range of double precision (scale densities behave like exp(-x^4/2)),
-returning the logarithm of the integral.  Both routines subdivide the
-interval with the largest Kronrod-Gauss error estimate until the combined
-absolute/relative target is met.
+`quad_adaptive` subdivides the interval with the largest Kronrod-Gauss
+error estimate until the combined absolute/relative target is met;
+`CumulativeIntegral` answers F(x) = int_origin^x f by integrating from
+the nearest point it has already evaluated.
 """
 
 from __future__ import annotations
@@ -98,75 +97,12 @@ def quad_adaptive(f, a, b, abs_tol=DEFAULT_ABS_TOL, rel_tol=DEFAULT_REL_TOL,
     return sign * total, total_err
 
 
-def _log_gk15(log_f, a, b):
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    xs = mid + half * _NODES
-    hs = np.array([log_f(x) for x in xs], dtype=np.float64)
-    if np.any(np.isnan(hs)) or np.any(hs == np.inf):
-        raise QuadratureFailure(
-            f"invalid log-integrand value on [{a}, {b}]")
-    m = float(np.max(hs))
-    if m == -math.inf:
-        return -math.inf, -math.inf
-    scaled = np.exp(hs - m)
-    ik = half * float(_WEIGHTS_K @ scaled)
-    ig = half * float(_WEIGHTS_G @ scaled)
-    err = (200.0 * abs(ik - ig)) ** 1.5 if ik != ig else 0.0
-    err = min(err, abs(ik - ig) * 200.0 + 1e-300)
-    log_ik = m + math.log(ik) if ik > 0 else -math.inf
-    log_err = m + math.log(err) if err > 0 else -math.inf
-    return log_ik, log_err
-
-
 def _logaddexp(a, b):
     if a == -math.inf:
         return b
     if b == -math.inf:
         return a
     return np.logaddexp(a, b)
-
-
-def _logsubexp(a, b):
-    # log(e^a - e^b) for a >= b; clamps tiny negative round-off
-    if b == -math.inf:
-        return a
-    d = 1.0 - math.exp(min(b - a, 0.0))
-    if d <= 0.0:
-        return -math.inf
-    return a + math.log(d)
-
-
-def log_quad_adaptive(log_f, a, b, rel_tol=DEFAULT_REL_TOL,
-                      max_subdivisions=512):
-    """Return log of the integral of exp(log_f) over [a, b] (a <= b)."""
-    if a == b:
-        return -math.inf
-    if b < a:
-        raise ValueError("log_quad_adaptive requires a <= b")
-    log_v, log_e = _log_gk15(log_f, a, b)
-    heap = [(-log_e, a, b, log_v, log_e)]
-    log_total, log_total_err = log_v, log_e
-    count = 1
-    log_rel = math.log(rel_tol)
-    while log_total_err > log_total + log_rel:
-        if count >= max_subdivisions:
-            raise QuadratureFailure(
-                f"log-quadrature tolerance not met after {count} subdivisions")
-        neg_e, lo, hi, v, e = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            heapq.heappush(heap, (math.inf, lo, hi, v, -math.inf))
-            continue
-        v1, e1 = _log_gk15(log_f, lo, mid)
-        v2, e2 = _log_gk15(log_f, mid, hi)
-        log_total = _logaddexp(_logsubexp(log_total, v), _logaddexp(v1, v2))
-        log_total_err = _logaddexp(_logsubexp(log_total_err, e),
-                                   _logaddexp(e1, e2))
-        heapq.heappush(heap, (-e1, lo, mid, v1, e1))
-        heapq.heappush(heap, (-e2, mid, hi, v2, e2))
-        count += 1
-    return log_total
 
 
 class CumulativeIntegral:

@@ -3,14 +3,13 @@
 Every path owns an independent Philox stream keyed by (seed, stream,
 path index), so a path is a pure function of its index: results are
 bit-identical regardless of chunking, worker count, or scheduling.  A
-small stream id carves out auxiliary per-path streams (bridge
-corrections, the jump kit's uniforms) without disturbing the main one.
+small stream id carves out an auxiliary per-path stream (the jump kit's
+uniforms) without disturbing the main one.
 
 `normal_block` and `uniform_block` draw the normals or uniforms of a
 whole chunk of paths in one batch; their rows are bit-identical to the
 per-path streams that `path_generator` opens.  Every engine draws this
-way: the diffusion engine d normals per step (and, with the bridge
-correction, one BRIDGE_STREAM uniform per step), the jump kit one normal
+way: the diffusion engine d normals per step, the jump kit one normal
 per step, and the Hilbert kit K per step (a row of (T-1)*K, step by
 step, mode by mode).  No engine calls `path_generator`; it is left to
 reference computations.
@@ -27,7 +26,8 @@ _MAX_INDEX = 1 << _STREAM_SHIFT
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
 
 MAIN_STREAM = 0
-BRIDGE_STREAM = 1
+# id 1 is unused; renumbering JUMP_STREAM would change every jump draw
+# and report
 JUMP_STREAM = 2
 
 # a block hands the interpreter lock over once per row, so blocks

@@ -58,6 +58,14 @@ def test_field_paths_in_errors():
         config.resolve({"preset": "identity-zero",
                         "mc": {"n_paths": -5}})
     assert exc.value.field == "mc"
+    # a nested section keeps its own field, named once
+    with pytest.raises(ConfigError) as exc:
+        config.resolve({
+            "triplet": {"base": {"b": ["0"], "sigma": [["1"]]},
+                        "cp_rate": 1.0, "cp_dist": {"probs": [1.0]}},
+            "girsanov": {"K": "0", "U": "2"}})
+    assert exc.value.field == "triplet.cp_dist"
+    assert str(exc.value) == "triplet.cp_dist: missing key 'support'"
 
 
 def test_bad_bound_string():

@@ -21,7 +21,7 @@ from martprop.model import (
     LocalizationPlan,
     modified_drift,
 )
-from martprop.rng import BRIDGE_STREAM, path_generator
+from martprop.rng import path_generator
 
 BM = DiffusionSpec.scalar("0", "1")
 BETA_X = ExponentSpec.scalar("x")
@@ -152,53 +152,6 @@ def test_eval_domain_names_the_path_after_others_ended():
         run_ensemble(spec, cfg, levels=(2.0,), stop_at_largest_level=True)
     assert str(exc.value) == (f"non-finite coefficient on path {bad} "
                               f"at t={t_bad:.6g}, x={[x_bad]}")
-
-
-def test_bridge_uniforms_follow_their_documented_streams():
-    # the setting of test_paths_follow_their_documented_streams with the
-    # bridge correction on: each step draws the next uniform of the
-    # path's BRIDGE_STREAM and marks level 0 crossed inside the step with
-    # the frozen-coefficient bridge probability, from below only.  Level
-    # 1 lies just above level 0, and only |X| reaching it crosses it.
-    spec = DiffusionSpec.scalar("0", "1 + 4*t", x0=0.5)
-    cfg = SimConfig(n_paths=200, dt_max=0.05, horizon=1.0, seed=21,
-                    bridge_correction=True)
-    levels = (1.5, 1.55, 4.0)
-    ens = run_ensemble(spec, cfg, levels=levels, stop_at_largest_level=True)
-    steps = []
-    t = 0.0
-    while t < cfg.horizon:
-        s = 1.0 + 4.0 * t
-        dt = min(cfg.dt_max / (s * s + 1.0), cfg.horizon - t)
-        t = t + dt
-        if t >= cfg.horizon - 1e-12:
-            t = cfg.horizon
-        steps.append((s, dt, t))
-    by_bridge = 0
-    for idx in range(cfg.n_paths):
-        z = path_generator(cfg.seed, idx).standard_normal(len(steps))
-        gen = path_generator(cfg.seed, idx, BRIDGE_STREAM)
-        x, m = 0.5, levels[0]
-        passage = [math.inf] * 3
-        for (s, dt, t), zk in zip(steps, z):
-            x_old = x
-            x += s * (zk * math.sqrt(dt))
-            u = gen.random()
-            if passage[0] == math.inf:
-                if abs(x) >= m:
-                    passage[0] = t
-                elif x_old < m and x < m and u < np.exp(
-                        -2.0 * (m - x_old) * (m - x) / (s ** 2 * dt)):
-                    passage[0] = t
-                    by_bridge += 1
-            if passage[1] == math.inf and abs(x) >= levels[1]:
-                passage[1] = t
-            if abs(x) >= levels[2]:
-                passage[2] = t
-                break
-        assert ens.final_state[idx, 0] == x
-        assert ens.passage_times[idx].tolist() == passage
-    assert by_bridge > 0
 
 
 def test_paths_ending_at_guard_or_floor_pass_every_level_left():

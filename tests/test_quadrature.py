@@ -5,11 +5,7 @@ import pytest
 from scipy import integrate
 
 from martprop.errors import QuadratureFailure
-from martprop.quad import (
-    CumulativeIntegral,
-    log_quad_adaptive,
-    quad_adaptive,
-)
+from martprop.quad import CumulativeIntegral, quad_adaptive
 
 
 @pytest.mark.parametrize("f,a,b", [
@@ -45,23 +41,6 @@ def test_budget_exhaustion_raises():
     with pytest.raises(QuadratureFailure):
         quad_adaptive(rapidly, 0.0, 1.0, abs_tol=1e-14, rel_tol=1e-14,
                       max_subdivisions=4)
-
-
-def test_log_domain_handles_huge_exponents():
-    # integrand exp(g) with g near +1e6: the linear-domain value
-    # overflows but the log-domain result is exact up to quadrature
-    shift = 1.0e6
-    g = lambda z: shift - z * z
-    ours = log_quad_adaptive(g, -6.0, 6.0)
-    assert ours == pytest.approx(shift + math.log(math.sqrt(math.pi)),
-                                 abs=1e-9)
-
-
-def test_log_domain_matches_linear_when_safe():
-    g = lambda z: math.sin(z) - 0.3 * z
-    ours = log_quad_adaptive(g, 0.0, 5.0)
-    ref, _ = integrate.quad(lambda z: math.exp(g(z)), 0.0, 5.0)
-    assert math.exp(ours) == pytest.approx(ref, rel=1e-9)
 
 
 def test_cumulative_integral_antiderivative():

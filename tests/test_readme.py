@@ -1,5 +1,8 @@
+import json
 import pathlib
 import re
+
+from martprop import config
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -13,3 +16,10 @@ def test_readme_library_example_runs():
     curve = namespace["curve"]
     assert curve.converged
     assert 0.0 < curve.deficit < 1.0
+
+
+def test_readme_configs_resolve():
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(),
+                        re.DOTALL)
+    kinds = [config.resolve(json.loads(block)).kind for block in blocks]
+    assert sorted(kinds) == ["diffusion", "hilbert", "jump"]
