@@ -59,6 +59,7 @@ from .jumpkit import (
     DiscreteDist,
     GirsanovData,
     JumpTriplet,
+    analyze_jump,
     compute_R,
     simulate_jump_exponential,
     validate_jump,

@@ -37,7 +37,7 @@ from .hilbert import (
     hilbert_novikov_estimate,
     sample_path_array,
 )
-from .jumpkit import validate_jump, verdict_jump, verify_compensator_identity
+from .jumpkit import analyze_jump
 from .mc import (
     deficit_for,
     estimate_mean_direct,
@@ -212,11 +212,8 @@ def jump(config_path, preset, seed, threads, output_path, fmt):
     """Jump-diffusion density-process analysis."""
     def body():
         rc = _resolve(config_path, preset, seed, kind="jump")
-        validate_jump(rc.triplet, rc.girsanov)
-        verdict = verdict_jump(rc.triplet, rc.girsanov, rc.t, rc.plan,
-                               rc.mc)
-        comp = verify_compensator_identity(rc.triplet, rc.girsanov,
-                                           rc.mc, rc.t)
+        verdict, comp = analyze_jump(rc.triplet, rc.girsanov, rc.t,
+                                     rc.plan, rc.mc)
         click.echo(f"classification: {verdict.classification.value}",
                    err=True)
         curve = verdict.deficit_curve

@@ -248,9 +248,9 @@ def compute_R(trip: JumpTriplet, gd: GirsanovData, grid,
     cont[1:] = np.cumsum(kv * kv * cv * dt)
     cp = np.zeros(n)
     if trip.cp_rate > 0:
-        cp[1:] = np.cumsum(_cp_steps(trip, gd, grid, False).hellinger * dt)
+        cp[1:] = np.cumsum(_cp_steps(trip, gd, grid, (False,)).hellinger * dt)
     atom_part = np.zeros(n)
-    for atom in _atom_steps(trip, gd, grid, False, 0):
+    for atom in _atom_steps(trip, gd, grid, (False,), 0):
         atom_part[atom.step + 1:] += atom.delta_r
     R = cont + cp + atom_part
     return HellingerPath(times=grid, R=R, continuous_part=cont,
@@ -272,15 +272,15 @@ class JumpSimResult(NamedTuple):
 @dataclass(frozen=True)
 class _CompoundPoissonSteps:
     """Compound-Poisson tables: one row per grid step, one column per
-    support point y_j of the size law."""
+    support point y_j of the size law, and for the CDFs one per triplet."""
 
     sizes: np.ndarray        # (J,)
-    cdf: np.ndarray          # (steps, J, k_max): CDF of each count
+    cdf: np.ndarray          # (triplets, steps, J, k_max): CDF of each count
     delta_n: np.ndarray      # Delta N of one jump, U' = U(t0, y_j) - 1
     c_term: np.ndarray       # its term of C(Z), (1 - sqrt(1 + Delta N))^2
     compensator: np.ndarray  # (steps,) lambda E_F[U - 1], drift of log Z
     hellinger: np.ndarray    # (steps,) lambda E_F[(1 - sqrt(U))^2], dR/dt
-    drift_shift: np.ndarray  # (steps,) lambda E_F[h (U - 1)] when modified
+    drift_shift: np.ndarray  # (steps,) lambda E_F[h (U - 1)], modified only
 
 
 @dataclass(frozen=True)
@@ -289,8 +289,8 @@ class _AtomStep:
 
     step: int
     column: int              # its two uniforms: fire, then size
-    fire_mass: float
-    size_cdf: np.ndarray     # CDF at every size but the last
+    fire_mass: np.ndarray    # (triplets,): a, or Uhat when modified
+    size_cdf: np.ndarray     # (triplets, J - 1): CDF at all sizes but the last
     sizes: np.ndarray
     delta_n_fired: np.ndarray  # per support point
     delta_n_still: float
@@ -327,8 +327,9 @@ def _poisson_cdf(mu):
     return np.cumsum(np.exp(log_pmf), axis=-1)
 
 
-def _cp_steps(trip, gd, grid, modified):
-    """Per-grid-time compound-Poisson tables.  Jumps to y_j in a step are
+def _cp_steps(trip, gd, grid, modes):
+    """Per-grid-time compound-Poisson tables for the triplets `modes`
+    (True for the modified one).  Jumps to y_j in a step are
     Poisson(lambda dt p_j) under the original triplet and Poisson(lambda
     dt p_j U(t0, y_j)) under the modified one: rate lambda E_F[U] and law
     U.F / E_F[U], split by support point."""
@@ -337,34 +338,34 @@ def _cp_steps(trip, gd, grid, modified):
     t0, dt = grid[:-1], np.diff(grid)
     u = _u_table(gd, t0, sizes)
     lam = trip.cp_rate
-    weight = probs * u if modified else np.broadcast_to(probs, u.shape)
+    cdfs = [_poisson_cdf(lam * dt[:, None] * (probs * u if mod else probs))
+            for mod in modes]
+    k_max = max(c.shape[-1] for c in cdfs)
     delta_n = u - 1.0
     h = np.where(np.abs(sizes) <= 1.0, sizes, 0.0)
     return _CompoundPoissonSteps(
         sizes=sizes,
-        cdf=_poisson_cdf(lam * dt[:, None] * weight),
+        # a CDF padded with inf counts the same
+        cdf=np.stack([np.pad(c, ((0, 0), (0, 0), (0, k_max - c.shape[-1])),
+                             constant_values=math.inf) for c in cdfs]),
         delta_n=delta_n,
         c_term=(1.0 - np.sqrt(1.0 + delta_n)) ** 2,
         compensator=lam * (delta_n @ probs),
         hellinger=lam * ((1.0 - np.sqrt(u)) ** 2 @ probs),
-        drift_shift=(lam * ((h * delta_n) @ probs) if modified
-                     else np.zeros(len(t0))))
+        drift_shift=lam * ((h * delta_n) @ probs))
 
 
-def _atom_steps(trip, gd, grid, modified, first_column):
-    """One _AtomStep per atom on the grid, in time order."""
+def _atom_steps(trip, gd, grid, modes, first_column):
+    """One _AtomStep per atom on the grid, in time order, for the
+    triplets `modes`; under the modified one the law is a G U, normalized."""
     out = []
     for atom in trip.atoms:
         if not grid[0] < atom.time <= grid[-1]:
             continue
         t = atom.time
         uhat = compute_Uhat(trip, gd, t)
-        if modified:
-            # mass Uhat; law proportional to a G U, normalized
-            fire_mass = uhat
-            law = atom.dist.reweighted(lambda y: gd.u(t, y))
-        else:
-            fire_mass, law = atom.mass, atom.dist
+        laws = [atom.dist.reweighted(lambda y: gd.u(t, y)) if mod
+                else atom.dist for mod in modes]
         if atom.mass >= 1.0 - _TOL:
             still = 0.0
         else:
@@ -372,10 +373,11 @@ def _atom_steps(trip, gd, grid, modified, first_column):
         out.append(_AtomStep(
             step=int(np.searchsorted(grid, t)) - 1,
             column=first_column + 2 * len(out),
-            fire_mass=fire_mass,
-            size_cdf=np.cumsum(law.probs[:-1]),
-            sizes=np.array(law.support),
-            delta_n_fired=_u_table(gd, [t], law.support)[0] - 1.0,
+            fire_mass=np.array([uhat if mod else atom.mass
+                                for mod in modes]),
+            size_cdf=np.array([np.cumsum(law.probs[:-1]) for law in laws]),
+            sizes=np.array(atom.dist.support),
+            delta_n_fired=_u_table(gd, [t], atom.dist.support)[0] - 1.0,
             delta_n_still=still,
             delta_r=atom_delta_R(atom, gd, trip)))
     return out
@@ -412,6 +414,13 @@ def simulate_jump_exponential(trip: JumpTriplet, gd: GirsanovData,
     then two per atom (fire, size).  So results do not depend on
     chunking or ordering.
     """
+    return _simulate(trip, gd, config, (modified,), levels, eval_times)[0]
+
+
+def _simulate(trip, gd, config, modes, levels, eval_times):
+    """One JumpSimResult per triplet of `modes` ((False,) original,
+    (True,) modified, or (False, True)), from one lockstep pass on the
+    same draws; levels are recorded for the last triplet only."""
     validate_jump(trip, gd)
     if eval_times is None:
         eval_times = (config.horizon,)
@@ -422,9 +431,9 @@ def simulate_jump_exponential(trip: JumpTriplet, gd: GirsanovData,
     steps = len(grid) - 1
     eval_column = {int(np.searchsorted(grid, t)) - 1: j
                    for j, t in enumerate(eval_times)}
-    cp = _cp_steps(trip, gd, grid, modified) if trip.cp_rate > 0 else None
+    cp = _cp_steps(trip, gd, grid, modes) if trip.cp_rate > 0 else None
     n_sizes = 0 if cp is None else len(cp.sizes)
-    atoms = {a.step: a for a in _atom_steps(trip, gd, grid, modified,
+    atoms = {a.step: a for a in _atom_steps(trip, gd, grid, modes,
                                             steps * n_sizes)}
     n_uniforms = steps * n_sizes + 2 * len(atoms)
     coefs = (trip.base.b[0], trip.base.sigma[0][0], trip.base.c_expr(0, 0),
@@ -433,32 +442,35 @@ def simulate_jump_exponential(trip: JumpTriplet, gd: GirsanovData,
     tables = [None if "x" in e.free_variables()
               else e.eval_array(grid[:-1], grid[:-1]) for e in coefs]
 
-    E, L = len(eval_times), len(levels)
+    n_modes, E, L = len(modes), len(eval_times), len(levels)
 
     def work(paths):
         normals = normal_block(config.seed, paths, steps)
         uniforms = (uniform_block(config.seed, paths, n_uniforms)
                     if n_uniforms else None)
         m = paths.size
-        z_evals = np.full((m, E), math.nan)
-        finals = np.empty((4, m))  # final z, min Delta N, R and C/Z
-        passages = Passages(m, levels)
-        # the state of the live paths only; `row` is a path's row in the
-        # outputs and the draws
-        row = np.arange(m)
-        x = np.full(m, trip.base.x0[0])
-        log_zc = np.zeros(m)       # continuous part: N^c - 0.5 <N^c>
-        jump_prod = np.ones(m)     # product of (1 + Delta N)
-        r_acc = np.zeros(m)
-        coz = np.zeros(m)          # int (1/Z_-^2) dC(Z)
-        dn_min = np.full(m, math.inf)
-        count = np.zeros(m, dtype=np.intp)   # levels crossed
+        z_evals = np.full((n_modes, m, E), math.nan)
+        finals = np.empty((4, n_modes, m))  # final z, min Delta N, R, C/Z
+        passages = [Passages(m, levels if k == n_modes - 1 else ())
+                    for k in range(n_modes)]
+        # the state of the live paths only, stacked triplet by triplet:
+        # `run` is a path's triplet and `draw` its row in the draws and
+        # the outputs; the last triplet's rows start at `last`
+        run = np.repeat(np.arange(n_modes), m)
+        draw = np.tile(np.arange(m), n_modes)
+        last = (n_modes - 1) * m
+        x = np.full(run.size, trip.base.x0[0])
+        log_zc = np.zeros(run.size)   # continuous part: N^c - 0.5 <N^c>
+        jump_prod = np.ones(run.size)  # product of (1 + Delta N)
+        r_acc = np.zeros(run.size)
+        coz = np.zeros(run.size)      # int (1/Z_-^2) dC(Z)
+        dn_min = np.full(run.size, math.inf)
+        count = np.zeros(run.size, dtype=np.intp)   # levels crossed
         for i in range(steps):
-            if not row.size:
+            if not run.size:
                 break
             t0, t1 = grid[i], grid[i + 1]
             dt = t1 - t0
-            rows = slice(None) if row.size == m else row  # draw rows
             bv, sv, cv, kv = [e.eval_array(t0, x) if tab is None else tab[i]
                               for e, tab in zip(coefs, tables)]
             finite = (np.isfinite(bv) & np.isfinite(sv) & np.isfinite(cv)
@@ -466,11 +478,14 @@ def simulate_jump_exponential(trip: JumpTriplet, gd: GirsanovData,
             if not np.all(finite):
                 r = int(np.argmin(finite))
                 raise EvalDomain(
-                    f"non-finite coefficient on path {int(paths[row[r]])} "
+                    f"non-finite coefficient on path {int(paths[draw[r]])} "
                     f"at t={t0:.6g}, x={float(x[r])}")
-            if modified:
-                bv = bv + kv * cv
-            dW = normals[rows, i] * math.sqrt(dt)
+            if modes[-1]:
+                # the modified rows' drift b + K c (+ the CP shift below),
+                # in a copy: bv may be x itself or a table entry
+                bv, kc = bv * np.ones_like(x), kv * cv
+                bv[last:] += kc[last:] if np.ndim(kc) else kc
+            dW = normals[draw, i] * math.sqrt(dt)
             # exponent N: continuous part and CP compensator drift
             quad_var = kv * kv * cv * dt
             dlog = kv * sv * dW - 0.5 * quad_var
@@ -478,21 +493,22 @@ def simulate_jump_exponential(trip: JumpTriplet, gd: GirsanovData,
             if cp is not None:
                 dlog = dlog - cp.compensator[i] * dt
                 dr = dr + cp.hellinger[i] * dt
-                if modified:
-                    bv = bv + cp.drift_shift[i]
+                if modes[-1]:
+                    bv[last:] += cp.drift_shift[i]
             log_zc += dlog
             r_acc += dr
             coz += quad_var
             x += bv * dt + sv * dW
 
             if cp is not None:
-                u = uniforms[rows, i * n_sizes:(i + 1) * n_sizes]
-                hit = np.flatnonzero(np.any(u >= cp.cdf[i, :, 0], axis=1))
+                u = uniforms[draw, i * n_sizes:(i + 1) * n_sizes]
+                cdf = cp.cdf[:, i]
+                hit = np.flatnonzero(np.any(u >= cdf[run, :, 0], axis=1))
                 if hit.size:
-                    counts = np.sum(u[hit, :, None] >= cp.cdf[i], axis=2)
+                    counts = np.sum(u[hit, :, None] >= cdf[run[hit]], axis=2)
                     dn = np.min(np.where(counts > 0, cp.delta_n[i],
                                          math.inf), axis=1)
-                    _check_jump_bound(dn, t0, paths[row[hit]])
+                    _check_jump_bound(dn, t0, paths[draw[hit]])
                     x[hit] += counts @ cp.sizes
                     jump_prod[hit] *= np.prod(
                         (1.0 + cp.delta_n[i]) ** counts, axis=1)
@@ -501,12 +517,13 @@ def simulate_jump_exponential(trip: JumpTriplet, gd: GirsanovData,
 
             atom = atoms.get(i)
             if atom is not None:
-                u = uniforms[rows, atom.column:atom.column + 2]
-                fired = u[:, 0] < atom.fire_mass
-                k = np.searchsorted(atom.size_cdf, u[:, 1], side="right")
+                u = uniforms[draw, atom.column:atom.column + 2]
+                fired = u[:, 0] < atom.fire_mass[run]
+                # inverse CDF: the number of CDF entries at or below u
+                k = np.sum(atom.size_cdf[run] <= u[:, 1:], axis=1)
                 dn = np.where(fired, atom.delta_n_fired[k],
                               atom.delta_n_still)
-                _check_jump_bound(dn, t1, paths[row])
+                _check_jump_bound(dn, t1, paths[draw])
                 x += np.where(fired, atom.sizes[k], 0.0)
                 jump_prod *= 1.0 + dn
                 dn_min = np.minimum(dn_min, dn)
@@ -517,22 +534,26 @@ def simulate_jump_exponential(trip: JumpTriplet, gd: GirsanovData,
             ax = np.abs(x)
             z = np.exp(log_zc) * jump_prod
             if L:
-                passages.cross(count, row, ax, t1, z)
+                passages[-1].cross(count[last:], draw[last:], ax[last:],
+                                   t1, z[last:])
             going = ax < config.explosion_guard
             if not going.all():
                 # the rows still going are written again at the end
-                finals[:, row] = z, dn_min, r_acc, coz
-                row, x, log_zc, jump_prod, r_acc, coz, dn_min, count, z = (
-                    v[going] for v in (row, x, log_zc, jump_prod, r_acc,
-                                       coz, dn_min, count, z))
+                finals[:, run, draw] = z, dn_min, r_acc, coz
+                run, draw, x, log_zc, jump_prod, r_acc, coz, dn_min, count, \
+                    z = (v[going] for v in (run, draw, x, log_zc, jump_prod,
+                                            r_acc, coz, dn_min, count, z))
+                last = int(np.searchsorted(run, n_modes - 1))
             j = eval_column.get(i)
             if j is not None:
-                z_evals[row, j] = z
-        finals[:, row] = z, dn_min, r_acc, coz
-        return (z_evals, finals[0], passages.times, passages.values,
-                *finals[1:])
+                z_evals[run, draw, j] = z
+        finals[:, run, draw] = z, dn_min, r_acc, coz
+        return [v for k, p in enumerate(passages) for v in (
+            z_evals[k], finals[0, k], p.times, p.values, *finals[1:, k])]
 
-    return JumpSimResult(*map_chunks(work, config.n_paths, CHUNK_SIZE))
+    out = map_chunks(work, config.n_paths, CHUNK_SIZE)
+    w = len(JumpSimResult._fields)
+    return [JumpSimResult(*out[k * w:(k + 1) * w]) for k in range(n_modes)]
 
 
 @dataclass
@@ -557,8 +578,11 @@ def verify_compensator_identity(trip: JumpTriplet, gd: GirsanovData,
     C(Z) = <Z^c> + sum (Z_{s-} - sqrt(Z_s Z_{s-}))^2; its compensator is
     Z_-^2 . dR, so the normalized gap is a mean-zero statistic.
     """
-    result = simulate_jump_exponential(trip, gd, config.until(t),
-                                       eval_times=(t,))
+    return _compensator_report(simulate_jump_exponential(
+        trip, gd, config.until(t), eval_times=(t,)))
+
+
+def _compensator_report(result):
     gaps = result.c_over_z_final - result.r_final
     mean = float(np.mean(gaps))
     se = (float(np.std(gaps, ddof=1) / math.sqrt(len(gaps)))
@@ -566,7 +590,7 @@ def verify_compensator_identity(trip: JumpTriplet, gd: GirsanovData,
     return CompensatorReport(passed=abs(mean) <= max(3.0 * se, 1e-12),
                              mean_gap=mean, std_error=se,
                              r_mean=float(np.mean(result.r_final)),
-                             n_paths=config.n_paths)
+                             n_paths=len(gaps))
 
 
 def verdict_jump(trip: JumpTriplet, gd: GirsanovData, t: float,
@@ -582,9 +606,25 @@ def verdict_jump(trip: JumpTriplet, gd: GirsanovData, t: float,
     """
     validate_jump(trip, gd)
     config.check_plan(plan)
-    result = simulate_jump_exponential(trip, gd, config.until(t),
-                                       levels=plan.levels, eval_times=(t,),
-                                       modified=True)
+    return _verdict(simulate_jump_exponential(
+        trip, gd, config.until(t), levels=plan.levels, eval_times=(t,),
+        modified=True), plan, t)
+
+
+def analyze_jump(trip: JumpTriplet, gd: GirsanovData, t: float,
+                 plan: LocalizationPlan, config: SimConfig):
+    """(verdict_jump, verify_compensator_identity), bit for bit, from
+    one pass that steps both triplets on the same draws.  It raises the
+    first error it meets: earliest chunk, then grid step, then the
+    original triplet's paths."""
+    validate_jump(trip, gd)
+    config.check_plan(plan)
+    original, modified = _simulate(trip, gd, config.until(t), (False, True),
+                                   plan.levels, (t,))
+    return _verdict(modified, plan, t), _compensator_report(original)
+
+
+def _verdict(result, plan, t):
     curve = survival_curve(result.passage_times, plan, t,
                            notes=["modified-triplet survival surrogate for "
                                   "Q(R_{t and rho} < infinity) = 1"])
@@ -601,4 +641,3 @@ def verdict_jump(trip: JumpTriplet, gd: GirsanovData, t: float,
         notes.append("survival column did not converge across levels")
     return MartingaleVerdict(classification, deficit_curve=curve,
                              notes=notes)
-

@@ -308,6 +308,7 @@ def _run_chunk(spec, config, indices, levels, eval_times, beta, q_expr,
                 steps = 2 * k
             # live paths draw their streams from the start, so a grown
             # buffer continues each stream where the old one ended
+            normals = None  # so the old buffer is freed before the draw
             normals = normal_block(config.seed, indices[row], steps * d)
             slot = np.arange(row.size)
         # a plain slice until some path ends after the draw
@@ -464,7 +465,7 @@ def survival_curve(passage_times, plan: LocalizationPlan, t: float,
     (one row per path, one column per level); a level whose time cap is
     at most t survives with probability 0 by construction.  Converged
     when the last two levels agree within twice the summed standard
-    errors."""
+    errors, and neither is such a level."""
     n = len(passage_times)
     entries = []
     for j, (m, cap) in enumerate(zip(plan.levels, plan.time_caps)):
@@ -477,7 +478,8 @@ def survival_curve(passage_times, plan: LocalizationPlan, t: float,
     (_, _, q_prev, se_prev), (_, _, q_last, se_last) = entries[-2:]
     return DeficitCurve(
         entries=entries, extrapolated_expectation=q_last,
-        converged=abs(q_last - q_prev) <= 2.0 * (se_last + se_prev),
+        converged=(plan.time_caps[-2] > t
+                   and abs(q_last - q_prev) <= 2.0 * (se_last + se_prev)),
         notes=list(notes))
 
 

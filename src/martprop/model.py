@@ -186,9 +186,10 @@ class LocalizationPlan:
 
     @classmethod
     def geometric(cls, first=8.0, count=4, horizon=1.0):
-        """Doubling levels with a shared time cap max(horizon, index)."""
+        """Doubling levels with time caps horizon + 1, horizon + 2, ...:
+        a cap at or below the horizon would make a level's survival 0."""
         levels = tuple(first * 2 ** k for k in range(count))
-        caps = tuple(max(horizon, float(k + 1)) for k in range(count))
+        caps = tuple(horizon + k + 1.0 for k in range(count))
         return cls(levels=levels, time_caps=caps)
 
 

@@ -117,6 +117,27 @@ def test_jump_report_reproducible_across_threads_and_runs(runner, tmp_path):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
+def test_jump_draws_each_chunk_once(runner, tmp_path, monkeypatch):
+    # both triplets read one normal and one uniform block per chunk
+    from martprop import jumpkit
+    calls = []
+
+    def counted(name):
+        draw = getattr(jumpkit, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return draw(*args, **kwargs)
+        return wrapper
+    for name in ("normal_block", "uniform_block"):
+        monkeypatch.setattr(jumpkit, name, counted(name))
+    monkeypatch.setattr(jumpkit, "CHUNK_SIZE", 100)
+    cfg = _small(tmp_path, "poisson-U4", n_paths=150)
+    res = runner.invoke(main, ["jump", "--config", cfg])
+    assert res.exit_code == 0
+    assert sorted(calls) == ["normal_block"] * 2 + ["uniform_block"] * 2
+
+
 def test_jump_report_serializes_the_curve_once(runner, tmp_path):
     cfg = _small(tmp_path, "atom-half", n_paths=200)
     out = tmp_path / "r.json"
@@ -247,6 +268,38 @@ def test_exit_2_on_numerical_failure(runner, tmp_path):
         "mc": {"n_paths": 10, "dt_max": 0.1, "horizon": 1.0}}))
     res = runner.invoke(main, ["deficit", "--config", str(p)])
     assert res.exit_code == 2
+
+
+def test_exit_2_when_both_jump_triplets_fail(runner, tmp_path):
+    # b = log(x + 1) - 10 is non-finite once x < -1, which paths of both
+    # triplets reach; the message is the original triplet's, met first
+    p = tmp_path / "domain.json"
+    p.write_text(json.dumps({
+        "triplet": {"base": {"b": ["log(x + 1) - 10"], "sigma": [["1"]]}},
+        "girsanov": {"K": "10", "U": "1"},
+        "mc": {"n_paths": 20, "dt_max": 0.01, "horizon": 1.0, "seed": 1}}))
+    res = runner.invoke(main, ["jump", "--config", str(p)])
+    assert res.exit_code == 2
+    assert "on path 5 at t=0.07" in res.output
+
+
+def test_plan_less_config_past_t_4_keeps_live_levels(runner, tmp_path):
+    # beta = 0, so Z = 1 and the deficit is 0; the default time caps
+    # exceed t, so no level is dead by construction
+    p = tmp_path / "flat.json"
+    p.write_text(json.dumps({
+        "t": 5, "spec": {"b": ["0"], "sigma": [["1"]]},
+        "exponent": {"beta": ["0"]},
+        "mc": {"n_paths": 200, "dt_max": 0.1, "horizon": 5.0}}))
+    out = tmp_path / "r.json"
+    res = runner.invoke(main, ["deficit", "--config", str(p),
+                               "--output", str(out)])
+    assert res.exit_code == 0
+    rep = json.loads(out.read_text())
+    assert rep["resolved_config"]["plan"]["time_caps"] == [6, 7, 8, 9]
+    curve = rep["curves"]["deficit"]
+    assert curve["converged"]
+    assert curve["deficit"] < 0.05
 
 
 def test_csv_without_curve_is_validation_error(runner):

@@ -10,6 +10,7 @@ from martprop.jumpkit import (
     DiscreteDist,
     GirsanovData,
     JumpTriplet,
+    analyze_jump,
     atom_delta_R,
     atom_delta_R_closed_form,
     compute_R,
@@ -439,3 +440,57 @@ def test_lockstep_chunks_match_a_scalar_loop_per_path(monkeypatch, modified,
         np.testing.assert_allclose(res.r_final[p], r, rtol=1e-11)
         np.testing.assert_allclose(res.c_over_z_final[p], coz, rtol=1e-11)
     assert 0 < stopped < cfg.n_paths
+
+
+@pytest.mark.parametrize("b, sigma, k", [
+    pytest.param(*_STATE_COEFS, id="state"),
+    pytest.param(*_TIME_COEFS, id="x-free"),
+])
+def test_one_pass_of_both_triplets_matches_one_run_each(monkeypatch, b,
+                                                        sigma, k):
+    # the spec of the scalar-loop test above, both triplets in one pass
+    base = DiffusionSpec.scalar(b, sigma, x0=0.2)
+    trip = JumpTriplet(
+        base=base, cp_rate=3.0,
+        cp_dist=DiscreteDist((0.5, -1.5), (0.4, 0.6)),
+        atoms=(Atom(time=0.375, mass=0.4,
+                    dist=DiscreteDist((1.0, 2.0), (0.7, 0.3))),))
+    gd = GirsanovData(K=k, U="1 + 0.5*t + 0.1*x")
+    levels, eval_times = (0.5, 1.5), (0.5, 1.0)
+    cfg = SimConfig(n_paths=40, dt_max=0.05, horizon=1.0, seed=3,
+                    explosion_guard=2.5)
+    monkeypatch.setattr(jumpkit, "CHUNK_SIZE", 7)
+    both = jumpkit._simulate(trip, gd, cfg, (False, True), levels,
+                             eval_times)
+    alone = [simulate_jump_exponential(trip, gd, cfg, eval_times=eval_times),
+             simulate_jump_exponential(trip, gd, cfg, levels=levels,
+                                       eval_times=eval_times, modified=True)]
+    for shared, single in zip(both, alone):
+        assert 0 < np.isnan(single.z_evals[:, -1]).sum() < cfg.n_paths
+        for got, want in zip(shared, single):
+            assert np.array_equal(got, want, equal_nan=True)
+    plan = LocalizationPlan(levels=levels, time_caps=(2.0, 2.0))
+    verdict, report = analyze_jump(trip, gd, 1.0, plan, cfg)
+    assert verdict.to_dict() == verdict_jump(trip, gd, 1.0, plan,
+                                             cfg).to_dict()
+    assert report == verify_compensator_identity(trip, gd, cfg, 1.0)
+
+
+def test_shared_pass_raises_the_first_error_it_meets():
+    # both triplets leave the domain of b = log(x + 1) - 10.  The original
+    # drifts down at about 10 and leaves it at an earlier step than the
+    # modified one, whose drift b + K c is log(x + 1); one pass raises
+    # the error met first, not the modified triplet's
+    trip = JumpTriplet(base=DiffusionSpec.scalar("log(x + 1) - 10", "1"))
+    gd = GirsanovData(K="10", U="1")
+    cfg = SimConfig(n_paths=20, dt_max=0.01, horizon=1.0, seed=1)
+    errors = []
+    for modified in (False, True):
+        with pytest.raises(EvalDomain) as exc:
+            simulate_jump_exponential(trip, gd, cfg, modified=modified)
+        errors.append(str(exc.value))
+    assert errors[0] != errors[1]
+    plan = LocalizationPlan(levels=(8.0, 16.0), time_caps=(2.0, 2.0))
+    with pytest.raises(EvalDomain) as exc:
+        analyze_jump(trip, gd, 1.0, plan, cfg)
+    assert str(exc.value) == errors[0]

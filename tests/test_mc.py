@@ -14,6 +14,7 @@ from martprop.mc import (
     localized_bound_check,
     run_ensemble,
     stopped_exponential_means,
+    survival_curve,
 )
 from martprop.model import (
     DiffusionSpec,
@@ -368,6 +369,18 @@ def test_stopped_means_are_one_within_noise():
         SimConfig(n_paths=20000, dt_max=0.002, horizon=1.0, seed=42))
     for est in ests:
         assert abs(est.mean - 1.0) <= 3.0 * est.std_error
+
+
+def test_levels_capped_at_t_do_not_converge():
+    # no path passes a level before t = 1; the last two levels'
+    # survivals are 0 by construction, which says nothing about the limit
+    never = np.full((50, 3), math.inf)
+    for caps, converged in (((2.0, 2.0, 2.0), True),
+                            ((0.5, 2.0, 2.0), True),
+                            ((1.0, 1.0, 1.0), False),
+                            ((0.5, 1.0, 2.0), False)):
+        plan = LocalizationPlan(levels=(1.0, 2.0, 4.0), time_caps=caps)
+        assert survival_curve(never, plan, 1.0).converged is converged
 
 
 def test_plan_too_coarse_carries_curve():

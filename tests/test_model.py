@@ -118,7 +118,10 @@ def test_plan_validation():
 def test_geometric_plan_and_rho_level():
     plan = LocalizationPlan.geometric(first=8.0, count=4, horizon=1.0)
     assert plan.levels == (8.0, 16.0, 32.0, 64.0)
-    assert plan.time_caps == (1.0, 2.0, 3.0, 4.0)
+    # every cap exceeds the horizon, or that level's survival is 0
+    assert plan.time_caps == (2.0, 3.0, 4.0, 5.0)
+    assert LocalizationPlan.geometric(horizon=5.0).time_caps == (
+        6.0, 7.0, 8.0, 9.0)
 
 
 # --- gates -----------------------------------------------------------------
