@@ -63,8 +63,6 @@ from .jumpkit import (
     compute_R,
     simulate_jump_exponential,
     validate_jump,
-    verdict_jump,
-    verify_compensator_identity,
 )
 from .hilbert import (
     CovarianceSpec,

@@ -8,7 +8,7 @@ configs can start from a preset and override individual fields.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ConfigError
 from .hilbert import CovarianceSpec, FunctionalSpec
@@ -133,15 +133,3 @@ def get(name: str) -> Preset:
             f"unknown preset {name!r}; available: {', '.join(names())}",
             field="preset") from None
 
-
-def with_overrides(preset: Preset, *, t=None, seed=None, n_paths=None,
-                   dt_max=None) -> Preset:
-    """Common scalar overrides, keeping the bundle consistent."""
-    new_t = preset.t if t is None else float(t)
-    mc = preset.mc
-    mc = replace(
-        mc, horizon=max(mc.horizon, new_t),
-        n_paths=mc.n_paths if n_paths is None else int(n_paths),
-        dt_max=mc.dt_max if dt_max is None else float(dt_max),
-        seed=mc.seed if seed is None else int(seed))
-    return replace(preset, t=new_t, mc=mc)

@@ -412,7 +412,5 @@ def martingale_verdict(spec: DiffusionSpec, exp: ExponentSpec,
                 "restricted to [0, explosion)")
         else:
             notes.append("original dynamics: Feller test inconclusive")
-    return MartingaleVerdict(classification,
-                             feller_original=report_orig,
-                             feller_modified=report_mod,
+    return MartingaleVerdict(classification, report_orig, report_mod,
                              notes=notes)

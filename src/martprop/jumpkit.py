@@ -119,12 +119,6 @@ class JumpTriplet:
         if sorted(set(times)) != times:
             raise ValidationError("atom times must be strictly increasing")
 
-    def atom_at(self, t):
-        for a in self.atoms:
-            if abs(a.time - t) <= _TOL:
-                return a
-        return None
-
 
 @dataclass(frozen=True)
 class GirsanovData:
@@ -148,11 +142,9 @@ class HellingerPath:
     atom_part: np.ndarray
 
 
-def compute_Uhat(trip: JumpTriplet, gd: GirsanovData, t: float) -> float:
-    """Uhat_t = a_k sum_x G_k(x) U(t_k, x) at atoms, 0 elsewhere."""
-    atom = trip.atom_at(t)
-    if atom is None:
-        return 0.0
+def compute_Uhat(atom: Atom, gd: GirsanovData) -> float:
+    """Uhat at the atom's time t_k: a_k sum_x G_k(x) U(t_k, x)."""
+    t = atom.time
     value = atom.mass * atom.dist.expect(lambda x: gd.u(t, x))
     if value > 1.0 + _TOL:
         raise ValidationError(
@@ -176,7 +168,7 @@ def validate_jump(trip: JumpTriplet, gd: GirsanovData):
     for atom in trip.atoms:
         for x in atom.dist.support:
             gd.u(atom.time, x)
-        uhat = compute_Uhat(trip, gd, atom.time)
+        uhat = compute_Uhat(atom, gd)
         if atom.mass >= 1.0 - _TOL and abs(uhat - 1.0) > 1e-9:
             raise ValidationError(
                 f"atom at t={atom.time}: mass 1 requires Uhat = 1, "
@@ -188,11 +180,11 @@ def validate_jump(trip: JumpTriplet, gd: GirsanovData):
                 "rejected")
 
 
-def atom_delta_R(atom: Atom, gd: GirsanovData, trip: JumpTriplet) -> float:
+def atom_delta_R(atom: Atom, gd: GirsanovData) -> float:
     """Atom increment of R, sum form:
     a sum_G (1 - sqrt(U))^2 + (sqrt(1-a) - sqrt(1-Uhat))^2."""
     t = atom.time
-    uhat = compute_Uhat(trip, gd, t)
+    uhat = compute_Uhat(atom, gd)
     jump_term = atom.mass * atom.dist.expect(
         lambda x: (1.0 - math.sqrt(gd.u(t, x))) ** 2)
     still_term = (math.sqrt(1.0 - atom.mass)
@@ -200,12 +192,11 @@ def atom_delta_R(atom: Atom, gd: GirsanovData, trip: JumpTriplet) -> float:
     return jump_term + still_term
 
 
-def atom_delta_R_closed_form(atom: Atom, gd: GirsanovData,
-                             trip: JumpTriplet) -> float:
+def atom_delta_R_closed_form(atom: Atom, gd: GirsanovData) -> float:
     """Equivalent closed form 2(1 - a sum_G sqrt(U) - sqrt((1-a)(1-Uhat)));
     always <= 2."""
     t = atom.time
-    uhat = compute_Uhat(trip, gd, t)
+    uhat = compute_Uhat(atom, gd)
     weighted_root = atom.mass * atom.dist.expect(
         lambda x: math.sqrt(gd.u(t, x)))
     return 2.0 * (1.0 - weighted_root
@@ -248,9 +239,9 @@ def compute_R(trip: JumpTriplet, gd: GirsanovData, grid,
     cont[1:] = np.cumsum(kv * kv * cv * dt)
     cp = np.zeros(n)
     if trip.cp_rate > 0:
-        cp[1:] = np.cumsum(_cp_steps(trip, gd, grid, (False,)).hellinger * dt)
+        cp[1:] = np.cumsum(_cp_steps(trip, gd, grid).hellinger * dt)
     atom_part = np.zeros(n)
-    for atom in _atom_steps(trip, gd, grid, (False,), 0):
+    for atom in _atom_steps(trip, gd, grid, 0):
         atom_part[atom.step + 1:] += atom.delta_r
     R = cont + cp + atom_part
     return HellingerPath(times=grid, R=R, continuous_part=cont,
@@ -272,10 +263,11 @@ class JumpSimResult(NamedTuple):
 @dataclass(frozen=True)
 class _CompoundPoissonSteps:
     """Compound-Poisson tables: one row per grid step, one column per
-    support point y_j of the size law, and for the CDFs one per triplet."""
+    support point y_j of the size law, and for the CDFs one per triplet
+    (original, then modified)."""
 
     sizes: np.ndarray        # (J,)
-    cdf: np.ndarray          # (triplets, steps, J, k_max): CDF of each count
+    cdf: np.ndarray          # (2, steps, J, k_max): CDF of each count
     delta_n: np.ndarray      # Delta N of one jump, U' = U(t0, y_j) - 1
     c_term: np.ndarray       # its term of C(Z), (1 - sqrt(1 + Delta N))^2
     compensator: np.ndarray  # (steps,) lambda E_F[U - 1], drift of log Z
@@ -289,8 +281,8 @@ class _AtomStep:
 
     step: int
     column: int              # its two uniforms: fire, then size
-    fire_mass: np.ndarray    # (triplets,): a, or Uhat when modified
-    size_cdf: np.ndarray     # (triplets, J - 1): CDF at all sizes but the last
+    fire_mass: np.ndarray    # (2,): a, then Uhat (modified)
+    size_cdf: np.ndarray     # (2, J - 1): CDF at all sizes but the last
     sizes: np.ndarray
     delta_n_fired: np.ndarray  # per support point
     delta_n_still: float
@@ -327,9 +319,8 @@ def _poisson_cdf(mu):
     return np.cumsum(np.exp(log_pmf), axis=-1)
 
 
-def _cp_steps(trip, gd, grid, modes):
-    """Per-grid-time compound-Poisson tables for the triplets `modes`
-    (True for the modified one).  Jumps to y_j in a step are
+def _cp_steps(trip, gd, grid):
+    """Per-grid-time compound-Poisson tables.  Jumps to y_j in a step are
     Poisson(lambda dt p_j) under the original triplet and Poisson(lambda
     dt p_j U(t0, y_j)) under the modified one: rate lambda E_F[U] and law
     U.F / E_F[U], split by support point."""
@@ -338,8 +329,7 @@ def _cp_steps(trip, gd, grid, modes):
     t0, dt = grid[:-1], np.diff(grid)
     u = _u_table(gd, t0, sizes)
     lam = trip.cp_rate
-    cdfs = [_poisson_cdf(lam * dt[:, None] * (probs * u if mod else probs))
-            for mod in modes]
+    cdfs = [_poisson_cdf(lam * dt[:, None] * p) for p in (probs, probs * u)]
     k_max = max(c.shape[-1] for c in cdfs)
     delta_n = u - 1.0
     h = np.where(np.abs(sizes) <= 1.0, sizes, 0.0)
@@ -355,17 +345,17 @@ def _cp_steps(trip, gd, grid, modes):
         drift_shift=lam * ((h * delta_n) @ probs))
 
 
-def _atom_steps(trip, gd, grid, modes, first_column):
-    """One _AtomStep per atom on the grid, in time order, for the
-    triplets `modes`; under the modified one the law is a G U, normalized."""
+def _atom_steps(trip, gd, grid, first_column):
+    """One _AtomStep per atom on the grid, in time order; under the
+    modified triplet an atom fires with mass Uhat and its law is G U,
+    normalized."""
     out = []
     for atom in trip.atoms:
         if not grid[0] < atom.time <= grid[-1]:
             continue
         t = atom.time
-        uhat = compute_Uhat(trip, gd, t)
-        laws = [atom.dist.reweighted(lambda y: gd.u(t, y)) if mod
-                else atom.dist for mod in modes]
+        uhat = compute_Uhat(atom, gd)
+        laws = (atom.dist, atom.dist.reweighted(lambda y: gd.u(t, y)))
         if atom.mass >= 1.0 - _TOL:
             still = 0.0
         else:
@@ -373,13 +363,12 @@ def _atom_steps(trip, gd, grid, modes, first_column):
         out.append(_AtomStep(
             step=int(np.searchsorted(grid, t)) - 1,
             column=first_column + 2 * len(out),
-            fire_mass=np.array([uhat if mod else atom.mass
-                                for mod in modes]),
+            fire_mass=np.array([atom.mass, uhat]),
             size_cdf=np.array([np.cumsum(law.probs[:-1]) for law in laws]),
             sizes=np.array(atom.dist.support),
             delta_n_fired=_u_table(gd, [t], atom.dist.support)[0] - 1.0,
             delta_n_still=still,
-            delta_r=atom_delta_R(atom, gd, trip)))
+            delta_r=atom_delta_R(atom, gd)))
     return out
 
 
@@ -394,33 +383,25 @@ def _check_jump_bound(delta_n, t, paths):
 
 def simulate_jump_exponential(trip: JumpTriplet, gd: GirsanovData,
                               config: SimConfig, *, levels=(),
-                              eval_times=None,
-                              modified=False) -> JumpSimResult:
-    """Simulate (X, N, Z) pathwise on a fixed grid; Z via the Doleans-Dade
-    product.
-
-    With modified=True the paths follow the Girsanov-modified triplet
-    (used by verdict_jump) while R is still evaluated with the original
-    (trip, gd) data along those paths.
+                              eval_times=None):
+    """Simulate (X, N, Z) pathwise on a fixed grid under the original and
+    the Girsanov-modified triplet, Z via the Doleans-Dade product; returns
+    (original, modified) JumpSimResults.  R is evaluated with the original
+    (trip, gd) data along both triplets' paths.
 
     The paths of a chunk (CHUNK_SIZE paths, through `map_chunks`, on one
-    thread) advance together; only those below the guard are held.
-    Everything that depends only on (t, jump size) is tabulated once per
-    grid time, and so is each of b, sigma, c and K free of x; the others
-    are evaluated each step on the live paths.  Path p reads only
-    its own streams of (seed, p): one main-stream normal per step, and
-    on the jump stream one uniform per step and compound-Poisson support
-    point (that point's jump count, by inversion of its Poisson CDF),
-    then two per atom (fire, size).  So results do not depend on
-    chunking or ordering.
+    thread) advance together, both triplets' rows stacked on the same
+    draws; only the rows below the guard are held.  Everything that
+    depends only on (t, jump size) is tabulated once per grid time, and
+    so is each of b, sigma, c and K free of x; the others are evaluated
+    each step on the live rows.  Path p reads only its own streams of
+    (seed, p): one main-stream normal per step, and on the jump stream one
+    uniform per step and compound-Poisson support point (that point's jump
+    count, by inversion of its Poisson CDF), then two per atom (fire,
+    size).  So results do not depend on chunking or ordering.  The pass
+    raises the first error it meets: earliest chunk, then grid step, then
+    the original triplet's paths.
     """
-    return _simulate(trip, gd, config, (modified,), levels, eval_times)[0]
-
-
-def _simulate(trip, gd, config, modes, levels, eval_times):
-    """One JumpSimResult per triplet of `modes` ((False,) original,
-    (True,) modified, or (False, True)), from one lockstep pass on the
-    same draws; levels are recorded for the last triplet only."""
     validate_jump(trip, gd)
     if eval_times is None:
         eval_times = (config.horizon,)
@@ -431,10 +412,9 @@ def _simulate(trip, gd, config, modes, levels, eval_times):
     steps = len(grid) - 1
     eval_column = {int(np.searchsorted(grid, t)) - 1: j
                    for j, t in enumerate(eval_times)}
-    cp = _cp_steps(trip, gd, grid, modes) if trip.cp_rate > 0 else None
+    cp = _cp_steps(trip, gd, grid) if trip.cp_rate > 0 else None
     n_sizes = 0 if cp is None else len(cp.sizes)
-    atoms = {a.step: a for a in _atom_steps(trip, gd, grid, modes,
-                                            steps * n_sizes)}
+    atoms = {a.step: a for a in _atom_steps(trip, gd, grid, steps * n_sizes)}
     n_uniforms = steps * n_sizes + 2 * len(atoms)
     coefs = (trip.base.b[0], trip.base.sigma[0][0], trip.base.c_expr(0, 0),
              gd.K)
@@ -442,32 +422,30 @@ def _simulate(trip, gd, config, modes, levels, eval_times):
     tables = [None if "x" in e.free_variables()
               else e.eval_array(grid[:-1], grid[:-1]) for e in coefs]
 
-    n_modes, E, L = len(modes), len(eval_times), len(levels)
-
     def work(paths):
         normals = normal_block(config.seed, paths, steps)
         uniforms = (uniform_block(config.seed, paths, n_uniforms)
                     if n_uniforms else None)
         m = paths.size
-        z_evals = np.full((n_modes, m, E), math.nan)
-        finals = np.empty((4, n_modes, m))  # final z, min Delta N, R, C/Z
-        passages = [Passages(m, levels if k == n_modes - 1 else ())
-                    for k in range(n_modes)]
-        # the state of the live paths only, stacked triplet by triplet:
-        # `run` is a path's triplet and `draw` its row in the draws and
-        # the outputs; the last triplet's rows start at `last`
-        run = np.repeat(np.arange(n_modes), m)
-        draw = np.tile(np.arange(m), n_modes)
-        last = (n_modes - 1) * m
-        x = np.full(run.size, trip.base.x0[0])
-        log_zc = np.zeros(run.size)   # continuous part: N^c - 0.5 <N^c>
-        jump_prod = np.ones(run.size)  # product of (1 + Delta N)
-        r_acc = np.zeros(run.size)
-        coz = np.zeros(run.size)      # int (1/Z_-^2) dC(Z)
-        dn_min = np.full(run.size, math.inf)
-        count = np.zeros(run.size, dtype=np.intp)   # levels crossed
+        z_evals = np.full((2 * m, len(eval_times)), math.nan)
+        finals = np.empty((4, 2 * m))  # final z, min Delta N, R, C/Z
+        passages = Passages(2 * m, levels)
+        # the state of the live rows only: the original triplet's paths,
+        # then the modified one's.  `row` is a row's place in the outputs,
+        # `run` its triplet (1 modified) and `draw` its path in the draws;
+        # the modified rows start at `last`
+        row = np.arange(2 * m)
+        run, draw = np.divmod(row, m)
+        last = m
+        x = np.full(row.size, trip.base.x0[0])
+        log_zc = np.zeros(row.size)   # continuous part: N^c - 0.5 <N^c>
+        jump_prod = np.ones(row.size)  # product of (1 + Delta N)
+        r_acc = np.zeros(row.size)
+        coz = np.zeros(row.size)      # int (1/Z_-^2) dC(Z)
+        dn_min = np.full(row.size, math.inf)
+        count = np.zeros(row.size, dtype=np.intp)   # levels crossed
         for i in range(steps):
-            if not run.size:
+            if not row.size:
                 break
             t0, t1 = grid[i], grid[i + 1]
             dt = t1 - t0
@@ -480,11 +458,10 @@ def _simulate(trip, gd, config, modes, levels, eval_times):
                 raise EvalDomain(
                     f"non-finite coefficient on path {int(paths[draw[r]])} "
                     f"at t={t0:.6g}, x={float(x[r])}")
-            if modes[-1]:
-                # the modified rows' drift b + K c (+ the CP shift below),
-                # in a copy: bv may be x itself or a table entry
-                bv, kc = bv * np.ones_like(x), kv * cv
-                bv[last:] += kc[last:] if np.ndim(kc) else kc
+            # the modified rows' drift b + K c (+ the CP shift below), in a
+            # copy: bv may be x itself or a table entry
+            bv, kc = bv * np.ones_like(x), kv * cv
+            bv[last:] += kc[last:] if np.ndim(kc) else kc
             dW = normals[draw, i] * math.sqrt(dt)
             # exponent N: continuous part and CP compensator drift
             quad_var = kv * kv * cv * dt
@@ -493,8 +470,7 @@ def _simulate(trip, gd, config, modes, levels, eval_times):
             if cp is not None:
                 dlog = dlog - cp.compensator[i] * dt
                 dr = dr + cp.hellinger[i] * dt
-                if modes[-1]:
-                    bv[last:] += cp.drift_shift[i]
+                bv[last:] += cp.drift_shift[i]
             log_zc += dlog
             r_acc += dr
             coz += quad_var
@@ -533,27 +509,28 @@ def _simulate(trip, gd, config, modes, levels, eval_times):
             # levels before the guard; a stopped path records no eval time
             ax = np.abs(x)
             z = np.exp(log_zc) * jump_prod
-            if L:
-                passages[-1].cross(count[last:], draw[last:], ax[last:],
-                                   t1, z[last:])
+            if len(levels):
+                passages.cross(count, row, ax, t1, z)
             going = ax < config.explosion_guard
             if not going.all():
                 # the rows still going are written again at the end
-                finals[:, run, draw] = z, dn_min, r_acc, coz
-                run, draw, x, log_zc, jump_prod, r_acc, coz, dn_min, count, \
-                    z = (v[going] for v in (run, draw, x, log_zc, jump_prod,
-                                            r_acc, coz, dn_min, count, z))
-                last = int(np.searchsorted(run, n_modes - 1))
+                finals[:, row] = z, dn_min, r_acc, coz
+                row, run, draw, x, log_zc, jump_prod, r_acc, coz, dn_min, \
+                    count, z = (v[going] for v in (
+                        row, run, draw, x, log_zc, jump_prod, r_acc, coz,
+                        dn_min, count, z))
+                last = int(np.searchsorted(run, 1))
             j = eval_column.get(i)
             if j is not None:
-                z_evals[run, draw, j] = z
-        finals[:, run, draw] = z, dn_min, r_acc, coz
-        return [v for k, p in enumerate(passages) for v in (
-            z_evals[k], finals[0, k], p.times, p.values, *finals[1:, k])]
+                z_evals[row, j] = z
+        finals[:, row] = z, dn_min, r_acc, coz
+        return [v for k in (slice(None, m), slice(m, None)) for v in (
+            z_evals[k], finals[0, k], passages.times[k], passages.values[k],
+            *finals[1:, k])]
 
     out = map_chunks(work, config.n_paths, CHUNK_SIZE)
     w = len(JumpSimResult._fields)
-    return [JumpSimResult(*out[k * w:(k + 1) * w]) for k in range(n_modes)]
+    return JumpSimResult(*out[:w]), JumpSimResult(*out[w:])
 
 
 @dataclass
@@ -570,16 +547,25 @@ class CompensatorReport:
                 "n_paths": self.n_paths}
 
 
-def verify_compensator_identity(trip: JumpTriplet, gd: GirsanovData,
-                                config: SimConfig,
-                                t: float) -> CompensatorReport:
-    """Test E[int (1/Z_-^2) dC(Z) - R_t] = 0 within 3 standard errors.
+def analyze_jump(trip: JumpTriplet, gd: GirsanovData, t: float,
+                 plan: LocalizationPlan, config: SimConfig):
+    """(verdict, compensator report) at t, from one pass of both triplets.
 
-    C(Z) = <Z^c> + sum (Z_{s-} - sqrt(Z_s Z_{s-}))^2; its compensator is
-    Z_-^2 . dR, so the normalized gap is a mean-zero statistic.
+    The verdict reads survival of the MODIFIED triplet's paths: per plan
+    level, the fraction of paths whose norm stays below m_n up to t.
+    TrueMartingale when the survival column converges to 1 (deficit
+    within max(0.01, 3 SE)), StrictLocal when it converges elsewhere,
+    Inconclusive otherwise.
+
+    The report tests E[int (1/Z_-^2) dC(Z) - R_t] = 0 within 3 standard
+    errors on the ORIGINAL triplet's paths: C(Z) = <Z^c> + sum (Z_{s-} -
+    sqrt(Z_s Z_{s-}))^2 has compensator Z_-^2 . dR, so the normalized gap
+    is a mean-zero statistic.
     """
-    return _compensator_report(simulate_jump_exponential(
-        trip, gd, config.until(t), eval_times=(t,)))
+    config.check_plan(plan)
+    original, modified = simulate_jump_exponential(
+        trip, gd, config.until(t), levels=plan.levels, eval_times=(t,))
+    return _verdict(modified, plan, t), _compensator_report(original)
 
 
 def _compensator_report(result):
@@ -591,37 +577,6 @@ def _compensator_report(result):
                              mean_gap=mean, std_error=se,
                              r_mean=float(np.mean(result.r_final)),
                              n_paths=len(gaps))
-
-
-def verdict_jump(trip: JumpTriplet, gd: GirsanovData, t: float,
-                 plan: LocalizationPlan,
-                 config: SimConfig) -> MartingaleVerdict:
-    """Martingale check: survival of the MODIFIED triplet's paths.
-
-    Simulates the modified dynamics and, per plan level, the fraction of
-    paths whose norm stays below m_n up to t (with R evaluated along the
-    way as the finiteness witness).  TrueMartingale when the survival
-    column converges to 1 (deficit within max(0.01, 3 SE)),
-    StrictLocal when it converges elsewhere, Inconclusive otherwise.
-    """
-    validate_jump(trip, gd)
-    config.check_plan(plan)
-    return _verdict(simulate_jump_exponential(
-        trip, gd, config.until(t), levels=plan.levels, eval_times=(t,),
-        modified=True), plan, t)
-
-
-def analyze_jump(trip: JumpTriplet, gd: GirsanovData, t: float,
-                 plan: LocalizationPlan, config: SimConfig):
-    """(verdict_jump, verify_compensator_identity), bit for bit, from
-    one pass that steps both triplets on the same draws.  It raises the
-    first error it meets: earliest chunk, then grid step, then the
-    original triplet's paths."""
-    validate_jump(trip, gd)
-    config.check_plan(plan)
-    original, modified = _simulate(trip, gd, config.until(t), (False, True),
-                                   plan.levels, (t,))
-    return _verdict(modified, plan, t), _compensator_report(original)
 
 
 def _verdict(result, plan, t):

@@ -118,24 +118,28 @@ def test_jump_report_reproducible_across_threads_and_runs(runner, tmp_path):
 
 
 def test_jump_draws_each_chunk_once(runner, tmp_path, monkeypatch):
-    # both triplets read one normal and one uniform block per chunk
+    # one simulation, whose two triplets read one normal and one uniform
+    # block per chunk
     from martprop import jumpkit
     calls = []
 
     def counted(name):
-        draw = getattr(jumpkit, name)
+        fn = getattr(jumpkit, name)
 
         def wrapper(*args, **kwargs):
             calls.append(name)
-            return draw(*args, **kwargs)
+            return fn(*args, **kwargs)
         return wrapper
-    for name in ("normal_block", "uniform_block"):
+    for name in ("normal_block", "uniform_block",
+                 "simulate_jump_exponential"):
         monkeypatch.setattr(jumpkit, name, counted(name))
     monkeypatch.setattr(jumpkit, "CHUNK_SIZE", 100)
     cfg = _small(tmp_path, "poisson-U4", n_paths=150)
     res = runner.invoke(main, ["jump", "--config", cfg])
     assert res.exit_code == 0
-    assert sorted(calls) == ["normal_block"] * 2 + ["uniform_block"] * 2
+    assert sorted(calls) == (["normal_block"] * 2
+                             + ["simulate_jump_exponential"]
+                             + ["uniform_block"] * 2)
 
 
 def test_jump_report_serializes_the_curve_once(runner, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,8 +18,6 @@ from martprop.jumpkit import (
     compute_Uhat,
     simulate_jump_exponential,
     validate_jump,
-    verdict_jump,
-    verify_compensator_identity,
 )
 from martprop.mc import SimConfig, fixed_grid
 from martprop.model import Classification, DiffusionSpec, LocalizationPlan
@@ -59,15 +58,14 @@ def test_discrete_dist_expect_sample_reweight():
 
 def test_uhat_and_uprime():
     trip, gd = ATOM_HALF
-    assert compute_Uhat(trip, gd, 0.5) == pytest.approx(0.75)
-    assert compute_Uhat(trip, gd, 0.25) == 0.0
+    assert compute_Uhat(trip.atoms[0], gd) == pytest.approx(0.75)
 
 
 def test_atom_delta_R_sum_equals_closed_form():
     trip, gd = ATOM_HALF
     atom = trip.atoms[0]
-    dr = atom_delta_R(atom, gd, trip)
-    cf = atom_delta_R_closed_form(atom, gd, trip)
+    dr = atom_delta_R(atom, gd)
+    cf = atom_delta_R_closed_form(atom, gd)
     assert abs(dr - cf) / abs(cf) < 1e-12
     # hand value: 0.5(1-sqrt(1.5))^2 + (sqrt(0.5)-sqrt(0.25))^2
     ref = (0.5 * (1 - math.sqrt(1.5)) ** 2
@@ -156,7 +154,7 @@ def test_R_atom_jump_at_atom_time():
     before = r.R[grid < 0.5][-1]
     at = r.R[grid >= 0.5][0]
     assert at - before == pytest.approx(
-        atom_delta_R(trip.atoms[0], gd, trip), rel=1e-12)
+        atom_delta_R(trip.atoms[0], gd), rel=1e-12)
 
 
 def test_R_counts_an_atom_once_on_a_grid_with_near_duplicate_times():
@@ -165,7 +163,7 @@ def test_R_counts_an_atom_once_on_a_grid_with_near_duplicate_times():
     gd = GirsanovData(K="0", U="1.5")
     grid = fixed_grid(1.0, 0.1, (0.3,))
     assert 0.3 in grid and 0.30000000000000004 in grid
-    dr = atom_delta_R(trip.atoms[0], gd, trip)
+    dr = atom_delta_R(trip.atoms[0], gd)
     assert dr == pytest.approx(0.06815, abs=1e-5)
     assert compute_R(trip, gd, grid).R[-1] == dr
 
@@ -174,56 +172,56 @@ def test_R_counts_an_atom_between_grid_points_in_its_step():
     trip, gd = ATOM_HALF
     grid = np.array([0.0, 0.25, 0.75, 1.0])
     r = compute_R(trip, gd, grid)
-    dr = atom_delta_R(trip.atoms[0], gd, trip)
+    dr = atom_delta_R(trip.atoms[0], gd)
     np.testing.assert_array_equal(r.atom_part, [0.0, 0.0, dr, dr])
 
 
 # --- simulation ---------------------------------------------------------------------
 
 CFG = SimConfig(n_paths=2000, dt_max=0.01, horizon=1.0, seed=13)
+PLAN = LocalizationPlan(levels=(8.0, 16.0, 24.0, 32.0),
+                        time_caps=(2.0, 2.0, 2.0, 2.0))
 
 
 def test_simulation_deterministic():
     trip, gd = POISSON_U4
     r1 = simulate_jump_exponential(trip, gd, CFG, eval_times=(1.0,))
     r2 = simulate_jump_exponential(trip, gd, CFG, eval_times=(1.0,))
-    np.testing.assert_array_equal(r1.z_final, r2.z_final)
+    for a, b in zip(r1, r2):
+        np.testing.assert_array_equal(a.z_final, b.z_final)
 
 
 def test_delta_N_stays_above_minus_one():
     for trip, gd in (POISSON_U4, ATOM_HALF):
-        res = simulate_jump_exponential(trip, gd, CFG, eval_times=(1.0,))
-        assert float(np.min(res.min_delta_N)) > -1.0
-        assert np.all(res.z_final > 0.0)
+        for res in simulate_jump_exponential(trip, gd, CFG,
+                                             eval_times=(1.0,)):
+            assert float(np.min(res.min_delta_N)) > -1.0
+            assert np.all(res.z_final > 0.0)
 
 
 def test_compensator_identity():
     trip, gd = POISSON_U4
-    rep = verify_compensator_identity(
-        trip, gd, SimConfig(n_paths=4000, dt_max=0.005, horizon=1.0,
-                            seed=17), 1.0)
+    _, rep = analyze_jump(trip, gd, 1.0, PLAN,
+                          SimConfig(n_paths=4000, dt_max=0.005, horizon=1.0,
+                                    seed=17))
     assert rep.passed
 
 
 def test_verdict_true_martingale_for_bounded_K():
     trip = JumpTriplet(base=BM, cp_rate=1.0, cp_dist=UNIT)
     gd = GirsanovData(K="tanh(x)", U="1")
-    plan = LocalizationPlan(levels=(8.0, 16.0, 24.0, 32.0),
-                            time_caps=(2.0, 2.0, 2.0, 2.0))
-    v = verdict_jump(trip, gd, 1.0, plan,
-                     SimConfig(n_paths=2000, dt_max=0.01, horizon=1.0,
-                               seed=19))
+    v, _ = analyze_jump(trip, gd, 1.0, PLAN,
+                        SimConfig(n_paths=2000, dt_max=0.01, horizon=1.0,
+                                  seed=19))
     assert v.classification is Classification.TRUE_MARTINGALE
 
 
 def test_verdict_strict_local_for_cubic_K():
     trip = JumpTriplet(base=BM)
     gd = GirsanovData(K="x^3", U="1")
-    plan = LocalizationPlan(levels=(8.0, 16.0, 24.0, 32.0),
-                            time_caps=(2.0, 2.0, 2.0, 2.0))
-    v = verdict_jump(trip, gd, 1.0, plan,
-                     SimConfig(n_paths=2000, dt_max=0.005, horizon=1.0,
-                               seed=19))
+    v, _ = analyze_jump(trip, gd, 1.0, PLAN,
+                        SimConfig(n_paths=2000, dt_max=0.005, horizon=1.0,
+                                  seed=19))
     assert v.classification is Classification.STRICT_LOCAL
     assert v.deficit_curve.deficit > 0.1
 
@@ -235,9 +233,7 @@ def test_jump_checks_refuse_t_beyond_the_horizon(monkeypatch):
     trip, gd = POISSON_U4
     plan = LocalizationPlan(levels=(8.0, 16.0), time_caps=(3.0, 3.0))
     with pytest.raises(ValidationError, match="must not exceed the horizon"):
-        verify_compensator_identity(trip, gd, CFG, 2.0)
-    with pytest.raises(ValidationError, match="must not exceed the horizon"):
-        verdict_jump(trip, gd, 2.0, plan, CFG)
+        analyze_jump(trip, gd, 2.0, plan, CFG)
 
 
 # --- lockstep sampler ---------------------------------------------------------
@@ -252,8 +248,8 @@ def test_cp_count_is_poisson_under_both_triplets():
     trip, gd = POISSON_U4
     cfg = SimConfig(n_paths=4000, dt_max=0.01, horizon=1.0, seed=5)
     # lambda t = 1; the modified rate is lambda E_F[U] = 4
-    for modified, mean in ((False, 1.0), (True, 4.0)):
-        res = simulate_jump_exponential(trip, gd, cfg, modified=modified)
+    for res, mean in zip(simulate_jump_exponential(trip, gd, cfg),
+                         (1.0, 4.0)):
         # K = 0 and U = 4: each jump adds (1 - sqrt(4))^2 = 1 to C(Z)
         counts = res.c_over_z_final
         np.testing.assert_array_equal(counts, np.round(counts))
@@ -271,8 +267,8 @@ def test_two_point_law_counts_per_support_point():
     gd = GirsanovData(K="0", U="(x + 1)^2")
     compensator = lam * (probs[0] * 3.0 + probs[1] * 8.0)
     cfg = SimConfig(n_paths=4000, dt_max=0.01, horizon=1.0, seed=8)
-    for modified, weights in ((False, (1.0, 1.0)), (True, (4.0, 9.0))):
-        res = simulate_jump_exponential(trip, gd, cfg, modified=modified)
+    for res, weights in zip(simulate_jump_exponential(trip, gd, cfg),
+                            ((1.0, 1.0), (4.0, 9.0))):
         c = res.c_over_z_final
         half_log = 0.5 * (np.log(res.z_final) + compensator)
         raw = (half_log - c * math.log(2.0)) / (
@@ -288,8 +284,8 @@ def test_two_point_law_counts_per_support_point():
 def test_atom_fires_with_its_mass_and_with_uhat_when_modified():
     trip, gd = ATOM_HALF
     cfg = SimConfig(n_paths=4000, dt_max=0.01, horizon=1.0, seed=9)
-    for modified, mass in ((False, 0.5), (True, 0.75)):
-        res = simulate_jump_exponential(trip, gd, cfg, modified=modified)
+    for res, mass in zip(simulate_jump_exponential(trip, gd, cfg),
+                         (0.5, 0.75)):
         # Delta N = U - 1 = 0.5 when the atom fires and
         # -(Uhat - a)/(1 - a) = -0.5 when it does not
         fired = res.min_delta_N == 0.5
@@ -373,7 +369,7 @@ def _reference_path(trip, gd, grid, seed, path, levels, eval_times,
                 dn_min = min(dn_min, v - 1)
                 coz += count * (1 - math.sqrt(v)) ** 2
         if t1 == atom.time:
-            uhat = compute_Uhat(trip, gd, t1)
+            uhat = atom.mass * atom.dist.expect(lambda y: gd.u(t1, y))
             law = (atom.dist.reweighted(lambda y: gd.u(t1, y)) if modified
                    else atom.dist)
             if uniforms[-2] < (uhat if modified else atom.mass):
@@ -384,7 +380,7 @@ def _reference_path(trip, gd, grid, seed, path, levels, eval_times,
                 dn = -(uhat - atom.mass) / (1 - atom.mass)
             prod *= 1 + dn
             dn_min = min(dn_min, dn)
-            r += atom_delta_R(atom, gd, trip)
+            r += atom_delta_R(atom, gd)
             coz += (1 - math.sqrt(1 + dn)) ** 2
         z = math.exp(log_zc) * prod
         for j, m in enumerate(levels):
@@ -411,7 +407,8 @@ def test_lockstep_chunks_match_a_scalar_loop_per_path(monkeypatch, modified,
                                                       b, sigma, k):
     # state- or time-dependent coefficients, a time-dependent U on a
     # two-point law, an atom off the regular grid, and a guard that stops
-    # some paths
+    # some paths; the original or the modified triplet of the one pass
+    # that steps both, against its own loop
     base = DiffusionSpec.scalar(b, sigma, x0=0.2)
     trip = JumpTriplet(
         base=base, cp_rate=3.0,
@@ -424,8 +421,7 @@ def test_lockstep_chunks_match_a_scalar_loop_per_path(monkeypatch, modified,
                     explosion_guard=2.5)
     monkeypatch.setattr(jumpkit, "CHUNK_SIZE", 7)
     res = simulate_jump_exponential(trip, gd, cfg, levels=levels,
-                                    eval_times=eval_times,
-                                    modified=modified)
+                                    eval_times=eval_times)[modified]
     grid = fixed_grid(1.0, 0.05, (0.375, *eval_times))
     stopped = 0
     for p in range(cfg.n_paths):
@@ -442,55 +438,25 @@ def test_lockstep_chunks_match_a_scalar_loop_per_path(monkeypatch, modified,
     assert 0 < stopped < cfg.n_paths
 
 
-@pytest.mark.parametrize("b, sigma, k", [
-    pytest.param(*_STATE_COEFS, id="state"),
-    pytest.param(*_TIME_COEFS, id="x-free"),
-])
-def test_one_pass_of_both_triplets_matches_one_run_each(monkeypatch, b,
-                                                        sigma, k):
-    # the spec of the scalar-loop test above, both triplets in one pass
-    base = DiffusionSpec.scalar(b, sigma, x0=0.2)
-    trip = JumpTriplet(
-        base=base, cp_rate=3.0,
-        cp_dist=DiscreteDist((0.5, -1.5), (0.4, 0.6)),
-        atoms=(Atom(time=0.375, mass=0.4,
-                    dist=DiscreteDist((1.0, 2.0), (0.7, 0.3))),))
-    gd = GirsanovData(K=k, U="1 + 0.5*t + 0.1*x")
-    levels, eval_times = (0.5, 1.5), (0.5, 1.0)
-    cfg = SimConfig(n_paths=40, dt_max=0.05, horizon=1.0, seed=3,
-                    explosion_guard=2.5)
-    monkeypatch.setattr(jumpkit, "CHUNK_SIZE", 7)
-    both = jumpkit._simulate(trip, gd, cfg, (False, True), levels,
-                             eval_times)
-    alone = [simulate_jump_exponential(trip, gd, cfg, eval_times=eval_times),
-             simulate_jump_exponential(trip, gd, cfg, levels=levels,
-                                       eval_times=eval_times, modified=True)]
-    for shared, single in zip(both, alone):
-        assert 0 < np.isnan(single.z_evals[:, -1]).sum() < cfg.n_paths
-        for got, want in zip(shared, single):
-            assert np.array_equal(got, want, equal_nan=True)
-    plan = LocalizationPlan(levels=levels, time_caps=(2.0, 2.0))
-    verdict, report = analyze_jump(trip, gd, 1.0, plan, cfg)
-    assert verdict.to_dict() == verdict_jump(trip, gd, 1.0, plan,
-                                             cfg).to_dict()
-    assert report == verify_compensator_identity(trip, gd, cfg, 1.0)
+def _first_error(b, k):
+    """The EvalDomain of one pass on Brownian noise with drift b and
+    exponent K, as (t, x)."""
+    trip = JumpTriplet(base=DiffusionSpec.scalar(b, "1"))
+    cfg = SimConfig(n_paths=20, dt_max=0.01, horizon=1.0, seed=1)
+    with pytest.raises(EvalDomain) as exc:
+        simulate_jump_exponential(trip, GirsanovData(K=k, U="1"), cfg)
+    t, x = re.search(r"at t=(\S+), x=(\S+)$", str(exc.value)).groups()
+    return float(t), float(x)
 
 
 def test_shared_pass_raises_the_first_error_it_meets():
-    # both triplets leave the domain of b = log(x + 1) - 10.  The original
-    # drifts down at about 10 and leaves it at an earlier step than the
-    # modified one, whose drift b + K c is log(x + 1); one pass raises
-    # the error met first, not the modified triplet's
-    trip = JumpTriplet(base=DiffusionSpec.scalar("log(x + 1) - 10", "1"))
-    gd = GirsanovData(K="10", U="1")
-    cfg = SimConfig(n_paths=20, dt_max=0.01, horizon=1.0, seed=1)
-    errors = []
-    for modified in (False, True):
-        with pytest.raises(EvalDomain) as exc:
-            simulate_jump_exponential(trip, gd, cfg, modified=modified)
-        errors.append(str(exc.value))
-    assert errors[0] != errors[1]
-    plan = LocalizationPlan(levels=(8.0, 16.0), time_caps=(2.0, 2.0))
-    with pytest.raises(EvalDomain) as exc:
-        analyze_jump(trip, gd, 1.0, plan, cfg)
-    assert str(exc.value) == errors[0]
+    # b + K c = b + 100 carries the modified paths up at about 100 while
+    # the original ones stay near 0.  log(0.5 - t) leaves its domain at
+    # t = 0.5 on every path of both triplets: at one step, the original
+    # triplet's error comes first
+    t, x = _first_error("log(0.5 - t)", "100")
+    assert t == 0.5 and abs(x) < 10.0
+    # log(40 - x) leaves it only on the modified paths, before t = 0.5:
+    # an earlier step comes first, whichever triplet meets it
+    t, x = _first_error("log(40 - x) + log(0.5 - t)", "100")
+    assert t < 0.5 and x >= 40.0
