@@ -55,7 +55,7 @@ def _section(fld):
         raise
     except KeyError as exc:
         raise ConfigError(f"missing key {exc}", field=fld) from None
-    except (MartpropError, TypeError) as exc:
+    except (MartpropError, AttributeError, TypeError, ValueError) as exc:
         raise ConfigError(str(exc), field=fld) from None
 
 
@@ -262,9 +262,10 @@ def resolve(raw: dict, preset_name: str = None,
             "config must provide a preset or one complete section pair: "
             "spec+exponent, triplet+girsanov, or covariance+functional")
 
-    t = float(raw.get("t", base.t if base else 1.0))
-    if t <= 0:
-        raise ConfigError("t must be positive", field="t")
+    with _section("t"):
+        t = float(raw.get("t", base.t if base else 1.0))
+    if not 0 < t < math.inf:
+        raise ConfigError("t must be positive and finite", field="t")
     plan = (plan_from_dict(raw["plan"]) if "plan" in raw
             else (base.plan if base else
                   LocalizationPlan.geometric(horizon=t)))
@@ -284,8 +285,12 @@ def resolve(raw: dict, preset_name: str = None,
 def load_file(path) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(str(exc), field="--config") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc}", field="--config") from None
+    if not isinstance(raw, dict):
+        raise ConfigError("the config must be a JSON object",
+                          field="--config")
+    return raw

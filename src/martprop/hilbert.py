@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import EvalDomain, ValidationError
 from .expr import CoefficientExpr
 from .mc import (MCEstimate, Passages, SimConfig, fixed_grid, map_chunks,
                  survival_curve)
@@ -120,9 +120,30 @@ class FunctionalSpec:
                    claimed_growth=claimed_growth)
 
 
+def _phi(phi, t, x, sup_before, live=True):
+    """phi at time t on states x of shape (rows, K); a running_sup phi
+    is each row's sup_before, the running sup of weights . x that the
+    caller keeps, along direction.  A non-finite value on a `live` row
+    (a mask; every row by default) raises EvalDomain naming the mode,
+    the time and the state."""
+    if phi.kind == "running_sup":
+        out = sup_before[:, None] * np.asarray(phi.direction)[None, :]
+    else:
+        out = np.empty(x.shape)
+        for k, e in enumerate(phi.exprs):
+            out[:, k] = e.eval_array(t, x[:, k])
+    bad = ~np.isfinite(out) & np.reshape(live, (-1, 1))
+    if bad.any():
+        r, k = np.argwhere(bad)[0]
+        raise EvalDomain(f"phi is not finite in mode {k} at t={t:.6g}, "
+                         f"x={x[r].tolist()}")
+    return out
+
+
 def phi_values(phi: FunctionalSpec, cov: CovarianceSpec, times,
                states) -> np.ndarray:
-    """phi along recorded paths; states has shape (..., T, K).
+    """phi along recorded paths that start at 0; states has shape
+    (..., T, K).
 
     Predictable convention: at grid index i the running sup is taken over
     indices strictly before i (empty sup = 0), so phi(0) = phi(., 0).
@@ -132,20 +153,13 @@ def phi_values(phi: FunctionalSpec, cov: CovarianceSpec, times,
     single = states.ndim == 2
     if single:
         states = states[None]
-    n, T, K = states.shape
-    out = np.empty((n, T, K))
-    if phi.kind == "pointwise":
-        for k, e in enumerate(phi.exprs):
-            for i in range(T):
-                out[:, i, k] = e.eval_array(times[i], states[:, i, k])
-    else:
-        w = np.asarray(phi.weights)
-        d = np.asarray(phi.direction)
-        proj = states @ w                        # (n, T)
-        run = np.maximum.accumulate(proj, axis=1)
-        sup_before = np.concatenate(
-            [np.zeros((n, 1)), run[:, :-1]], axis=1)
-        out = sup_before[:, :, None] * d[None, None, :]
+    w = np.asarray(phi.weights)
+    out = np.empty(states.shape)
+    sup_before = np.zeros(len(states))
+    for i, t in enumerate(times):
+        out[:, i] = _phi(phi, t, states[:, i], sup_before)
+        if phi.kind == "running_sup":
+            sup_before = np.maximum(sup_before, states[:, i] @ w)
     return out[0] if single else out
 
 
@@ -157,88 +171,59 @@ def _normals(cov, config, indices, grid):
                         shape[1] * shape[2]).reshape(shape)
 
 
-def _steps(cov, phi, grid, normals, modified):
-    """Step one dynamics over `normals`: W itself, or with `modified`
-    the Girsanov-modified W + int Q phi ds.  After each step, yield
-    (its end time, dt, phi on it, dW, the state at its end)."""
-    lam = np.asarray(cov.eigenvalues)
-    sqrt_lam = np.sqrt(lam)
-    n, K = len(normals), cov.modes
-    x = np.zeros((n, K))
-    sup_before = np.zeros(n)         # running sup strictly before t
-    if phi.kind == "running_sup":
-        w = np.asarray(phi.weights)
-        d = np.asarray(phi.direction)
-    for i in range(1, len(grid)):
-        t0, dt = grid[i - 1], grid[i] - grid[i - 1]
-        if phi.kind == "running_sup":
-            phi_now = sup_before[:, None] * d[None, :]
-        else:
-            phi_now = np.empty((n, K))
-            for k, e in enumerate(phi.exprs):
-                phi_now[:, k] = e.eval_array(t0, x[:, k])
-        dW = normals[:, i - 1, :] * (sqrt_lam * math.sqrt(dt))[None, :]
-        if modified:
-            dW = dW + lam[None, :] * phi_now * dt
-        x += dW
-        if phi.kind == "running_sup":
-            sup_before = np.maximum(sup_before, x @ w)
-        yield grid[i], dt, phi_now, dW, x
-
-
-def _original_run(cov, phi, grid, normals, eval_times):
-    """log Z and int ||Q^{1/2} phi||^2 ds at eval_times, one row per
-    path, under the original dynamics."""
-    lam = np.asarray(cov.eigenvalues)
-    n = len(normals)
-    eval_lookup = {t: j for j, t in enumerate(eval_times)}
-    logz = np.zeros(n)
-    nov = np.zeros(n)
-    logz_evals = np.full((n, len(eval_times)), math.nan)
-    nov_evals = np.full((n, len(eval_times)), math.nan)
-    for t, dt, phi_now, dW, _ in _steps(cov, phi, grid, normals, False):
-        qphi2 = np.sum(lam[None, :] * phi_now * phi_now, axis=1)
-        logz += np.sum(phi_now * dW, axis=1) - 0.5 * qphi2 * dt
-        nov += qphi2 * dt
-        j = eval_lookup.get(float(t))
-        if j is not None:
-            logz_evals[:, j] = logz
-            nov_evals[:, j] = nov
-    return logz_evals, nov_evals
-
-
-def _modified_passages(cov, phi, grid, normals, levels):
-    """First grid time at which ||X|| >= each level under the modified
-    dynamics (inf if never), one row per path."""
-    n = len(normals)
-    passages = Passages(n, levels)
-    count = np.zeros(n, dtype=np.intp)
-    rows = np.arange(n)
-    for t, _, _, _, x in _steps(cov, phi, grid, normals, True):
-        passages.cross(count, rows, np.sqrt(np.sum(x * x, axis=1)), t)
-    return passages.times
-
-
 def _run_hilbert(cov, phi, config, levels=(), eval_times=None, threads=1):
     """(logz_evals, nov_evals) under the original dynamics and, per
     level, passage_times under the modified dynamics, one row per path.
 
-    A chunk draws its normals once and both dynamics read them; with no
-    levels the modified dynamics are not simulated.
+    A chunk draws its normals once and steps both dynamics in one pass
+    on the same dW: its state holds the original rows W first and, when
+    there are levels, the modified rows W + int Q phi ds after them.
     """
     phi.check_modes(cov.modes)
     if eval_times is None:
         eval_times = (config.horizon,)
     eval_times = tuple(sorted(set(float(t) for t in eval_times)))
+    eval_lookup = {t: j for j, t in enumerate(eval_times)}
     grid = fixed_grid(config.horizon, config.dt_max, eval_times)
+    lam = np.asarray(cov.eigenvalues)
+    sqrt_lam = np.sqrt(lam)
+    w = np.asarray(phi.weights)
 
     def work(indices):
         normals = _normals(cov, config, indices, grid)
-        logz_evals, nov_evals = _original_run(cov, phi, grid, normals,
-                                              eval_times)
-        passage = (_modified_passages(cov, phi, grid, normals, levels)
-                   if levels else np.empty((len(indices), 0)))
-        return logz_evals, nov_evals, passage
+        n = len(indices)
+        m = n if levels else 0
+        x = np.zeros((n + m, cov.modes))
+        sup_before = np.zeros(n + m)
+        logz, nov = np.zeros(n), np.zeros(n)
+        logz_evals = np.full((n, len(eval_times)), math.nan)
+        nov_evals = np.full((n, len(eval_times)), math.nan)
+        passages = Passages(n, levels)
+        count, rows = np.zeros(m, dtype=np.intp), np.arange(m)
+        # no output reads a modified row past every level (it may explode)
+        live = np.ones(n + m, dtype=bool)
+        for i in range(1, len(grid)):
+            t0, dt = grid[i - 1], grid[i] - grid[i - 1]
+            phi_now = _phi(phi, t0, x, sup_before, live)
+            dW = normals[:, i - 1, :] * (sqrt_lam * math.sqrt(dt))[None, :]
+            orig = phi_now[:n]
+            qphi2 = np.sum(lam[None, :] * orig * orig, axis=1)
+            logz += np.sum(orig * dW, axis=1) - 0.5 * qphi2 * dt
+            nov += qphi2 * dt
+            x[:n] += dW
+            x[n:] += dW[:m] + lam[None, :] * phi_now[n:] * dt
+            # the next step reads the running sup through x(t_i)
+            if phi.kind == "running_sup":
+                sup_before = np.maximum(sup_before, x @ w)
+            xm = x[n:]
+            passages.cross(count, rows, np.sqrt(np.sum(xm * xm, axis=1)),
+                           grid[i])
+            live[n:] = count < len(levels)
+            j = eval_lookup.get(float(grid[i]))
+            if j is not None:
+                logz_evals[:, j] = logz
+                nov_evals[:, j] = nov
+        return logz_evals, nov_evals, passages.times
 
     return map_chunks(work, config.n_paths, CHUNK_SIZE, threads)
 

@@ -56,6 +56,12 @@ class SimConfig:
     explosion_guard: float = 1e6
 
     def __post_init__(self):
+        for name in ("n_paths", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value,
+                                                         (int, np.integer)):
+                raise ValidationError(f"{name} must be an integer, "
+                                      f"got {value!r}")
         if self.n_paths < 1:
             raise ValidationError("n_paths must be positive")
         if not 0 < self.dt_max <= self.horizon:

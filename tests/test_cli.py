@@ -228,6 +228,33 @@ def test_exit_1_on_a_removed_mc_field(runner, tmp_path):
         assert "error: mc: " in res.output and name in res.output
 
 
+@pytest.mark.parametrize("raw, field", [
+    ({"preset": "identity-zero", "t": "abc"}, "t"),
+    ({"preset": "identity-zero", "t": None}, "t"),
+    ({"preset": "identity-zero",
+      "plan": {"levels": [1, "x"], "time_caps": [2, 2]}}, "plan"),
+    ({"spec": {"b": ["0"], "sigma": [["1"]], "x0": ["a"]},
+      "exponent": {"beta": ["x"]}}, "spec"),
+    ({"triplet": {"base": {"b": ["0"], "sigma": [["1"]]}, "cp_rate": "x"},
+      "girsanov": {"K": "0", "U": "1"}}, "triplet"),
+    ([{"preset": "identity-zero"}], "--config"),
+    ({"preset": "identity-zero", "mc": {"n_paths": 10.5}}, "mc"),
+    ({"preset": "identity-zero", "mc": {"seed": 2.5}}, "mc"),
+    ({"preset": "identity-zero", "mc": {"seed": "5"}}, "mc"),
+    ({"preset": "identity-zero", "mc": {"n_paths": True}}, "mc"),
+], ids=["t-string", "t-null", "plan-level", "x0", "cp_rate",
+        "top-level-array", "n_paths-float", "seed-float", "seed-string",
+        "n_paths-true"])
+def test_exit_1_on_a_malformed_value(runner, tmp_path, raw, field):
+    # a value that cannot be read is named by its field, not a traceback
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(raw))
+    res = runner.invoke(main, ["novikov", "--config", str(p)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert res.output.splitlines()[-1].startswith(f"error: {field}: ")
+
+
 def test_exit_1_on_bad_expression(runner, tmp_path):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({
@@ -272,6 +299,22 @@ def test_exit_2_on_numerical_failure(runner, tmp_path):
         "mc": {"n_paths": 10, "dt_max": 0.1, "horizon": 1.0}}))
     res = runner.invoke(main, ["deficit", "--config", str(p)])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("command", ["hilbert", "novikov"])
+def test_exit_2_on_a_non_finite_phi(runner, tmp_path, command):
+    # phi = 1/x is infinite where every path starts
+    p = tmp_path / "domain.json"
+    p.write_text(json.dumps({
+        "covariance": {"modes": 1, "eigenvalues": [1.0]},
+        "functional": {"kind": "pointwise", "exprs": ["1/x"]},
+        "t": 1.0,
+        "mc": {"n_paths": 200, "dt_max": 0.01, "horizon": 1.0,
+               "seed": 3}}))
+    res = runner.invoke(main, [command, "--config", str(p)])
+    assert res.exit_code == 2
+    assert ("numerical failure: phi is not finite in mode 0 at t=0, "
+            "x=[0.0]") in res.output
 
 
 def test_exit_2_when_both_jump_triplets_fail(runner, tmp_path):

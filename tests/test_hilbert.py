@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from martprop import hilbert
-from martprop.errors import ValidationError
+from martprop.errors import EvalDomain, ValidationError
 from martprop.hilbert import (
     _run_hilbert,
     CovarianceSpec,
@@ -78,54 +78,82 @@ def test_sample_path_array_deterministic():
     assert len(np.unique(s1[:, -1, 0])) == 4
 
 
-def test_hilbert_paths_follow_their_documented_streams():
-    # path p's (T-1, K) normals are its main stream (seed, p) in C order,
-    # across more than one 512-path chunk, and both dynamics read them:
-    # logz follows W, the passages follow W + int Q phi ds.  A unit-vector
-    # running sup makes every sum below exact in any order.
-    cov = CovarianceSpec.dyadic(3)
-    phi = FunctionalSpec.running_sup(3, mode_index=1)
-    cfg = SimConfig(n_paths=600, dt_max=0.25, horizon=1.0, seed=13)
-    levels, eval_times = (0.5, 1.0), (0.5, 1.0)
-    grid, states = sample_path_array(cov, cfg, cfg.n_paths)
-    res = _run_hilbert(cov, phi, cfg, levels=levels,
-                       eval_times=eval_times)
+def _scalar_run(cov, phi, cfg, levels, eval_times):
+    """Path by path, from its own stream (seed, p) read in C order as
+    (T-1, K) normals: log Z at eval_times under W, the first passage of
+    ||.|| over each level under W + int Q phi ds, and whether W itself
+    reached each level.  No chunk and no stacked rows."""
+    grid = fixed_grid(cfg.horizon, cfg.dt_max, eval_times)
+    T, K = len(grid), cov.modes
     lam = np.asarray(cov.eigenvalues)
     sqrt_lam = np.sqrt(lam)
-    d = np.asarray(phi.direction)
-    T = len(grid)
-    moved = 0
+
+    def phi_at(t, x, sup):
+        if phi.kind == "running_sup":
+            return sup * np.asarray(phi.direction)
+        out = np.empty(K)
+        for k, e in enumerate(phi.exprs):
+            out[k:k + 1] = e.eval_array(t, x[k:k + 1])
+        return out
+
+    logz_rows, passage_rows, crossed_rows = [], [], []
     for p in range(cfg.n_paths):
-        z = path_generator(cfg.seed, p).standard_normal((T - 1, 3))
-        inc = z * sqrt_lam[None, :] * np.sqrt(np.diff(grid))[:, None]
-        np.testing.assert_array_equal(states[p, 1:],
-                                      np.cumsum(inc, axis=0))
-        x, sup, logz = np.zeros(3), 0.0, 0.0
-        xm, supm = np.zeros(3), 0.0
-        passage, logz_evals = [math.inf, math.inf], []
-        crossed_w = [False, False]
+        z = path_generator(cfg.seed, p).standard_normal((T - 1, K))
+        x, sup, logz = np.zeros(K), 0.0, 0.0
+        xm, supm = np.zeros(K), 0.0
+        passage, logz_evals = [math.inf] * len(levels), []
+        crossed_w = [False] * len(levels)
         for i in range(1, T):
             dt = grid[i] - grid[i - 1]
-            phi_now = sup * d
+            phi_now = phi_at(grid[i - 1], x, sup)
+            phi_m = phi_at(grid[i - 1], xm, supm)
             dw = z[i - 1] * (sqrt_lam * math.sqrt(dt))
             logz += np.sum(phi_now * dw) - 0.5 * np.sum(
                 lam * phi_now * phi_now) * dt
             x = x + dw
-            sup = max(sup, x[1])
-            xm = xm + (dw + lam * (supm * d) * dt)
-            supm = max(supm, xm[1])
+            xm = xm + (dw + lam * phi_m * dt)
+            if phi.kind == "running_sup":
+                sup = max(sup, float(x @ np.asarray(phi.weights)))
+                supm = max(supm, float(xm @ np.asarray(phi.weights)))
             for j, m in enumerate(levels):
                 if passage[j] == math.inf and np.sqrt(np.sum(xm * xm)) >= m:
                     passage[j] = grid[i]
                 crossed_w[j] |= bool(np.sqrt(np.sum(x * x)) >= m)
             if grid[i] in eval_times:
                 logz_evals.append(logz)
-        assert res[0][p].tolist() == logz_evals
-        assert res[2][p].tolist() == passage
-        moved += [s < math.inf for s in passage] != crossed_w
-    # the drift moves some passages, so the check above tells the
-    # dynamics apart
-    assert moved > 0
+        logz_rows.append(logz_evals)
+        passage_rows.append(passage)
+        crossed_rows.append(crossed_w)
+    return logz_rows, passage_rows, crossed_rows
+
+
+def test_hilbert_paths_follow_their_documented_streams():
+    # path p's (T-1, K) normals are its main stream (seed, p) in C order,
+    # across more than one 512-path chunk, and both dynamics read them:
+    # logz follows W, the passages follow W + int Q phi ds.  Both kinds
+    # of phi are pinned bit for bit against a per-path scalar loop.
+    cov = CovarianceSpec.dyadic(3)
+    cfg = SimConfig(n_paths=600, dt_max=0.25, horizon=1.0, seed=13)
+    levels, eval_times = (0.5, 1.0), (0.5, 1.0)
+    grid, states = sample_path_array(cov, cfg, cfg.n_paths)
+    for p in range(cfg.n_paths):
+        z = path_generator(cfg.seed, p).standard_normal((len(grid) - 1, 3))
+        inc = (z * np.sqrt(np.asarray(cov.eigenvalues))[None, :]
+               * np.sqrt(np.diff(grid))[:, None])
+        np.testing.assert_array_equal(states[p, 1:],
+                                      np.cumsum(inc, axis=0))
+    for phi in (FunctionalSpec.running_sup(3, mode_index=1),
+                FunctionalSpec(kind="pointwise",
+                               exprs=("tanh(x)", "x * t", "0.5"))):
+        logz, _, passage = _run_hilbert(cov, phi, cfg, levels=levels,
+                                        eval_times=eval_times)
+        ref_logz, ref_passage, crossed_w = _scalar_run(cov, phi, cfg,
+                                                       levels, eval_times)
+        assert logz.tolist() == ref_logz
+        assert passage.tolist() == ref_passage
+        # the drift moves some passages, so the check above tells the
+        # dynamics apart
+        assert np.any((passage < math.inf) != np.array(crossed_w))
 
 
 # --- the functional ------------------------------------------------------------------
@@ -199,7 +227,7 @@ def test_expectation_deterministic_across_threads():
 
 def test_one_draw_gives_both_dynamics_their_separate_runs(monkeypatch):
     # the direct mean reads the original dynamics and the curve the
-    # modified ones, each as if simulated alone over the same streams
+    # modified ones, each as a per-path scalar loop over the same streams
     cov = CovarianceSpec.dyadic(4)
     phi = FunctionalSpec.running_sup(4)
     cfg = SimConfig(n_paths=700, dt_max=0.05, horizon=1.0, seed=17)
@@ -208,12 +236,9 @@ def test_one_draw_gives_both_dynamics_their_separate_runs(monkeypatch):
                                                  threads=2)
     logz, _, no_levels = _run_hilbert(cov, phi, cfg, eval_times=(1.0,))
     assert no_levels.shape == (cfg.n_paths, 0)
-    grid = fixed_grid(1.0, 0.05)
-    normals = hilbert._normals(cov, cfg, np.arange(cfg.n_paths), grid)
-    passage = hilbert._modified_passages(cov, phi, grid, normals,
-                                         plan.levels)
+    _, passage, _ = _scalar_run(cov, phi, cfg, plan.levels, (1.0,))
     assert direct == MCEstimate.from_samples(np.exp(logz[:, 0]))
-    assert curve == survival_curve(passage, plan, 1.0)
+    assert curve == survival_curve(np.array(passage), plan, 1.0)
     assert 0.0 < curve.entries[0][2] < 1.0
 
     # a plan reaching the guard is refused before any path is simulated
@@ -225,6 +250,39 @@ def test_one_draw_gives_both_dynamics_their_separate_runs(monkeypatch):
             phi, cov, 1.0, plan,
             SimConfig(n_paths=10, dt_max=0.05, horizon=1.0,
                       explosion_guard=1.0))
+
+
+def test_a_non_finite_phi_is_refused():
+    # as the diffusion engine and the jump kit refuse a non-finite
+    # coefficient: the error names the mode, the time and the state
+    cov = CovarianceSpec(modes=2, eigenvalues=(1.0, 0.5))
+    phi = FunctionalSpec(kind="pointwise", exprs=("0", "sqrt(x)"))
+    cfg = SimConfig(n_paths=600, dt_max=0.1, horizon=1.0, seed=3)
+    for run in (lambda: hilbert_novikov_estimate(phi, cov, 1.0, cfg),
+                lambda: estimate_hilbert_expectation(phi, cov, 1.0, PLAN,
+                                                     cfg)):
+        with pytest.raises(EvalDomain, match=r"in mode 1 at t=0\.1, x="):
+            run()
+    times, states = sample_path_array(cov, cfg, 8)
+    with pytest.raises(EvalDomain, match="in mode 1 at t="):
+        phi_values(phi, cov, times, states)
+    one_over = FunctionalSpec(kind="pointwise", exprs=("1/x", "0"))
+    with pytest.raises(EvalDomain,
+                       match=r"mode 0 at t=0, x=\[0\.0, 0\.0\]"):
+        check_conditions(one_over, cov, times, states)
+
+
+def test_modified_rows_past_every_level_may_explode():
+    # phi = x^3 drives some modified paths to inf within t = 1; once a
+    # path has passed every level nothing reads its phi, so the run ends
+    # with a deficit instead of a non-finite-phi error
+    cov = CovarianceSpec(modes=1, eigenvalues=(1.0,))
+    phi = FunctionalSpec(kind="pointwise", exprs=("x^3",))
+    cfg = SimConfig(n_paths=200, dt_max=0.01, horizon=1.0, seed=4)
+    plan = LocalizationPlan(levels=(8.0, 16.0), time_caps=(2.0, 3.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, curve = estimate_hilbert_expectation(phi, cov, 1.0, plan, cfg)
+    assert curve.entries[-1][2] < 0.9
 
 
 def test_novikov_probe_heavy_at_large_t():
