@@ -18,7 +18,6 @@ from .errors import (
     IndexOutOfRange,
     JumpBoundViolation,
     MartpropError,
-    PlanTooCoarse,
     PreconditionViolated,
     QuadratureFailure,
     UnboundedOnCompact,

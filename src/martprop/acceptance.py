@@ -62,13 +62,14 @@ def criterion_1(threads=1):
                                   threads=threads)
     elapsed = time.monotonic() - start
     ok = (verdict.classification is Classification.TRUE_MARTINGALE
-          and curve.deficit == 0.0
+          and curve.deficit == 0.0 and curve.converged
           and direct.mean == 1.0 and direct.std_error == 0.0
           and elapsed < 1.0)
     return ("criterion 1 (identity beta=0)", ok,
             f"verdict={verdict.classification.value}, "
-            f"deficit={curve.deficit}, mean={direct.mean}, "
-            f"se={direct.std_error}, {elapsed:.2f}s (limit 1s)")
+            f"deficit={curve.deficit}, converged={curve.converged}, "
+            f"mean={direct.mean}, se={direct.std_error}, "
+            f"{elapsed:.2f}s (limit 1s)")
 
 
 def criterion_2(threads=1):
@@ -87,13 +88,14 @@ def criterion_2(threads=1):
           and rep.v_left.status == "infinite"
           and rep.v_right.status == "infinite"
           and verdict.classification is Classification.TRUE_MARTINGALE
-          and curve.deficit < 0.01
+          and curve.deficit < 0.01 and curve.converged
           and _within(direct.mean, 1.0, 3.0 * direct.std_error)
           and elapsed < 60.0)
     return ("criterion 2 (E(X.X) true martingale)", ok,
             f"modified dynamics {rep.conclusion}, "
             f"verdict={verdict.classification.value}, "
             f"deficit={curve.deficit:.5f} (<0.01), "
+            f"converged={curve.converged}, "
             f"mean={direct.mean:.4f}+/-{direct.std_error:.4f}, "
             f"{elapsed:.1f}s (limit 60s)")
 

@@ -23,7 +23,6 @@ from .errors import (
     IndexOutOfRange,
     JumpBoundViolation,
     MartpropError,
-    PlanTooCoarse,
     PreconditionViolated,
     QuadratureFailure,
     UnboundedOnCompact,
@@ -48,7 +47,7 @@ from .mc import (
 _VALIDATION_ERRORS = (ConfigError, ValidationError, ExprSyntaxError,
                       UnknownIdentifier, DimensionMismatch,
                       IndexOutOfRange, PreconditionViolated)
-_NUMERICAL_ERRORS = (QuadratureFailure, PlanTooCoarse, UnboundedOnCompact,
+_NUMERICAL_ERRORS = (QuadratureFailure, UnboundedOnCompact,
                      JumpBoundViolation, EvalDomain, DegenerateDiffusion)
 
 
@@ -131,7 +130,7 @@ def main():
 def presets():
     """List the built-in example presets."""
     for name in catalog.names():
-        click.echo(f"{name}: {catalog.get(name).description}")
+        click.echo(f"{name}: {catalog.description(name)}")
 
 
 @main.command()
@@ -153,8 +152,7 @@ def classify(config_path, preset, seed, threads, output_path, fmt,
             direct = estimate_mean_direct(rc.spec, rc.exponent, rc.t,
                                           rc.mc, threads=threads)
             curve = deficit_for(rc.spec, rc.exponent, rc.plan, rc.t,
-                                rc.mc, threads=threads,
-                                raise_on_coarse=False)
+                                rc.mc, threads=threads)
             _echo_estimate("direct mean", direct)
             _echo_curve(curve)
             estimates = {"direct_mean": repmod.mc_estimate_dict(direct)}
@@ -174,7 +172,7 @@ def deficit(config_path, preset, seed, threads, output_path, fmt):
         rc = _resolve(config_path, preset, seed, kind="diffusion")
         localized_bound_check(rc.spec, rc.exponent, rc.plan)
         curve = deficit_for(rc.spec, rc.exponent, rc.plan, rc.t, rc.mc,
-                            threads=threads, raise_on_coarse=False)
+                            threads=threads)
         _echo_curve(curve)
         rep = repmod.build_report(
             "deficit", rc,

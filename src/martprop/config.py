@@ -1,9 +1,10 @@
 """JSON config schema: parsing, validation with field paths, and the
 round-trip serialization embedded in every report.
 
-A config may name a `preset` and/or spell out sections; explicit sections
-override the preset.  Infinite interval endpoints are written as the
-strings "inf"/"-inf" (JSON has no infinity literal).
+A config may name a `preset` (a config document from `catalog`) and/or
+spell out sections; explicit sections override the preset's.  Infinite
+interval endpoints are written as the strings "inf"/"-inf" (JSON has no
+infinity literal).
 """
 
 from __future__ import annotations
@@ -100,10 +101,9 @@ def plan_to_dict(plan):
     return {"levels": list(plan.levels), "time_caps": list(plan.time_caps)}
 
 
-def mc_from_dict(d, base=None, fld="mc"):
-    d = d or {}
+def mc_from_dict(d, fld="mc"):
     with _section(fld):
-        return SimConfig(**d) if base is None else replace(base, **d)
+        return SimConfig(**d)
 
 
 def mc_to_dict(mc):
@@ -226,60 +226,48 @@ class RunConfig:
         return d
 
 
+_SECTIONS = {"spec": spec_from_dict, "exponent": exponent_from_dict,
+             "triplet": triplet_from_dict, "girsanov": girsanov_from_dict,
+             "covariance": covariance_from_dict,
+             "functional": functional_from_dict}
+_KINDS = (("jump", {"triplet", "girsanov"}),
+          ("hilbert", {"covariance", "functional"}),
+          ("diffusion", {"spec", "exponent"}))
+
+
 def resolve(raw: dict, preset_name: str = None,
             seed: int = None) -> RunConfig:
-    """Merge a raw config dict over an optional preset and validate."""
+    """Parse and validate a raw config dict over an optional preset's
+    document: a section the config gives replaces the preset's, except
+    `mc`, which merges field by field."""
     raw = dict(raw or {})
     name = preset_name or raw.get("preset")
-    base = catalog.get(name) if name else None
+    doc = catalog.document(name) if name else {}
+    with _section("mc"):
+        mc = {**doc.get("mc", {}), **(raw.get("mc") or {})}
+        if seed is not None:
+            mc["seed"] = seed
+    raw = {**doc, **raw}
 
-    spec = exponent = triplet = girsanov = covariance = functional = None
-    if base is not None:
-        spec, exponent = base.spec, base.exponent
-        triplet, girsanov = base.triplet, base.girsanov
-        covariance, functional = base.covariance, base.functional
-    if "spec" in raw:
-        spec = spec_from_dict(raw["spec"])
-    if "exponent" in raw:
-        exponent = exponent_from_dict(raw["exponent"])
-    if "triplet" in raw:
-        triplet = triplet_from_dict(raw["triplet"])
-    if "girsanov" in raw:
-        girsanov = girsanov_from_dict(raw["girsanov"])
-    if "covariance" in raw:
-        covariance = covariance_from_dict(raw["covariance"])
-    if "functional" in raw:
-        functional = functional_from_dict(raw["functional"])
-
-    if triplet is not None and girsanov is not None:
-        kind = "jump"
-    elif covariance is not None and functional is not None:
-        kind = "hilbert"
-    elif spec is not None and exponent is not None:
-        kind = "diffusion"
-    else:
+    sections = {key: parse(raw[key]) for key, parse in _SECTIONS.items()
+                if key in raw}
+    kind = next((k for k, pair in _KINDS if pair <= sections.keys()), None)
+    if kind is None:
         raise ConfigError(
             "config must provide a preset or one complete section pair: "
             "spec+exponent, triplet+girsanov, or covariance+functional")
 
     with _section("t"):
-        t = float(raw.get("t", base.t if base else 1.0))
+        t = float(raw.get("t", 1.0))
     if not 0 < t < math.inf:
         raise ConfigError("t must be positive and finite", field="t")
     plan = (plan_from_dict(raw["plan"]) if "plan" in raw
-            else (base.plan if base else
-                  LocalizationPlan.geometric(horizon=t)))
-    mc_base = base.mc if base else None
-    mc = mc_from_dict(raw.get("mc", {}), base=mc_base)
+            else LocalizationPlan.geometric(horizon=t))
+    mc = mc_from_dict(mc)
     if mc.horizon < t:
-        mc = mc_from_dict({"horizon": t}, base=mc)
-    if seed is not None:
-        mc = mc_from_dict({"seed": int(seed)}, base=mc)
-
-    return RunConfig(kind=kind, t=t, plan=plan, mc=mc,
-                     preset=name or "", spec=spec, exponent=exponent,
-                     triplet=triplet, girsanov=girsanov,
-                     covariance=covariance, functional=functional)
+        mc = replace(mc, horizon=t)
+    return RunConfig(kind=kind, t=t, plan=plan, mc=mc, preset=name or "",
+                     **sections)
 
 
 def load_file(path) -> dict:

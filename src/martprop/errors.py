@@ -51,14 +51,6 @@ class PreconditionViolated(MartpropError):
     """Hard failure of a grid-based precondition check (e.g. c <= 0)."""
 
 
-class PlanTooCoarse(MartpropError):
-    """Localization plan exhausted without the deficit curve converging."""
-
-    def __init__(self, message, curve=None):
-        super().__init__(message)
-        self.curve = curve
-
-
 class UnboundedOnCompact(MartpropError):
     """Grid supremum keeps growing under refinement."""
 

@@ -120,19 +120,18 @@ class FunctionalSpec:
                    claimed_growth=claimed_growth)
 
 
-def _phi(phi, t, x, sup_before, live=True):
+def _phi(phi, t, x, sup_before):
     """phi at time t on states x of shape (rows, K); a running_sup phi
     is each row's sup_before, the running sup of weights . x that the
-    caller keeps, along direction.  A non-finite value on a `live` row
-    (a mask; every row by default) raises EvalDomain naming the mode,
-    the time and the state."""
+    caller keeps, along direction.  A non-finite value raises EvalDomain
+    naming the mode, the time and the state."""
     if phi.kind == "running_sup":
         out = sup_before[:, None] * np.asarray(phi.direction)[None, :]
     else:
         out = np.empty(x.shape)
         for k, e in enumerate(phi.exprs):
             out[:, k] = e.eval_array(t, x[:, k])
-    bad = ~np.isfinite(out) & np.reshape(live, (-1, 1))
+    bad = ~np.isfinite(out)
     if bad.any():
         r, k = np.argwhere(bad)[0]
         raise EvalDomain(f"phi is not finite in mode {k} at t={t:.6g}, "
@@ -177,7 +176,9 @@ def _run_hilbert(cov, phi, config, levels=(), eval_times=None, threads=1):
 
     A chunk draws its normals once and steps both dynamics in one pass
     on the same dW: its state holds the original rows W first and, when
-    there are levels, the modified rows W + int Q phi ds after them.
+    there are levels, the modified rows W + int Q phi ds after them.  A
+    modified row is dropped once it passes the largest level: no output
+    reads it, and it may explode.
     """
     phi.check_modes(cov.modes)
     if eval_times is None:
@@ -192,33 +193,36 @@ def _run_hilbert(cov, phi, config, levels=(), eval_times=None, threads=1):
     def work(indices):
         normals = _normals(cov, config, indices, grid)
         n = len(indices)
-        m = n if levels else 0
-        x = np.zeros((n + m, cov.modes))
-        sup_before = np.zeros(n + m)
         logz, nov = np.zeros(n), np.zeros(n)
         logz_evals = np.full((n, len(eval_times)), math.nan)
         nov_evals = np.full((n, len(eval_times)), math.nan)
         passages = Passages(n, levels)
-        count, rows = np.zeros(m, dtype=np.intp), np.arange(m)
-        # no output reads a modified row past every level (it may explode)
-        live = np.ones(n + m, dtype=bool)
+        # `rows` maps the modified rows still held to their paths
+        rows = np.arange(n if levels else 0)
+        count = np.zeros(rows.size, dtype=np.intp)
+        x = np.zeros((n + rows.size, cov.modes))
+        sup_before = np.zeros(len(x))
         for i in range(1, len(grid)):
             t0, dt = grid[i - 1], grid[i] - grid[i - 1]
-            phi_now = _phi(phi, t0, x, sup_before, live)
+            phi_now = _phi(phi, t0, x, sup_before)
             dW = normals[:, i - 1, :] * (sqrt_lam * math.sqrt(dt))[None, :]
             orig = phi_now[:n]
             qphi2 = np.sum(lam[None, :] * orig * orig, axis=1)
             logz += np.sum(orig * dW, axis=1) - 0.5 * qphi2 * dt
             nov += qphi2 * dt
             x[:n] += dW
-            x[n:] += dW[:m] + lam[None, :] * phi_now[n:] * dt
+            x[n:] += dW[rows] + lam[None, :] * phi_now[n:] * dt
             # the next step reads the running sup through x(t_i)
             if phi.kind == "running_sup":
                 sup_before = np.maximum(sup_before, x @ w)
             xm = x[n:]
             passages.cross(count, rows, np.sqrt(np.sum(xm * xm, axis=1)),
                            grid[i])
-            live[n:] = count < len(levels)
+            going = count < len(levels)
+            if not going.all():
+                keep = np.concatenate([np.ones(n, dtype=bool), going])
+                x, sup_before = x[keep], sup_before[keep]
+                count, rows = count[going], rows[going]
             j = eval_lookup.get(float(grid[i]))
             if j is not None:
                 logz_evals[:, j] = logz

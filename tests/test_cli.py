@@ -3,7 +3,10 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from martprop import catalog
 from martprop.cli import main
+
+_COMMAND = {"diffusion": "deficit", "jump": "jump", "hilbert": "hilbert"}
 
 
 @pytest.fixture
@@ -176,8 +179,7 @@ def test_novikov_command(runner, tmp_path):
 
 
 @pytest.mark.parametrize("command, preset", [
-    ("deficit", "ou-linear"), ("hilbert", "running-sup-1"),
-    ("jump", "atom-half")])
+    (_COMMAND[catalog.get(name).kind], name) for name in catalog.names()])
 def test_resolved_config_reproduces_the_report(runner, tmp_path, command,
                                                preset):
     first, again = tmp_path / "first.json", tmp_path / "again.json"
@@ -242,9 +244,10 @@ def test_exit_1_on_a_removed_mc_field(runner, tmp_path):
     ({"preset": "identity-zero", "mc": {"seed": 2.5}}, "mc"),
     ({"preset": "identity-zero", "mc": {"seed": "5"}}, "mc"),
     ({"preset": "identity-zero", "mc": {"n_paths": True}}, "mc"),
+    ({"preset": ["identity-zero"]}, "preset"),
 ], ids=["t-string", "t-null", "plan-level", "x0", "cp_rate",
         "top-level-array", "n_paths-float", "seed-float", "seed-string",
-        "n_paths-true"])
+        "n_paths-true", "preset-array"])
 def test_exit_1_on_a_malformed_value(runner, tmp_path, raw, field):
     # a value that cannot be read is named by its field, not a traceback
     p = tmp_path / "bad.json"
@@ -253,6 +256,18 @@ def test_exit_1_on_a_malformed_value(runner, tmp_path, raw, field):
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit), res.exception
     assert res.output.splitlines()[-1].startswith(f"error: {field}: ")
+
+
+@pytest.mark.parametrize("seed, code", [
+    ("-1", 1), ("18446744073709551616", 1), ("18446744073709551615", 0)])
+def test_seed_must_lie_below_2_to_the_64(runner, tmp_path, seed, code):
+    # the streams key on the seed modulo 2^64: -1 would alias 2^64 - 1
+    res = runner.invoke(main, [
+        "novikov", "--config", _small(tmp_path, "running-sup-1", n_paths=50),
+        "--seed", seed, "--output", str(tmp_path / "r.json")])
+    assert res.exit_code == code
+    if code:
+        assert res.output.splitlines()[-1].startswith("error: mc: seed ")
 
 
 def test_exit_1_on_bad_expression(runner, tmp_path):

@@ -35,6 +35,23 @@ def test_overrides_beat_preset():
     assert rc.mc.dt_max == catalog.get("brownian-linear").mc.dt_max
 
 
+def test_a_preset_is_a_config_document():
+    for name in catalog.names():
+        rc = catalog.get(name)
+        assert isinstance(rc, config.RunConfig) and rc.preset == name
+        plain = config.resolve(catalog.document(name)).to_dict()
+        assert plain == {k: v for k, v in rc.to_dict().items()
+                         if k != "preset"}
+
+
+def test_a_given_section_replaces_the_presets_section():
+    # only mc merges field by field: a girsanov section without U has
+    # no U, whatever the preset's
+    with pytest.raises(ConfigError) as exc:
+        config.resolve({"preset": "poisson-U4", "girsanov": {"K": "1"}})
+    assert str(exc.value) == "girsanov: missing key 'U'"
+
+
 def test_seed_override():
     rc = config.resolve({}, preset_name="identity-zero", seed=99)
     assert rc.mc.seed == 99

@@ -273,16 +273,28 @@ def test_a_non_finite_phi_is_refused():
 
 
 def test_modified_rows_past_every_level_may_explode():
-    # phi = x^3 drives some modified paths to inf within t = 1; once a
-    # path has passed every level nothing reads its phi, so the run ends
-    # with a deficit instead of a non-finite-phi error
+    # phi = x^3 drives some modified paths to inf within t = 1; a path
+    # that has passed every level is dropped, so the run ends with a
+    # deficit instead of a non-finite-phi error
     cov = CovarianceSpec(modes=1, eigenvalues=(1.0,))
     phi = FunctionalSpec(kind="pointwise", exprs=("x^3",))
     cfg = SimConfig(n_paths=200, dt_max=0.01, horizon=1.0, seed=4)
     plan = LocalizationPlan(levels=(8.0, 16.0), time_caps=(2.0, 3.0))
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, curve = estimate_hilbert_expectation(phi, cov, 1.0, plan, cfg)
+    _, curve = estimate_hilbert_expectation(phi, cov, 1.0, plan, cfg)
     assert curve.entries[-1][2] < 0.9
+
+
+@pytest.mark.filterwarnings("error")
+def test_dropped_modified_rows_overflow_nothing():
+    # the `hilbert` command's run of this config (default plan): a
+    # modified row past the largest level would overflow within a few
+    # steps, so it is dropped there
+    cov = CovarianceSpec(modes=1, eigenvalues=(1.0,))
+    phi = FunctionalSpec(kind="pointwise", exprs=("x^3",))
+    cfg = SimConfig(n_paths=1100, dt_max=0.01, horizon=1.0, seed=4)
+    _, curve = estimate_hilbert_expectation(
+        phi, cov, 1.0, LocalizationPlan.geometric(), cfg)
+    assert curve.deficit > 0.0
 
 
 def test_novikov_probe_heavy_at_large_t():
