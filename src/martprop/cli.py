@@ -211,7 +211,7 @@ def jump(config_path, preset, seed, threads, output_path, fmt):
     def body():
         rc = _resolve(config_path, preset, seed, kind="jump")
         verdict, comp = analyze_jump(rc.triplet, rc.girsanov, rc.t,
-                                     rc.plan, rc.mc)
+                                     rc.plan, rc.mc, threads=threads)
         click.echo(f"classification: {verdict.classification.value}",
                    err=True)
         curve = verdict.deficit_curve

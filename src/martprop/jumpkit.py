@@ -272,7 +272,6 @@ class _CompoundPoissonSteps:
     c_term: np.ndarray       # its term of C(Z), (1 - sqrt(1 + Delta N))^2
     compensator: np.ndarray  # (steps,) lambda E_F[U - 1], drift of log Z
     hellinger: np.ndarray    # (steps,) lambda E_F[(1 - sqrt(U))^2], dR/dt
-    drift_shift: np.ndarray  # (steps,) lambda E_F[h (U - 1)], modified only
 
 
 @dataclass(frozen=True)
@@ -332,7 +331,6 @@ def _cp_steps(trip, gd, grid):
     cdfs = [_poisson_cdf(lam * dt[:, None] * p) for p in (probs, probs * u)]
     k_max = max(c.shape[-1] for c in cdfs)
     delta_n = u - 1.0
-    h = np.where(np.abs(sizes) <= 1.0, sizes, 0.0)
     return _CompoundPoissonSteps(
         sizes=sizes,
         # a CDF padded with inf counts the same
@@ -341,8 +339,7 @@ def _cp_steps(trip, gd, grid):
         delta_n=delta_n,
         c_term=(1.0 - np.sqrt(1.0 + delta_n)) ** 2,
         compensator=lam * (delta_n @ probs),
-        hellinger=lam * ((1.0 - np.sqrt(u)) ** 2 @ probs),
-        drift_shift=lam * ((h * delta_n) @ probs))
+        hellinger=lam * ((1.0 - np.sqrt(u)) ** 2 @ probs))
 
 
 def _atom_steps(trip, gd, grid, first_column):
@@ -383,17 +380,17 @@ def _check_jump_bound(delta_n, t, paths):
 
 def simulate_jump_exponential(trip: JumpTriplet, gd: GirsanovData,
                               config: SimConfig, *, levels=(),
-                              eval_times=None):
+                              eval_times=None, threads=1):
     """Simulate (X, N, Z) pathwise on a fixed grid under the original and
     the Girsanov-modified triplet, Z via the Doleans-Dade product; returns
     (original, modified) JumpSimResults.  R is evaluated with the original
     (trip, gd) data along both triplets' paths.
 
-    The paths of a chunk (CHUNK_SIZE paths, through `map_chunks`, on one
-    thread) advance together, both triplets' rows stacked on the same
-    draws; only the rows below the guard are held.  Everything that
-    depends only on (t, jump size) is tabulated once per grid time, and
-    so is each of b, sigma, c and K free of x; the others are evaluated
+    The paths of a chunk (CHUNK_SIZE paths, through `map_chunks` on up to
+    `threads` threads) advance together, both triplets' rows stacked on
+    the same draws; only the rows below the guard are held.  Everything
+    that depends only on (t, jump size) is tabulated once per grid time,
+    and so is each of b, sigma, c and K free of x; the others are evaluated
     each step on the live rows.  Path p reads only its own streams of
     (seed, p): one main-stream normal per step, and on the jump stream one
     uniform per step and compound-Poisson support point (that point's jump
@@ -458,8 +455,10 @@ def simulate_jump_exponential(trip: JumpTriplet, gd: GirsanovData,
                 raise EvalDomain(
                     f"non-finite coefficient on path {int(paths[draw[r]])} "
                     f"at t={t0:.6g}, x={float(x[r])}")
-            # the modified rows' drift b + K c (+ the CP shift below), in a
-            # copy: bv may be x itself or a table entry
+            # the modified rows' drift b + K c, in a copy: bv may be x
+            # itself or a table entry.  No jump term: the modified jumps
+            # come at rate lambda p_j U_j and are added uncompensated, so
+            # they already carry the h-terms of the Girsanov drift
             bv, kc = bv * np.ones_like(x), kv * cv
             bv[last:] += kc[last:] if np.ndim(kc) else kc
             dW = normals[draw, i] * math.sqrt(dt)
@@ -470,7 +469,6 @@ def simulate_jump_exponential(trip: JumpTriplet, gd: GirsanovData,
             if cp is not None:
                 dlog = dlog - cp.compensator[i] * dt
                 dr = dr + cp.hellinger[i] * dt
-                bv[last:] += cp.drift_shift[i]
             log_zc += dlog
             r_acc += dr
             coz += quad_var
@@ -528,7 +526,7 @@ def simulate_jump_exponential(trip: JumpTriplet, gd: GirsanovData,
             z_evals[k], finals[0, k], passages.times[k], passages.values[k],
             *finals[1:, k])]
 
-    out = map_chunks(work, config.n_paths, CHUNK_SIZE)
+    out = map_chunks(work, config.n_paths, CHUNK_SIZE, threads)
     w = len(JumpSimResult._fields)
     return JumpSimResult(*out[:w]), JumpSimResult(*out[w:])
 
@@ -548,7 +546,7 @@ class CompensatorReport:
 
 
 def analyze_jump(trip: JumpTriplet, gd: GirsanovData, t: float,
-                 plan: LocalizationPlan, config: SimConfig):
+                 plan: LocalizationPlan, config: SimConfig, threads=1):
     """(verdict, compensator report) at t, from one pass of both triplets.
 
     The verdict reads survival of the MODIFIED triplet's paths: per plan
@@ -564,7 +562,8 @@ def analyze_jump(trip: JumpTriplet, gd: GirsanovData, t: float,
     """
     config.check_plan(plan)
     original, modified = simulate_jump_exponential(
-        trip, gd, config.until(t), levels=plan.levels, eval_times=(t,))
+        trip, gd, config.until(t), levels=plan.levels, eval_times=(t,),
+        threads=threads)
     return _verdict(modified, plan, t), _compensator_report(original)
 
 

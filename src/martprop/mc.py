@@ -12,8 +12,12 @@ limiting modified-measure probability of early exit.
 Determinism contract: every path is a pure function of (spec, config,
 path_index) via its counter-based streams, which a chunk draws for its
 live paths in one batch (`rng.normal_block`; no engine calls
-`path_generator`).  Ensembles are reduced in path-index order, so results
-are bit-identical for any worker count.
+`path_generator`).  A path that outgrows its chunk's normal buffer
+continues its stream in a new buffer of the steps not yet taken, drawn at
+an offset (the prefix is replayed into a scratch row and dropped), so it
+reads the same normals as one buffer from step 0 would hold.  Ensembles
+are reduced in path-index order, so results are bit-identical for any
+worker count.
 
 A chunk holds the state of its live paths coordinate-major, one vector
 per coordinate, and evaluates b and sigma per coordinate; sums over
@@ -42,7 +46,8 @@ from .rng import normal_block
 CHUNK_SIZE = 4096
 _SNAP_EPS = 1e-12
 # the first normal buffer holds at most horizon * _FIRST_LOAD_CAP / dt_max
-# steps per path, whatever the load at x0; longer paths grow it
+# steps per path, whatever the load at x0; paths still live at step k,
+# where a buffer ends, draw steps [k, 2k) into the next one
 _FIRST_LOAD_CAP = 4.0
 
 
@@ -242,10 +247,10 @@ def _run_chunk(spec, config, indices, levels, eval_times, beta, q_expr,
 
     # state of the live paths only, in path order, coordinate-major (x[i]
     # is coordinate i of every live path): `row` is a path's row in the
-    # outputs and `slot` its row in the normal buffer, which starts each
-    # live path's stream; `count` is its number of levels crossed and
-    # `eidx` of eval times passed, and `next_eval` the eval time it steps
-    # towards
+    # outputs and `slot` its row in the normal buffer, whose first column
+    # is step `drawn_at` of each live path's stream; `count` is its number
+    # of levels crossed and `eidx` of eval times passed, and `next_eval`
+    # the eval time it steps towards
     row = np.arange(n)
     x = np.repeat(np.asarray(spec.x0, dtype=np.float64)[:, None], n, axis=1)
     t = np.zeros(n)
@@ -256,6 +261,7 @@ def _run_chunk(spec, config, indices, levels, eval_times, beta, q_expr,
     count = np.zeros(n, dtype=np.intp)
     slot = row
     normals = np.empty((0, 0))
+    drawn_at = 0
 
     def explode(ended, code):
         # a path ending at the guard or the step floor passes every level
@@ -307,23 +313,24 @@ def _run_chunk(spec, config, indices, levels, eval_times, beta, q_expr,
 
         dt = np.minimum(dt, next_eval - t)
 
-        if (k + 1) * d > normals.shape[1]:
+        if (k - drawn_at + 1) * d > normals.shape[1]:
             if k == 0:
                 # every row is at x0: size the draw from the step there
                 steps = int(math.ceil(config.horizon / max(
                     float(dt[0]), dt_max / _FIRST_LOAD_CAP))) + E + 8
             else:
-                steps = 2 * k
-            # live paths draw their streams from the start, so a grown
-            # buffer continues each stream where the old one ended
+                steps = k   # each live stream continues at step k
+            drawn_at = k
             normals = None  # so the old buffer is freed before the draw
-            normals = normal_block(config.seed, indices[row], steps * d)
+            normals = normal_block(config.seed, indices[row], steps * d,
+                                   start=k * d)
             slot = np.arange(row.size)
         # a plain slice until some path ends after the draw
         rows = slice(None) if slot.size == len(normals) else slot
 
         root = np.sqrt(dt)
-        dW = [normals[rows, k * d + j] * root for j in range(d)]
+        col = (k - drawn_at) * d
+        dW = [normals[rows, col + j] * root for j in range(d)]
         b_dt = [bi * dt for bi in b]
         # sigma dW sums from +0, as einsum does, so a -0.0 product adds
         # as +0.0

@@ -13,6 +13,14 @@ way: the diffusion engine d normals per step, the jump kit one normal
 per step, and the Hilbert kit K per step (a row of (T-1)*K, step by
 step, mode by mode).  No engine calls `path_generator`; it is left to
 reference computations.
+
+A block may start each row at an offset into its stream: the diffusion
+engine draws a grown buffer as the steps not yet taken, continuing each
+live path's stream where the last buffer ended.  Philox can jump its
+counter, but the ziggurat spends a data-dependent number of 64-bit words
+per normal, so no counter marks step k; each row replays its prefix into
+one reused scratch row instead and generates the same normals as a
+block drawn from step 0.
 """
 
 from __future__ import annotations
@@ -46,13 +54,13 @@ def path_generator(seed: int, path_index: int,
 
 
 def normal_block(seed: int, indices, count: int,
-                 stream: int = MAIN_STREAM) -> np.ndarray:
+                 stream: int = MAIN_STREAM, start: int = 0) -> np.ndarray:
     """Standard normals of shape (len(indices), count), one row per path.
 
-    Row r is bit-identical to
-    ``path_generator(seed, indices[r], stream).standard_normal(count)``.
+    Row r is bit-identical to ``path_generator(seed, indices[r],
+    stream).standard_normal(start + count)[start:]``.
     """
-    return _block(seed, indices, count, stream, "standard_normal")
+    return _block(seed, indices, count, stream, "standard_normal", start)
 
 
 def uniform_block(seed: int, indices, count: int,
@@ -65,15 +73,17 @@ def uniform_block(seed: int, indices, count: int,
     return _block(seed, indices, count, stream, "random")
 
 
-def _block(seed, indices, count, stream, method):
+def _block(seed, indices, count, stream, method, start=0):
     """One Philox bit generator is re-keyed per row through its state,
     with the counter and buffer of a freshly keyed Philox, so no
-    generator is built and no OS entropy is read per path."""
+    generator is built and no OS entropy is read per path.  The first
+    `start` draws of each row go to one scratch row and are dropped."""
     indices = np.asarray(indices, dtype=np.int64)
     bad = indices[(indices < 0) | (indices >= _MAX_INDEX)]
     if bad.size:
         raise ValueError(f"path index {int(bad[0])} out of range")
     out = np.empty((indices.size, count))
+    skipped = np.empty(start)
     bitgen = np.random.Philox(0)
     fill = getattr(np.random.Generator(bitgen), method)
     # plain lists: the state setter reads them faster than arrays
@@ -87,5 +97,7 @@ def _block(seed, indices, count, stream, method):
         for row, index in enumerate(indices.tolist()):
             key[1] = high | index
             bitgen.state = fresh
+            if start:
+                fill(out=skipped)
             fill(out=out[row])
     return out

@@ -106,9 +106,18 @@ def test_jump_command(runner, tmp_path):
     assert "compensator_identity" in rep["estimates"]
 
 
-def test_jump_report_reproducible_across_threads_and_runs(runner, tmp_path):
-    # two chunks of paths
-    cfg = _small(tmp_path, "poisson-U4", n_paths=5000)
+def test_jump_report_reproducible_across_threads_and_runs(runner, tmp_path,
+                                                         monkeypatch):
+    # three chunks of paths, which --threads 2 runs on two workers
+    from martprop import jumpkit, mc
+    workers = []
+
+    def spied(work, n, chunk_size, threads=1):
+        workers.append(threads)
+        return mc.map_chunks(work, n, chunk_size, threads)
+    monkeypatch.setattr(jumpkit, "map_chunks", spied)
+    monkeypatch.setattr(jumpkit, "CHUNK_SIZE", 200)
+    cfg = _small(tmp_path, "poisson-U4", n_paths=500)
     blobs = []
     for threads in ("1", "2", "1"):
         out = tmp_path / f"t{len(blobs)}.json"
@@ -117,6 +126,7 @@ def test_jump_report_reproducible_across_threads_and_runs(runner, tmp_path):
                                    "--output", str(out)])
         assert res.exit_code == 0
         blobs.append(out.read_bytes())
+    assert workers == [1, 2, 1]
     assert blobs[0] == blobs[1] == blobs[2]
 
 

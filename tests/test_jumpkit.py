@@ -318,6 +318,33 @@ def test_time_dependent_U_is_checked_at_every_grid_time():
             trip, gd, SimConfig(n_paths=10, dt_max=0.25, horizon=1.5, seed=1))
 
 
+@pytest.mark.parametrize("trip, gd, levels", [
+    pytest.param(*POISSON_U4, (6.0,), id="poisson-U4"),
+    pytest.param(*ATOM_HALF, (1.5, 2.5), id="atom-half"),
+    pytest.param(JumpTriplet(base=BM, cp_rate=1.0,
+                             cp_dist=DiscreteDist((0.5, 1.0), (0.5, 0.5))),
+                 GirsanovData(K="0.5*tanh(x)", U="(1 + t)*(1 + x)"),
+                 (3.0, 6.0), id="U-of-t-and-y"),
+])
+def test_modified_rows_follow_girsanov(trip, gd, levels):
+    # Girsanov: Q(sup |X| < m on [0, t]) = E_P[Z_t 1{sup |X| < m on
+    # [0, t]}].  The grid's likelihood ratio of the modified to the
+    # original rows is Z itself (Gaussian steps with drift b against
+    # b + K c, Poisson counts at rate lambda p_j against lambda p_j U_j,
+    # atom fire and size laws), so the two sides agree up to MC noise on
+    # any grid.  A drift the modified rows get twice moves them apart.
+    cfg = SimConfig(n_paths=20000, dt_max=0.01, horizon=1.0, seed=7)
+    original, modified = simulate_jump_exponential(
+        trip, gd, cfg, levels=levels, eval_times=(1.0,))
+    for j, m in enumerate(levels):
+        p_side = np.where(original.passage_times[:, j] > 1.0,
+                          original.z_evals[:, 0], 0.0)
+        q_side = modified.passage_times[:, j] > 1.0
+        se = math.hypot(np.std(p_side, ddof=1), np.std(q_side, ddof=1))
+        gap = float(np.mean(p_side) - np.mean(q_side))
+        assert abs(gap) <= 4.0 * se / math.sqrt(cfg.n_paths), (m, gap)
+
+
 def _poisson_inverse(u, mu):
     k, term = 0, math.exp(-mu)
     acc = term
@@ -351,8 +378,7 @@ def _reference_path(trip, gd, grid, seed, path, levels, eval_times,
         c = s * s
         k = gd.K(t0, x)
         if modified:
-            b += k * c + lam * sum(p * (y if abs(y) <= 1 else 0.0) * (v - 1)
-                                   for y, p, v in zip(sizes, probs, u))
+            b += k * c
         dw = normals[i] * math.sqrt(dt)
         log_zc += k * s * dw - 0.5 * k * k * c * dt - lam * sum(
             p * (v - 1) for p, v in zip(probs, u)) * dt

@@ -22,7 +22,7 @@ from martprop.model import (
     LocalizationPlan,
     modified_drift,
 )
-from martprop.rng import path_generator
+from martprop.rng import MAIN_STREAM, normal_block, path_generator
 
 BM = DiffusionSpec.scalar("0", "1")
 BETA_X = ExponentSpec.scalar("x")
@@ -98,6 +98,47 @@ def test_paths_follow_their_documented_streams():
         assert ens.final_state[idx, 0] == x
         assert ens.status[idx] == (3 if abs(x) >= 4.0 else 0)
     assert 0 < stopped < cfg.n_paths
+
+
+def test_grown_buffers_hold_only_the_steps_not_yet_taken(monkeypatch):
+    # b = 0 and sigma = (1 + 4t) I in 2-d: every path takes the same steps
+    # dt = dt_max / (2 sigma^2 + 1), more than four times the first
+    # buffer's, so every path outgrows it three times
+    d = 2
+    spec = DiffusionSpec(dim=d, intervals=((-math.inf, math.inf),) * d,
+                         b=("0", "0"),
+                         sigma=(("1 + 4*t", "0"), ("0", "1 + 4*t")),
+                         x0=(0.0, 0.0))
+    cfg = SimConfig(n_paths=8, dt_max=0.05, horizon=1.0, seed=11)
+    taken, t = 0, 0.0
+    while t < cfg.horizon:
+        s = 1.0 + 4.0 * t
+        t = t + min(cfg.dt_max / (d * s * s + 1.0), cfg.horizon - t)
+        if t >= cfg.horizon - 1e-12:
+            t = cfg.horizon
+        taken += 1
+    draws = []
+
+    def recorded(seed, indices, count, stream=MAIN_STREAM, start=0):
+        draws.append((len(indices), start, count))
+        return normal_block(seed, indices, count, stream, start)
+    monkeypatch.setattr(mc, "normal_block", recorded)
+    run_ensemble(spec, cfg)
+    first = draws[0][2] // d
+    assert draws[0] == (cfg.n_paths, 0, first * d)
+    # the doubling rule: for a path that outgrows steps [0, k), the
+    # normals of steps [0, 2k) are generated
+    grown = []
+    while first * 2 ** len(grown) < taken:
+        grown.append(first * 2 ** len(grown))
+    assert len(grown) == 3
+    assert len(draws) == 1 + len(grown)
+    assert (sum(rows * (start + count) for rows, start, count in draws)
+            == cfg.n_paths * d * (first + sum(2 * k for k in grown)))
+    # a grown block starts at the step that outgrew the last one, so it
+    # holds no step already taken, and is k steps wide
+    for k, (rows, start, count) in zip(grown, draws[1:]):
+        assert (rows, start, count) == (cfg.n_paths, k * d, k * d)
 
 
 def test_compaction_does_not_change_output(monkeypatch):

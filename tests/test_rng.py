@@ -3,6 +3,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from martprop.rng import (JUMP_STREAM, MAIN_STREAM, normal_block,
                           path_generator, uniform_block)
@@ -48,6 +50,23 @@ def test_normal_block_rows_are_path_streams(seed, stream):
         np.testing.assert_array_equal(
             block[row],
             path_generator(seed, index, stream).standard_normal(23))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.sampled_from([0, 42, 2 ** 63 + 12345, 2 ** 64 - 1]),
+       stream=st.sampled_from([MAIN_STREAM, 1, JUMP_STREAM]),
+       start=st.sampled_from([0, 1, 37, 61]),
+       count=st.integers(min_value=0, max_value=40))
+def test_normal_block_rows_continue_their_streams_at_start(seed, stream,
+                                                          start, count):
+    # start 61 lies beyond every count drawn
+    indices = [0, 3, 2 ** 48 - 1]
+    block = normal_block(seed, indices, count, stream, start=start)
+    assert block.shape == (len(indices), count)
+    for row, index in enumerate(indices):
+        full = path_generator(seed, index, stream).standard_normal(
+            start + count)
+        np.testing.assert_array_equal(block[row], full[start:])
 
 
 @pytest.mark.parametrize("seed", [0, 42, 2 ** 63 + 12345])
