@@ -44,6 +44,9 @@ from .mc import (
     novikov_estimate,
 )
 
+# paths sampled for the Hilbert kit's empirical condition checks
+CONDITION_PATHS = 128
+
 _VALIDATION_ERRORS = (ConfigError, ValidationError, ExprSyntaxError,
                       UnknownIdentifier, DimensionMismatch,
                       IndexOutOfRange, PreconditionViolated)
@@ -232,17 +235,14 @@ def jump(config_path, preset, seed, threads, output_path, fmt):
 
 @main.command()
 @_common
-@click.option("--condition-paths", type=int, default=128,
-              help="Paths used for the empirical condition checks.")
-def hilbert(config_path, preset, seed, threads, output_path, fmt,
-            condition_paths):
+def hilbert(config_path, preset, seed, threads, output_path, fmt):
     """Cylindrical exponent over truncated Q-Brownian motion."""
     def body():
         rc = _resolve(config_path, preset, seed, kind="hilbert")
         rc.functional.check_modes(rc.covariance.modes)
-        cond_cfg = replace(rc.mc.until(rc.t), n_paths=condition_paths)
+        cond_cfg = replace(rc.mc.until(rc.t), n_paths=CONDITION_PATHS)
         times, states = sample_path_array(rc.covariance, cond_cfg,
-                                          condition_paths)
+                                          CONDITION_PATHS)
         cond = check_conditions(rc.functional, rc.covariance, times,
                                 states)
         direct, curve = estimate_hilbert_expectation(

@@ -369,6 +369,59 @@ def _atom_steps(trip, gd, grid, first_column):
     return out
 
 
+class _Jumps(NamedTuple):
+    """A chunk's compound-Poisson jumps, one entry per (grid step, row)
+    with a jump, ordered by step, then by row (original rows, then
+    modified rows): the step's entries are [bounds[i], bounds[i + 1])."""
+
+    bounds: np.ndarray   # (steps + 1,)
+    rows: np.ndarray     # row of each entry: path p, or m + p (modified)
+    counts: np.ndarray   # (entries, J) jump counts per support point
+    factor: np.ndarray   # product of (1 + Delta N) over the jumps
+    delta_n: np.ndarray  # smallest Delta N of the entry's jumps
+
+
+def _cp_jumps(cp, u, m):
+    """The jumps of a chunk's m paths under both triplets, from their
+    (m, steps * J) compound-Poisson uniforms: a support point jumps in a
+    step when its uniform reaches the count CDF's first entry, and its
+    count is the number of entries at or below the uniform."""
+    steps, n_sizes, k_max = cp.cdf.shape[1:]
+    u = u.reshape(m, steps, n_sizes)
+    parts = []
+    for run in (0, 1):
+        step, path, size = np.nonzero(
+            (u >= cp.cdf[run, :, :, 0]).transpose(1, 0, 2))
+        parts.append((step, path, size, np.full(step.size, run)))
+    step, path, size, run = (np.concatenate(v) for v in zip(*parts))
+    order = np.argsort(step, kind="stable")
+    step, path, size, run = step[order], path[order], size[order], \
+        run[order]
+    # one CDF column at a time, on the counts still growing
+    uj = u[path, step, size]
+    counts = np.ones(step.size, dtype=np.intp)
+    growing = np.arange(step.size)
+    for k in range(1, k_max):
+        growing = growing[uj[growing] >= cp.cdf[
+            run[growing], step[growing], size[growing], k]]
+        if not growing.size:
+            break
+        counts[growing] += 1
+    rows = run * m + path
+    first = np.ones(step.size, dtype=bool)
+    first[1:] = (step[1:] != step[:-1]) | (rows[1:] != rows[:-1])
+    table = np.zeros((int(first.sum()), n_sizes), dtype=np.intp)
+    table[np.cumsum(first) - 1, size] = counts
+    step = step[first]
+    delta_n = cp.delta_n[step]
+    return _Jumps(
+        bounds=np.searchsorted(step, np.arange(steps + 1)),
+        rows=rows[first],
+        counts=table,
+        factor=np.prod((1.0 + delta_n) ** table, axis=1),
+        delta_n=np.min(np.where(table > 0, delta_n, math.inf), axis=1))
+
+
 def _check_jump_bound(delta_n, t, paths):
     bad = delta_n <= -1.0
     if np.any(bad):
@@ -390,8 +443,15 @@ def simulate_jump_exponential(trip: JumpTriplet, gd: GirsanovData,
     `threads` threads) advance together, both triplets' rows stacked on
     the same draws; only the rows below the guard are held.  Everything
     that depends only on (t, jump size) is tabulated once per grid time,
-    and so is each of b, sigma, c and K free of x; the others are evaluated
-    each step on the live rows.  Path p reads only its own streams of
+    and so is each of b, sigma, c and K free of x, checked for finiteness
+    once; so are the drifts b and b + K c when b, c and K are all free of
+    x.  Before the time loop a chunk finds from its uniforms every (step,
+    row) with a compound-Poisson jump, its counts, its factor of Z and
+    its smallest Delta N (`_cp_jumps`).  Each step evaluates the other
+    coefficients on the live rows, advances x, log Z, R and C(Z), adds the
+    step's jumps on the rows still live (their `counts @ sizes` and
+    `counts @ c_term` there, which keeps the rounding of those products),
+    then the atoms.  Path p reads only its own streams of
     (seed, p): one main-stream normal per step, and on the jump stream one
     uniform per step and compound-Poisson support point (that point's jump
     count, by inversion of its Poisson CDF), then two per atom (fire,
@@ -418,12 +478,25 @@ def simulate_jump_exponential(trip: JumpTriplet, gd: GirsanovData,
     # x-free coefficients: one value per grid time (x only sets the shape)
     tables = [None if "x" in e.free_variables()
               else e.eval_array(grid[:-1], grid[:-1]) for e in coefs]
+    state_coefs = [k for k, tab in enumerate(tables) if tab is None]
+    # the tables are checked once; a step checks the others on its rows
+    tables_finite = np.ones(steps, dtype=bool)
+    for tab in tables:
+        if tab is not None:
+            tables_finite &= np.isfinite(tab)
+    b_tab, _, c_tab, k_tab = tables
+    # both triplets' drifts, b and b + K c, per grid step when x-free
+    drifts = (None if b_tab is None or c_tab is None or k_tab is None
+              else np.stack([b_tab, b_tab + k_tab * c_tab], axis=1))
+    check_bound = cp is not None and bool(np.any(cp.delta_n <= -1.0))
 
     def work(paths):
         normals = normal_block(config.seed, paths, steps)
         uniforms = (uniform_block(config.seed, paths, n_uniforms)
                     if n_uniforms else None)
         m = paths.size
+        jumps = (None if cp is None
+                 else _cp_jumps(cp, uniforms[:, :steps * n_sizes], m))
         z_evals = np.full((2 * m, len(eval_times)), math.nan)
         finals = np.empty((4, 2 * m))  # final z, min Delta N, R, C/Z
         passages = Passages(2 * m, levels)
@@ -446,21 +519,27 @@ def simulate_jump_exponential(trip: JumpTriplet, gd: GirsanovData,
                 break
             t0, t1 = grid[i], grid[i + 1]
             dt = t1 - t0
-            bv, sv, cv, kv = [e.eval_array(t0, x) if tab is None else tab[i]
-                              for e, tab in zip(coefs, tables)]
-            finite = (np.isfinite(bv) & np.isfinite(sv) & np.isfinite(cv)
-                      & np.isfinite(kv))
+            bv, sv, cv, kv = values = [
+                e.eval_array(t0, x) if tab is None else tab[i]
+                for e, tab in zip(coefs, tables)]
+            finite = tables_finite[i]
+            for k in state_coefs:
+                finite = finite & np.isfinite(values[k])
             if not np.all(finite):
                 r = int(np.argmin(finite))
                 raise EvalDomain(
                     f"non-finite coefficient on path {int(paths[draw[r]])} "
                     f"at t={t0:.6g}, x={float(x[r])}")
-            # the modified rows' drift b + K c, in a copy: bv may be x
-            # itself or a table entry.  No jump term: the modified jumps
-            # come at rate lambda p_j U_j and are added uncompensated, so
-            # they already carry the h-terms of the Girsanov drift
-            bv, kc = bv * np.ones_like(x), kv * cv
-            bv[last:] += kc[last:] if np.ndim(kc) else kc
+            # the modified rows' drift b + K c.  No jump term: the modified
+            # jumps come at rate lambda p_j U_j and are added
+            # uncompensated, so they already carry the h-terms of the
+            # Girsanov drift
+            if drifts is not None:
+                bv = drifts[i][run]
+            else:
+                # in a copy: bv may be x itself or a table entry
+                bv, kc = bv * np.ones_like(x), kv * cv
+                bv[last:] += kc[last:] if np.ndim(kc) else kc
             dW = normals[draw, i] * math.sqrt(dt)
             # exponent N: continuous part and CP compensator drift
             quad_var = kv * kv * cv * dt
@@ -474,20 +553,23 @@ def simulate_jump_exponential(trip: JumpTriplet, gd: GirsanovData,
             coz += quad_var
             x += bv * dt + sv * dW
 
-            if cp is not None:
-                u = uniforms[draw, i * n_sizes:(i + 1) * n_sizes]
-                cdf = cp.cdf[:, i]
-                hit = np.flatnonzero(np.any(u >= cdf[run, :, 0], axis=1))
-                if hit.size:
-                    counts = np.sum(u[hit, :, None] >= cdf[run[hit]], axis=2)
-                    dn = np.min(np.where(counts > 0, cp.delta_n[i],
-                                         math.inf), axis=1)
-                    _check_jump_bound(dn, t0, paths[draw[hit]])
-                    x[hit] += counts @ cp.sizes
-                    jump_prod[hit] *= np.prod(
-                        (1.0 + cp.delta_n[i]) ** counts, axis=1)
-                    dn_min[hit] = np.minimum(dn_min[hit], dn)
-                    coz[hit] += counts @ cp.c_term[i]
+            lo, hi = (0, 0) if jumps is None else jumps.bounds[i:i + 2]
+            if lo < hi:
+                # the step's jumps on rows still below the guard
+                ids = jumps.rows[lo:hi]
+                hit = np.searchsorted(row, ids)
+                live = row[np.minimum(hit, row.size - 1)] == ids
+                hit, sel = hit[live], lo + np.flatnonzero(live)
+                if check_bound:
+                    _check_jump_bound(jumps.delta_n[sel], t0,
+                                      paths[draw[hit]])
+                # the matrix products stay here, on the step's rows: their
+                # rounding depends on the rows multiplied together
+                counts = jumps.counts[sel]
+                x[hit] += counts @ cp.sizes
+                jump_prod[hit] *= jumps.factor[sel]
+                dn_min[hit] = np.minimum(dn_min[hit], jumps.delta_n[sel])
+                coz[hit] += counts @ cp.c_term[i]
 
             atom = atoms.get(i)
             if atom is not None:

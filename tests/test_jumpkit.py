@@ -309,6 +309,27 @@ def test_jump_of_minus_one_after_rounding_is_rejected():
         simulate_jump_exponential(trip, gd, CFG)
 
 
+@pytest.mark.parametrize("k, error, message", [
+    pytest.param("0", JumpBoundViolation,
+                 "Delta N = -1.0 <= -1 at t=0.65 on path 3", id="bound"),
+    pytest.param("log(0.5 - t)", EvalDomain,
+                 "non-finite coefficient on path 0 at t=0.5, "
+                 "x=0.8683018476881939", id="domain-first"),
+])
+def test_jump_bound_is_checked_at_the_step_where_the_jump_lands(k, error,
+                                                                message):
+    # U = exp(-60 t) is positive, but Delta N = U - 1 rounds to -1 once
+    # U <= 2^-54, from the grid time 0.65 on: the bound fails at the
+    # first step from there in which a path jumps, not before, and a
+    # K that leaves its domain at t = 0.5 raises first
+    trip = JumpTriplet(base=BM, cp_rate=2.0, cp_dist=UNIT)
+    cfg = SimConfig(n_paths=50, dt_max=0.05, horizon=1.0, seed=4)
+    with pytest.raises(error) as exc:
+        simulate_jump_exponential(
+            trip, GirsanovData(K=k, U="exp(-60*t)"), cfg)
+    assert str(exc.value) == message
+
+
 def test_time_dependent_U_is_checked_at_every_grid_time():
     trip = JumpTriplet(base=BM, cp_rate=1.0, cp_dist=UNIT)
     gd = GirsanovData(K="0", U="1 - t")  # admissible at t = 0, 0 at t = 1
@@ -366,6 +387,7 @@ def _reference_path(trip, gd, grid, seed, path, levels, eval_times,
         steps * len(sizes) + 2)
     x, log_zc, prod, r, coz, dn_min = trip.base.x0[0], 0.0, 1.0, 0.0, 0.0, \
         math.inf
+    multi = set()  # support points with a count of 2 or more in a step
     passage = [math.inf] * len(levels)
     z_pass = [math.nan] * len(levels)
     z_evals = [math.nan] * len(eval_times)
@@ -389,6 +411,8 @@ def _reference_path(trip, gd, grid, seed, path, levels, eval_times,
         for j, (y, p, v) in enumerate(zip(sizes, probs, u)):
             mu = lam * dt * p * (v if modified else 1.0)
             count = _poisson_inverse(uniforms[i * len(sizes) + j], mu)
+            if count > 1:
+                multi.add(j)
             if count:
                 x += count * y
                 prod *= v ** count
@@ -416,29 +440,36 @@ def _reference_path(trip, gd, grid, seed, path, levels, eval_times,
             break
         if t1 in eval_times:
             z_evals[eval_times.index(t1)] = z
-    return (z_evals, z, passage, z_pass, dn_min, r, coz)
+    return (z_evals, z, passage, z_pass, dn_min, r, coz, multi)
 
 
 _STATE_COEFS = ("-x", "1 + 0.1*x^2", "tanh(x)")
 _TIME_COEFS = ("0.5*t", "1 + t", "0.3*t")  # read from per-grid-time tables
+_FEW_JUMPS = (3.0, DiscreteDist((0.5, -1.5), (0.4, 0.6)))
+# at rate 40 and dt 0.05 a step's count is 2 or more with probability
+# about 0.2 to 0.5 on each support point; small sizes keep some paths
+# below the guard
+_MANY_JUMPS = (40.0, DiscreteDist((0.25, -0.2), (0.4, 0.6)))
 
 
-@pytest.mark.parametrize("modified, b, sigma, k", [
-    pytest.param(False, *_STATE_COEFS, id="False"),
-    pytest.param(True, *_STATE_COEFS, id="True"),
-    pytest.param(False, *_TIME_COEFS, id="False-x-free"),
-    pytest.param(True, *_TIME_COEFS, id="True-x-free"),
+@pytest.mark.parametrize("modified, b, sigma, k, cp", [
+    pytest.param(False, *_STATE_COEFS, _FEW_JUMPS, id="False"),
+    pytest.param(True, *_STATE_COEFS, _FEW_JUMPS, id="True"),
+    pytest.param(False, *_TIME_COEFS, _FEW_JUMPS, id="False-x-free"),
+    pytest.param(True, *_TIME_COEFS, _FEW_JUMPS, id="True-x-free"),
+    pytest.param(False, *_STATE_COEFS, _MANY_JUMPS, id="False-many-jumps"),
+    pytest.param(True, *_STATE_COEFS, _MANY_JUMPS, id="True-many-jumps"),
 ])
 def test_lockstep_chunks_match_a_scalar_loop_per_path(monkeypatch, modified,
-                                                      b, sigma, k):
+                                                      b, sigma, k, cp):
     # state- or time-dependent coefficients, a time-dependent U on a
     # two-point law, an atom off the regular grid, and a guard that stops
     # some paths; the original or the modified triplet of the one pass
     # that steps both, against its own loop
     base = DiffusionSpec.scalar(b, sigma, x0=0.2)
+    rate, law = cp
     trip = JumpTriplet(
-        base=base, cp_rate=3.0,
-        cp_dist=DiscreteDist((0.5, -1.5), (0.4, 0.6)),
+        base=base, cp_rate=rate, cp_dist=law,
         atoms=(Atom(time=0.375, mass=0.4,
                     dist=DiscreteDist((1.0, 2.0), (0.7, 0.3))),))
     gd = GirsanovData(K=k, U="1 + 0.5*t + 0.1*x")
@@ -449,11 +480,13 @@ def test_lockstep_chunks_match_a_scalar_loop_per_path(monkeypatch, modified,
     res = simulate_jump_exponential(trip, gd, cfg, levels=levels,
                                     eval_times=eval_times)[modified]
     grid = fixed_grid(1.0, 0.05, (0.375, *eval_times))
-    stopped = 0
+    stopped, multi = 0, set()
     for p in range(cfg.n_paths):
-        z_ev, z_fin, pas, z_pas, dn_min, r, coz = _reference_path(
-            trip, gd, grid, 3, p, levels, list(eval_times), 2.5, modified)
+        z_ev, z_fin, pas, z_pas, dn_min, r, coz, path_multi = \
+            _reference_path(trip, gd, grid, 3, p, levels, list(eval_times),
+                            2.5, modified)
         stopped += math.isnan(z_ev[-1])
+        multi |= path_multi
         np.testing.assert_allclose(res.z_evals[p], z_ev, rtol=1e-11)
         np.testing.assert_allclose(res.z_final[p], z_fin, rtol=1e-11)
         np.testing.assert_array_equal(res.passage_times[p], pas)
@@ -462,6 +495,8 @@ def test_lockstep_chunks_match_a_scalar_loop_per_path(monkeypatch, modified,
         np.testing.assert_allclose(res.r_final[p], r, rtol=1e-11)
         np.testing.assert_allclose(res.c_over_z_final[p], coz, rtol=1e-11)
     assert 0 < stopped < cfg.n_paths
+    if cp is _MANY_JUMPS:
+        assert multi == {0, 1}
 
 
 def _first_error(b, k):
