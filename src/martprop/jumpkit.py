@@ -369,53 +369,58 @@ def _atom_steps(trip, gd, grid, first_column):
     return out
 
 
-class _Jumps(NamedTuple):
-    """A chunk's compound-Poisson jumps, one entry per (grid step, row)
-    with a jump, ordered by step, then by row (original rows, then
-    modified rows): the step's entries are [bounds[i], bounds[i + 1])."""
+# cells (grid step, row, support point) whose compound-Poisson jumps a
+# chunk finds at once: a peak of about 13 MB when every cell jumps
+JUMP_BLOCK_CELLS = 2 ** 17
 
-    bounds: np.ndarray   # (steps + 1,)
+
+class _Jumps(NamedTuple):
+    """The compound-Poisson jumps of a block of grid steps, one entry per
+    (step, row) with a jump, ordered by step, then by row (original rows,
+    then modified rows): the block's step s has entries [bounds[s],
+    bounds[s + 1])."""
+
+    bounds: np.ndarray   # (block steps + 1,)
     rows: np.ndarray     # row of each entry: path p, or m + p (modified)
     counts: np.ndarray   # (entries, J) jump counts per support point
     factor: np.ndarray   # product of (1 + Delta N) over the jumps
     delta_n: np.ndarray  # smallest Delta N of the entry's jumps
 
 
-def _cp_jumps(cp, u, m):
-    """The jumps of a chunk's m paths under both triplets, from their
-    (m, steps * J) compound-Poisson uniforms: a support point jumps in a
-    step when its uniform reaches the count CDF's first entry, and its
-    count is the number of entries at or below the uniform."""
-    steps, n_sizes, k_max = cp.cdf.shape[1:]
-    u = u.reshape(m, steps, n_sizes)
-    parts = []
-    for run in (0, 1):
-        step, path, size = np.nonzero(
-            (u >= cp.cdf[run, :, :, 0]).transpose(1, 0, 2))
-        parts.append((step, path, size, np.full(step.size, run)))
-    step, path, size, run = (np.concatenate(v) for v in zip(*parts))
-    order = np.argsort(step, kind="stable")
-    step, path, size, run = step[order], path[order], size[order], \
-        run[order]
+def _cp_jumps(cp, u, start, stop):
+    """The jumps in grid steps [start, stop) of a chunk's paths under both
+    triplets, from their (m, steps, J) compound-Poisson uniforms: a support
+    point jumps in a step when its uniform reaches the count CDF's first
+    entry, and its count is the number of entries at or below the
+    uniform."""
+    m = u.shape[0]
+    k_max = cp.cdf.shape[-1]
+    u, cdf, delta_n = u[:, start:stop], cp.cdf[:, start:stop], \
+        cp.delta_n[start:stop]
+    # a (step, run, path, size) mask: its entries come by step, then row
+    step, run, path, size = np.nonzero(
+        u.transpose(1, 0, 2)[:, None]
+        >= cdf[..., 0].transpose(1, 0, 2)[:, :, None])
     # one CDF column at a time, on the counts still growing
     uj = u[path, step, size]
     counts = np.ones(step.size, dtype=np.intp)
     growing = np.arange(step.size)
     for k in range(1, k_max):
-        growing = growing[uj[growing] >= cp.cdf[
+        growing = growing[uj[growing] >= cdf[
             run[growing], step[growing], size[growing], k]]
         if not growing.size:
             break
         counts[growing] += 1
     rows = run * m + path
+    del run, path, uj, growing
     first = np.ones(step.size, dtype=bool)
     first[1:] = (step[1:] != step[:-1]) | (rows[1:] != rows[:-1])
-    table = np.zeros((int(first.sum()), n_sizes), dtype=np.intp)
+    table = np.zeros((int(first.sum()), delta_n.shape[1]), dtype=np.intp)
     table[np.cumsum(first) - 1, size] = counts
     step = step[first]
-    delta_n = cp.delta_n[step]
+    delta_n = delta_n[step]
     return _Jumps(
-        bounds=np.searchsorted(step, np.arange(steps + 1)),
+        bounds=np.searchsorted(step, np.arange(cdf.shape[1] + 1)),
         rows=rows[first],
         counts=table,
         factor=np.prod((1.0 + delta_n) ** table, axis=1),
@@ -444,14 +449,15 @@ def simulate_jump_exponential(trip: JumpTriplet, gd: GirsanovData,
     the same draws; only the rows below the guard are held.  Everything
     that depends only on (t, jump size) is tabulated once per grid time,
     and so is each of b, sigma, c and K free of x, checked for finiteness
-    once; so are the drifts b and b + K c when b, c and K are all free of
-    x.  Before the time loop a chunk finds from its uniforms every (step,
-    row) with a compound-Poisson jump, its counts, its factor of Z and
-    its smallest Delta N (`_cp_jumps`).  Each step evaluates the other
-    coefficients on the live rows, advances x, log Z, R and C(Z), adds the
-    step's jumps on the rows still live (their `counts @ sizes` and
-    `counts @ c_term` there, which keeps the rounding of those products),
-    then the atoms.  Path p reads only its own streams of
+    once.  Ahead of the steps, a
+    block of them at a time (JUMP_BLOCK_CELLS cells of step, row and
+    support point), a chunk finds from its uniforms every (step, row) with
+    a compound-Poisson jump, its counts, its factor of Z and its smallest
+    Delta N (`_cp_jumps`).  Each step evaluates the other coefficients on
+    the live rows, advances x, log Z, R and C(Z), adds the step's jumps on
+    the rows still live (their `counts @ sizes` and `counts @ c_term`
+    there, which keeps the rounding of those products), then the atoms.
+    Path p reads only its own streams of
     (seed, p): one main-stream normal per step, and on the jump stream one
     uniform per step and compound-Poisson support point (that point's jump
     count, by inversion of its Poisson CDF), then two per atom (fire,
@@ -484,10 +490,6 @@ def simulate_jump_exponential(trip: JumpTriplet, gd: GirsanovData,
     for tab in tables:
         if tab is not None:
             tables_finite &= np.isfinite(tab)
-    b_tab, _, c_tab, k_tab = tables
-    # both triplets' drifts, b and b + K c, per grid step when x-free
-    drifts = (None if b_tab is None or c_tab is None or k_tab is None
-              else np.stack([b_tab, b_tab + k_tab * c_tab], axis=1))
     check_bound = cp is not None and bool(np.any(cp.delta_n <= -1.0))
 
     def work(paths):
@@ -495,18 +497,17 @@ def simulate_jump_exponential(trip: JumpTriplet, gd: GirsanovData,
         uniforms = (uniform_block(config.seed, paths, n_uniforms)
                     if n_uniforms else None)
         m = paths.size
-        jumps = (None if cp is None
-                 else _cp_jumps(cp, uniforms[:, :steps * n_sizes], m))
+        if cp is not None:
+            cp_u = uniforms[:, :steps * n_sizes].reshape(m, steps, n_sizes)
+            block = max(1, JUMP_BLOCK_CELLS // (2 * m * n_sizes))
         z_evals = np.full((2 * m, len(eval_times)), math.nan)
         finals = np.empty((4, 2 * m))  # final z, min Delta N, R, C/Z
         passages = Passages(2 * m, levels)
         # the state of the live rows only: the original triplet's paths,
         # then the modified one's.  `row` is a row's place in the outputs,
-        # `run` its triplet (1 modified) and `draw` its path in the draws;
-        # the modified rows start at `last`
+        # `run` its triplet (1 modified) and `draw` its path in the draws
         row = np.arange(2 * m)
         run, draw = np.divmod(row, m)
-        last = m
         x = np.full(row.size, trip.base.x0[0])
         log_zc = np.zeros(row.size)   # continuous part: N^c - 0.5 <N^c>
         jump_prod = np.ones(row.size)  # product of (1 + Delta N)
@@ -525,7 +526,7 @@ def simulate_jump_exponential(trip: JumpTriplet, gd: GirsanovData,
             finite = tables_finite[i]
             for k in state_coefs:
                 finite = finite & np.isfinite(values[k])
-            if not np.all(finite):
+            if not finite.all():
                 r = int(np.argmin(finite))
                 raise EvalDomain(
                     f"non-finite coefficient on path {int(paths[draw[r]])} "
@@ -534,12 +535,7 @@ def simulate_jump_exponential(trip: JumpTriplet, gd: GirsanovData,
             # jumps come at rate lambda p_j U_j and are added
             # uncompensated, so they already carry the h-terms of the
             # Girsanov drift
-            if drifts is not None:
-                bv = drifts[i][run]
-            else:
-                # in a copy: bv may be x itself or a table entry
-                bv, kc = bv * np.ones_like(x), kv * cv
-                bv[last:] += kc[last:] if np.ndim(kc) else kc
+            bv = np.where(run, bv + kv * cv, bv)
             dW = normals[draw, i] * math.sqrt(dt)
             # exponent N: continuous part and CP compensator drift
             quad_var = kv * kv * cv * dt
@@ -553,7 +549,11 @@ def simulate_jump_exponential(trip: JumpTriplet, gd: GirsanovData,
             coz += quad_var
             x += bv * dt + sv * dW
 
-            lo, hi = (0, 0) if jumps is None else jumps.bounds[i:i + 2]
+            lo = hi = 0
+            if cp is not None:
+                if i % block == 0:
+                    jumps = _cp_jumps(cp, cp_u, i, i + block)
+                lo, hi = jumps.bounds[i % block:i % block + 2]
             if lo < hi:
                 # the step's jumps on rows still below the guard
                 ids = jumps.rows[lo:hi]
@@ -599,7 +599,6 @@ def simulate_jump_exponential(trip: JumpTriplet, gd: GirsanovData,
                     count, z = (v[going] for v in (
                         row, run, draw, x, log_zc, jump_prod, r_acc, coz,
                         dn_min, count, z))
-                last = int(np.searchsorted(run, 1))
             j = eval_column.get(i)
             if j is not None:
                 z_evals[row, j] = z

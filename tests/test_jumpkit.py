@@ -477,6 +477,8 @@ def test_lockstep_chunks_match_a_scalar_loop_per_path(monkeypatch, modified,
     cfg = SimConfig(n_paths=40, dt_max=0.05, horizon=1.0, seed=3,
                     explosion_guard=2.5)
     monkeypatch.setattr(jumpkit, "CHUNK_SIZE", 7)
+    # 2 * 7 rows and 2 support points: jumps are found 3 steps at a time
+    monkeypatch.setattr(jumpkit, "JUMP_BLOCK_CELLS", 100)
     res = simulate_jump_exponential(trip, gd, cfg, levels=levels,
                                     eval_times=eval_times)[modified]
     grid = fixed_grid(1.0, 0.05, (0.375, *eval_times))
