@@ -76,6 +76,8 @@ def _collocation_tables(t):
 
 
 _TO_COEFFS, _WEIGHTS, _DIFF = _collocation_tables(_T)
+# the diagonal of a panel's system, the rows and columns of u > a
+_DIAG_INNER = np.diag_indices(_NODES - 1)
 # A panel is resolved when the highest Chebyshev coefficients of g' times
 # the half-width, an absolute bound on the error of g, are below
 # _G_TAIL_TOL (a relative test never resolves the kink of |x|^p at 0) or
@@ -165,7 +167,7 @@ def log_scale_density(spec: DiffusionSpec, x: float, xi: float) -> float:
 
 def _tail(values):
     """Largest of the three highest Chebyshev coefficients."""
-    return float(np.max(np.abs((_TO_COEFFS @ values)[-3:])))
+    return np.abs((_TO_COEFFS @ values)[-3:]).max()
 
 
 class _Sweep:
@@ -226,35 +228,42 @@ class _Sweep:
         half = 0.5 * (b - a)
         zs = self.xi + self.direction * (0.5 * (a + b) + half * _T)
         cs = self.c_expr.eval_array(0.0, zs)
-        _require_positive_c(zs, cs)
-        gp = self.direction * 2.0 * self.b_expr.eval_array(0.0, zs) / cs
-        if not np.all(np.isfinite(gp)):
-            raise QuadratureFailure(
-                f"non-finite drift ratio 2b/c on z in "
-                f"[{min(zs[0], zs[-1])!r}, {max(zs[0], zs[-1])!r}]")
-        g_tail = _tail(gp)
-        if (g_tail * half > _G_TAIL_TOL
-                and g_tail > _G_TAIL_FLOOR * float(np.max(np.abs(gp)))):
-            return None
-        # J = exp(s) K on the panel; solve (D / half + diag(g')) K = 2/c e^-s
-        # with K(a) = J(a) e^-s eliminated rather than kept as an equation:
-        # beside rows of size |g'| it would only hold to eps * max |g'|
-        s, k_a = (0.0, 0.0) if self.log_j == -math.inf else (self.log_j, 1.0)
-        k = np.empty(_NODES)
-        k[0] = k_a
+        bs = self.b_expr.eval_array(0.0, zs)
         with np.errstate(all="ignore"):
-            rhs = 2.0 * np.exp(-(s + np.log(cs[1:])))
+            # log c is finite where 0 < c < inf
+            log_cs = np.log(cs)
+            if not np.isfinite(log_cs).all():
+                _require_positive_c(zs, cs)
+            gp = self.direction * 2.0 * bs / cs
+            if not np.isfinite(gp).all():
+                raise QuadratureFailure(
+                    f"non-finite drift ratio 2b/c on z in "
+                    f"[{min(zs[0], zs[-1])!r}, {max(zs[0], zs[-1])!r}]")
+            g_tail = _tail(gp)
+            if (g_tail * half > _G_TAIL_TOL
+                    and g_tail > _G_TAIL_FLOOR * np.abs(gp).max()):
+                return None
+            # J = exp(s) K on the panel; solve (D / half + diag(g')) K =
+            # 2/c e^-s with K(a) = J(a) e^-s eliminated rather than kept as
+            # an equation: beside rows of size |g'| it would only hold to
+            # eps * max |g'|
+            s, k_a = ((0.0, 0.0) if self.log_j == -math.inf
+                      else (self.log_j, 1.0))
+            system = _DIFF[1:, 1:] / half
+            system[_DIAG_INNER] += gp[1:]
+            k = np.empty(_NODES)
+            k[0] = k_a
             try:
                 k[1:] = np.linalg.solve(
-                    _DIFF[1:, 1:] / half + np.diag(gp[1:]),
-                    rhs - _DIFF[1:, 0] * (k_a / half))
+                    system, 2.0 * np.exp(-s - log_cs[1:])
+                    - _DIFF[1:, 0] * (k_a / half))
             except np.linalg.LinAlgError:
                 return None
-            area = half * float(_WEIGHTS @ k)
-        if not (np.all(np.isfinite(k)) and area > 0.0 and k[-1] > 0.0):
-            return None
-        if _tail(k) > _K_TAIL_TOL * float(np.max(np.abs(k))):
-            return None
+            area = half * (_WEIGHTS @ k)
+            if not (np.isfinite(k).all() and area > 0.0 and k[-1] > 0.0):
+                return None
+            if _tail(k) > _K_TAIL_TOL * np.abs(k).max():
+                return None
         return s + math.log(area), s + math.log(k[-1])
 
 
@@ -391,7 +400,10 @@ def martingale_verdict(spec: DiffusionSpec, exp: ExponentSpec,
         return MartingaleVerdict(Classification.INCONCLUSIVE, notes=notes)
 
     report_orig = classify_explosion(spec, xi=xi)
-    report_mod = classify_explosion(modified_drift(spec, exp), xi=xi)
+    modified = modified_drift(spec, exp)
+    # a zero Girsanov correction keeps the drift: the same test, once
+    report_mod = (report_orig if modified.b == spec.b
+                  else classify_explosion(modified, xi=xi))
     notes.append("uniqueness of the semimartingale problem is assumed, "
                  "not verified")
 

@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import (EvalDomain, JumpBoundViolation, ValidationError)
 from .expr import CoefficientExpr
-from .mc import (CHUNK_SIZE, Passages, SimConfig, fixed_grid, map_chunks,
-                 survival_curve)
+from .mc import (CHUNK_SIZE, Passages, SimConfig, _total, fixed_grid,
+                 map_chunks, survival_curve)
 from .model import (Classification, DiffusionSpec, LocalizationPlan,
                     MartingaleVerdict)
 from .rng import normal_block, uniform_block
@@ -382,9 +382,18 @@ class _Jumps(NamedTuple):
 
     bounds: np.ndarray   # (block steps + 1,)
     rows: np.ndarray     # row of each entry: path p, or m + p (modified)
-    counts: np.ndarray   # (entries, J) jump counts per support point
+    size: np.ndarray     # sum of the entry's jump sizes
+    c_term: np.ndarray   # sum of its terms of C(Z)
     factor: np.ndarray   # product of (1 + Delta N) over the jumps
     delta_n: np.ndarray  # smallest Delta N of the entry's jumps
+
+
+def _count_weighted(counts, values):
+    """sum_j counts[:, j] values[..., j] per entry, term by term in j, so
+    that an entry's sum does not depend on the entries beside it, as a
+    matrix product's rounding does."""
+    return _total(counts[:, j] * values[..., j]
+                  for j in range(counts.shape[1]))
 
 
 def _cp_jumps(cp, u, start, stop):
@@ -422,7 +431,8 @@ def _cp_jumps(cp, u, start, stop):
     return _Jumps(
         bounds=np.searchsorted(step, np.arange(cdf.shape[1] + 1)),
         rows=rows[first],
-        counts=table,
+        size=_count_weighted(table, cp.sizes),
+        c_term=_count_weighted(table, cp.c_term[start + step]),
         factor=np.prod((1.0 + delta_n) ** table, axis=1),
         delta_n=np.min(np.where(table > 0, delta_n, math.inf), axis=1))
 
@@ -452,11 +462,11 @@ def simulate_jump_exponential(trip: JumpTriplet, gd: GirsanovData,
     once.  Ahead of the steps, a
     block of them at a time (JUMP_BLOCK_CELLS cells of step, row and
     support point), a chunk finds from its uniforms every (step, row) with
-    a compound-Poisson jump, its counts, its factor of Z and its smallest
-    Delta N (`_cp_jumps`).  Each step evaluates the other coefficients on
-    the live rows, advances x, log Z, R and C(Z), adds the step's jumps on
-    the rows still live (their `counts @ sizes` and `counts @ c_term`
-    there, which keeps the rounding of those products), then the atoms.
+    a compound-Poisson jump, the sums of its sizes and of its terms of
+    C(Z), its factor of Z and its smallest Delta N (`_cp_jumps`).  Each
+    step evaluates the other coefficients on the live rows, advances x,
+    log Z, R and C(Z), adds the step's jumps on the rows still live, then
+    the atoms.
     Path p reads only its own streams of
     (seed, p): one main-stream normal per step, and on the jump stream one
     uniform per step and compound-Poisson support point (that point's jump
@@ -563,13 +573,10 @@ def simulate_jump_exponential(trip: JumpTriplet, gd: GirsanovData,
                 if check_bound:
                     _check_jump_bound(jumps.delta_n[sel], t0,
                                       paths[draw[hit]])
-                # the matrix products stay here, on the step's rows: their
-                # rounding depends on the rows multiplied together
-                counts = jumps.counts[sel]
-                x[hit] += counts @ cp.sizes
+                x[hit] += jumps.size[sel]
                 jump_prod[hit] *= jumps.factor[sel]
                 dn_min[hit] = np.minimum(dn_min[hit], jumps.delta_n[sel])
-                coz[hit] += counts @ cp.c_term[i]
+                coz[hit] += jumps.c_term[sel]
 
             atom = atoms.get(i)
             if atom is not None:

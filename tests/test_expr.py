@@ -181,3 +181,50 @@ def test_algebra_helpers():
     assert combined(0.0, 3.0) == 7.0
     assert CoefficientExpr.constant(0.0).is_zero()
     assert not parse("x").is_zero()
+
+
+# --- a constant evaluates as t at its value ---------------------------------
+
+# numpy's power loop computes x*x, sqrt(x) and 1/x for a scalar exponent of
+# 2, 0.5 and -1, and those round differently from its vector pow of two
+# arrays: handing a constant to a ufunc as a scalar, not as an array of x's
+# shape, can change the last bit.  _XS holds special values, and values
+# where those results differ.
+_XS = np.array([-3.5, -1.0, -0.25, -0.0, 0.0, 1e-310, 0.5, 1.0, 2.0, 7.25,
+                1e300, math.inf, -math.inf, math.nan,
+                0.5212566847213388, 0.9801291582249824, 0.32021132522164103,
+                0.7290103417684793, 0.12489268577933342, 0.3065615681682899])
+
+# (expression, the same with one constant written as t, that constant)
+_SMALL = (("2", 2.0), ("0.5", 0.5), ("0", 0.0), ("3", 3.0))
+_CONSTANTS = [(f"{c} {op} x", f"t {op} x", v)
+              for op in "+-*/^" for c, v in _SMALL]
+_CONSTANTS += [(f"x {op} {c}", f"x {op} t", v)
+               for op in "+-*/^" for c, v in _SMALL]
+_CONSTANTS += [
+    ("x ^ -1", "x ^ -t", 1.0),
+    ("log(0) * x", "log(t) * x", 0.0),
+    ("1 / 0 + x", "1 / t + x", 0.0),
+    ("-0 * x", "-t * x", 0.0),
+    ("exp(1) * x", "exp(t) * x", 1.0),
+    ("min(1, 2) * x", "min(t, 2) * x", 1.0),
+    ("max(x, 1 - 3)", "max(x, t - 3)", 1.0),
+    ("sqrt(2) * sin(3) - x", "sqrt(t) * sin(3) - x", 2.0),
+    ("0.8175242299741904 * 0.8175242299741904 * x ^ 3",
+     "t * 0.8175242299741904 * x ^ 3", 0.8175242299741904),
+]
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@pytest.mark.parametrize("text,reference,t", _CONSTANTS)
+def test_a_constant_evaluates_as_t_at_its_value(text, reference, t):
+    e, ref = parse(text), parse(reference)
+    assert "t" not in e.free_variables()
+    assert _same_bits(e.eval_array(t, _XS), ref.eval_array(t, _XS))
+    for xv in _XS:
+        assert _same_bits(e.eval_raw(t, xv), ref.eval_raw(t, xv))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from martprop import catalog
+from martprop import catalog, feller
 from martprop.acceptance import _scaled
 from martprop.errors import DegenerateDiffusion, PreconditionViolated
 from martprop.feller import (
@@ -230,6 +230,32 @@ def test_pinned_decisions(preset, dynamics, xi, lam, endpoint, status,
         assert side.value == pytest.approx(value, rel=1e-9)
 
 
+# The collocation sweep's own bits for the finite rows of _PINNED,
+# (xi, lam, endpoint) -> (probes_used, v): a change that only regroups
+# the sweep's arithmetic keeps them exactly
+_SWEEP_BITS = {
+    (None, 1.0, "left"): (6, 1.6426426193418047),
+    (None, 1.0, "right"): (6, 1.6426426193418047),
+    (0.6, 1.0, "left"): (6, 3.319503771886368),
+    (0.6, 1.0, "right"): (7, 0.6987907856268203),
+    (-1.3, 1.0, "left"): (7, 0.262357665196745),
+    (-1.3, 1.0, "right"): (5, 8.384903659853943),
+    (None, 0.5, "left"): (6, 3.2852852386836053),
+    (None, 0.5, "right"): (6, 3.2852852386836053),
+    (None, 2.0, "left"): (6, 0.8213213096709016),
+    (None, 2.0, "right"): (6, 0.8213213096709016),
+}
+
+
+@pytest.mark.parametrize("xi,lam,endpoint", list(_SWEEP_BITS))
+def test_sweep_bits(xi, lam, endpoint):
+    p = catalog.get("brownian-cubic")
+    spec = modified_drift(p.spec if lam == 1.0 else _scaled(p.spec, lam),
+                          p.exponent)
+    side = feller_v(spec, endpoint, spec.x0[0] if xi is None else xi)
+    assert (side.probes_used, side.value) == _SWEEP_BITS[xi, lam, endpoint]
+
+
 def test_pinned_kinked_coefficient():
     side = feller_v(DiffusionSpec.scalar("abs(x)^1.5", "1"), "left", 0.0)
     assert (side.status, side.probes_used) == ("infinite", 4)
@@ -339,3 +365,25 @@ def test_soft_check_downgrades_to_inconclusive():
 def test_modified_drift_feeds_feller():
     mod = modified_drift(BM, ExponentSpec.scalar("x^3"))
     assert mod.b[0](0.0, 2.0) == 8.0
+
+
+@pytest.mark.parametrize("preset,calls", [("identity-zero", 2),
+                                          ("brownian-linear", 4)])
+def test_one_feller_test_per_distinct_dynamics(monkeypatch, preset, calls):
+    # a zero Girsanov correction leaves the drift as it is: the modified
+    # dynamics are the original ones, tested once and reported twice
+    p = catalog.get(preset)
+    modified = modified_drift(p.spec, p.exponent)
+    expected = {"original": classify_explosion(p.spec).to_dict(),
+                "modified": classify_explosion(modified).to_dict()}
+    seen = []
+
+    def counting(*args):
+        seen.append(args)
+        return feller_v(*args)
+    monkeypatch.setattr(feller, "feller_v", counting)
+    v = martingale_verdict(p.spec, p.exponent).to_dict()
+    assert len(seen) == calls
+    assert v["classification"] == "TrueMartingale"
+    assert v["feller_original"] == expected["original"]
+    assert v["feller_modified"] == expected["modified"]

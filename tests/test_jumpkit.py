@@ -258,6 +258,44 @@ def test_cp_count_is_poisson_under_both_triplets():
         assert _within(counts == 0, p0, p0 * (1.0 - p0))
 
 
+def test_an_entrys_jump_sums_do_not_depend_on_the_entries_beside_it():
+    # small counts on non-dyadic sizes: a matrix product rounds row k
+    # differently inside a block than alone, for about one row in twenty
+    rng = np.random.default_rng(0)
+    sizes = np.array([0.3, -0.7, 0.1, 1.3, -0.45])
+    for _ in range(50):
+        counts = rng.poisson(0.7, size=(int(rng.integers(2, 200)), 5))
+        c_terms = rng.uniform(0.0, 2.0, size=counts.shape)
+        block = (jumpkit._count_weighted(counts, sizes),
+                 jumpkit._count_weighted(counts, c_terms))
+        for k in range(counts.shape[0]):
+            alone = (jumpkit._count_weighted(counts[k:k + 1], sizes),
+                     jumpkit._count_weighted(counts[k:k + 1],
+                                             c_terms[k:k + 1]))
+            assert (block[0][k], block[1][k]) == (alone[0][0], alone[1][0])
+
+
+def test_paths_do_not_depend_on_the_paths_that_jump_beside_them(
+        monkeypatch):
+    # several jumps per step on a three-point law of non-dyadic sizes, and
+    # modified rows that jump less often than the original ones: the same
+    # paths, one or forty to a chunk, give the same bits
+    trip = JumpTriplet(base=DiffusionSpec.scalar("-x", "1"), cp_rate=120.0,
+                       cp_dist=DiscreteDist((0.3, -0.7, 0.1),
+                                            (1 / 3, 1 / 3, 1 / 3)))
+    gd = GirsanovData(K="0.5*sin(x)", U="0.1 + 0.05*x")
+    cfg = SimConfig(n_paths=40, dt_max=0.05, horizon=1.0, seed=7,
+                    explosion_guard=1e6)
+    runs = []
+    for chunk in (1, 40):
+        monkeypatch.setattr(jumpkit, "CHUNK_SIZE", chunk)
+        runs.append(simulate_jump_exponential(trip, gd, cfg))
+    for a, b in zip(*runs):
+        for field in a._fields:
+            np.testing.assert_array_equal(getattr(a, field),
+                                          getattr(b, field))
+
+
 def test_two_point_law_counts_per_support_point():
     # sizes 1 and 2 with U = (x + 1)^2 = 4 and 9: a jump adds 1 or 4 to
     # C(Z) and multiplies Z by 4 or 9, so (C, Z) give both counts
