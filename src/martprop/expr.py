@@ -319,8 +319,13 @@ class CoefficientExpr:
         return cls(Num(value))
 
     def eval_raw(self, t: float, x: float) -> float:
-        """Evaluate at one point; returns inf/nan in-band, never raises."""
-        return float(self.eval_array(float(t), float(x)))
+        """Evaluate at one point; returns inf/nan in-band, never raises.
+
+        The point is a one-element array, so numpy takes the same loops
+        as over any array and the value matches `eval_array` bit for bit
+        (on 0-d arrays its power takes scalar paths that round
+        differently)."""
+        return float(self.eval_array(float(t), np.array([float(x)]))[0])
 
     def __call__(self, t: float, x: float) -> float:
         """Evaluate, requiring a finite result."""

@@ -463,10 +463,13 @@ def simulate_jump_exponential(trip: JumpTriplet, gd: GirsanovData,
     block of them at a time (JUMP_BLOCK_CELLS cells of step, row and
     support point), a chunk finds from its uniforms every (step, row) with
     a compound-Poisson jump, the sums of its sizes and of its terms of
-    C(Z), its factor of Z and its smallest Delta N (`_cp_jumps`).  Each
+    C(Z), its factor of Z and its smallest Delta N (`_cp_jumps`).  The
+    chunk's normals are scaled by sqrt(dt) once, after the draw.  Each
     step evaluates the other coefficients on the live rows, advances x,
-    log Z, R and C(Z), adds the step's jumps on the rows still live, then
-    the atoms.
+    log Z, R and C(Z), adds the step's jumps on the rows still live (by
+    their row numbers directly until some row leaves), then the atoms.
+    Z = exp(log Z^c) prod(1 + Delta N) is formed only where it is read:
+    at level crossings, at eval times, at guard stops and at the end.
     Path p reads only its own streams of
     (seed, p): one main-stream normal per step, and on the jump stream one
     uniform per step and compound-Poisson support point (that point's jump
@@ -500,10 +503,14 @@ def simulate_jump_exponential(trip: JumpTriplet, gd: GirsanovData,
     for tab in tables:
         if tab is not None:
             tables_finite &= np.isfinite(tab)
+    tables_finite = tables_finite.tolist()
     check_bound = cp is not None and bool(np.any(cp.delta_n <= -1.0))
+    root_dt = np.sqrt(np.diff(grid))
 
     def work(paths):
+        # normals[p, i] sqrt(dt) is path p's Brownian increment in step i
         normals = normal_block(config.seed, paths, steps)
+        normals *= root_dt
         uniforms = (uniform_block(config.seed, paths, n_uniforms)
                     if n_uniforms else None)
         m = paths.size
@@ -525,6 +532,11 @@ def simulate_jump_exponential(trip: JumpTriplet, gd: GirsanovData,
         coz = np.zeros(row.size)      # int (1/Z_-^2) dC(Z)
         dn_min = np.full(row.size, math.inf)
         count = np.zeros(row.size, dtype=np.intp)   # levels crossed
+
+        def z_at(k):
+            # Z at live positions k, formed only where it is read
+            return np.exp(log_zc[k]) * jump_prod[k]
+
         for i in range(steps):
             if not row.size:
                 break
@@ -534,10 +546,14 @@ def simulate_jump_exponential(trip: JumpTriplet, gd: GirsanovData,
                 e.eval_array(t0, x) if tab is None else tab[i]
                 for e, tab in zip(coefs, tables)]
             finite = tables_finite[i]
-            for k in state_coefs:
-                finite = finite & np.isfinite(values[k])
-            if not finite.all():
-                r = int(np.argmin(finite))
+            if finite and state_coefs:
+                each = np.isfinite(values[state_coefs[0]])
+                for k in state_coefs[1:]:
+                    each &= np.isfinite(values[k])
+                finite = each.all()
+            if not finite:
+                # the first row with a non-finite value, row 0 for a table
+                r = int(np.argmin(each)) if tables_finite[i] else 0
                 raise EvalDomain(
                     f"non-finite coefficient on path {int(paths[draw[r]])} "
                     f"at t={t0:.6g}, x={float(x[r])}")
@@ -546,7 +562,7 @@ def simulate_jump_exponential(trip: JumpTriplet, gd: GirsanovData,
             # uncompensated, so they already carry the h-terms of the
             # Girsanov drift
             bv = np.where(run, bv + kv * cv, bv)
-            dW = normals[draw, i] * math.sqrt(dt)
+            dW = normals[draw, i]
             # exponent N: continuous part and CP compensator drift
             quad_var = kv * kv * cv * dt
             dlog = kv * sv * dW - 0.5 * quad_var
@@ -565,11 +581,15 @@ def simulate_jump_exponential(trip: JumpTriplet, gd: GirsanovData,
                     jumps = _cp_jumps(cp, cp_u, i, i + block)
                 lo, hi = jumps.bounds[i % block:i % block + 2]
             if lo < hi:
-                # the step's jumps on rows still below the guard
-                ids = jumps.rows[lo:hi]
-                hit = np.searchsorted(row, ids)
-                live = row[np.minimum(hit, row.size - 1)] == ids
-                hit, sel = hit[live], lo + np.flatnonzero(live)
+                if row.size == 2 * m:
+                    # no row has left: positions are row numbers
+                    hit, sel = jumps.rows[lo:hi], slice(lo, hi)
+                else:
+                    # the step's jumps on rows still below the guard
+                    ids = jumps.rows[lo:hi]
+                    hit = np.searchsorted(row, ids)
+                    live = row[np.minimum(hit, row.size - 1)] == ids
+                    hit, sel = hit[live], lo + np.flatnonzero(live)
                 if check_bound:
                     _check_jump_bound(jumps.delta_n[sel], t0,
                                       paths[draw[hit]])
@@ -595,21 +615,21 @@ def simulate_jump_exponential(trip: JumpTriplet, gd: GirsanovData,
 
             # levels before the guard; a stopped path records no eval time
             ax = np.abs(x)
-            z = np.exp(log_zc) * jump_prod
             if len(levels):
-                passages.cross(count, row, ax, t1, z)
+                passages.cross(count, row, ax, t1, z_at)
             going = ax < config.explosion_guard
             if not going.all():
-                # the rows still going are written again at the end
-                finals[:, row] = z, dn_min, r_acc, coz
+                out = ~going
+                finals[:, row[out]] = (z_at(out), dn_min[out], r_acc[out],
+                                       coz[out])
                 row, run, draw, x, log_zc, jump_prod, r_acc, coz, dn_min, \
-                    count, z = (v[going] for v in (
+                    count = (v[going] for v in (
                         row, run, draw, x, log_zc, jump_prod, r_acc, coz,
-                        dn_min, count, z))
+                        dn_min, count))
             j = eval_column.get(i)
             if j is not None:
-                z_evals[row, j] = z
-        finals[:, row] = z, dn_min, r_acc, coz
+                z_evals[row, j] = z_at(slice(None))
+        finals[:, row] = z_at(slice(None)), dn_min, r_acc, coz
         return [v for k in (slice(None, m), slice(m, None)) for v in (
             z_evals[k], finals[0, k], passages.times[k], passages.values[k],
             *finals[1:, k])]

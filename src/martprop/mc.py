@@ -187,7 +187,9 @@ class Passages:
 
     `times[p, j]` is the first time path p's norm reached `levels[j]`
     (inf if never) and `values[p, j]` the value the caller passes with
-    it (log Z or Z; nan if none).  The levels a path has crossed are
+    it (log Z or Z; nan if none).  `cross` takes that value as a
+    function of the live positions that crossed, so a caller forms it
+    only for them.  The levels a path has crossed are
     always the first ones, because the levels increase, so each live
     path carries only their number: `count`, an array of the caller's
     live state, which each call updates in place.  `rows` maps the
@@ -204,24 +206,26 @@ class Passages:
 
     def cross(self, count, rows, norm, t, value=None):
         """Record every level at or below `norm` that a live path had not
-        crossed, at time `t`; return the live positions that crossed."""
-        i = np.flatnonzero(norm >= self._next[count])
+        crossed, at time `t`, with `value(i)` (one value per crossing live
+        position in `i`); return the live positions that crossed."""
+        i = (norm >= self._next[count]).nonzero()[0]
         if i.size:
             self.mark(count, rows, i, np.searchsorted(
-                self.levels, norm[i], side="right"), t, value)
+                self.levels, norm[i], side="right"), t,
+                None if value is None else value(i))
         return i
 
     def mark(self, count, rows, i, upto, t, value=None):
         """Live paths `i` pass levels count[i], ..., upto - 1 at time `t`
-        (a scalar, or one per live path), with `value` (one per live
-        path)."""
+        (a scalar, or one per live path), with `value` (one per path in
+        `i`)."""
         cols = np.arange(len(self.levels))
         k, col = np.nonzero((cols >= count[i][:, None])
                             & (cols < np.reshape(upto, (-1, 1))))
         live = i[k]
         self.times[rows[live], col] = t[live] if np.ndim(t) else t
         if value is not None:
-            self.values[rows[live], col] = value[live]
+            self.values[rows[live], col] = value[k]
         count[i] = upto
 
 
@@ -267,7 +271,8 @@ def _run_chunk(spec, config, indices, levels, eval_times, beta, q_expr,
         # a path ending at the guard or the step floor passes every level
         # it has not crossed, at its end time
         status[row[ended]] = code
-        passages.mark(count, row, np.flatnonzero(ended), L, t, logz)
+        i = np.flatnonzero(ended)
+        passages.mark(count, row, i, L, t, logz[i])
 
     def retire(ended):
         # write the outputs of the ended paths; return the live state of
@@ -366,7 +371,8 @@ def _run_chunk(spec, config, indices, levels, eval_times, beta, q_expr,
             t[hit] = next_eval[hit]
         norm = np.sqrt(_total(xi * xi for xi in x))
 
-        crossed = passages.cross(count, row, norm, t, logz) if L else ()
+        crossed = (passages.cross(count, row, norm, t, logz.__getitem__)
+                   if L else ())
 
         # guard crossing: numerical explosion proxy
         ended = norm >= config.explosion_guard

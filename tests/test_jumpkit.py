@@ -296,6 +296,33 @@ def test_paths_do_not_depend_on_the_paths_that_jump_beside_them(
                                           getattr(b, field))
 
 
+def test_paths_do_not_depend_on_the_paths_that_stop_beside_them(
+        monkeypatch):
+    # a low guard stops rows at different steps: a chunk of forty finds
+    # its jumps' rows by search once a row has left, where a chunk of one
+    # mostly indexes them directly; Z is formed at each stop, at level
+    # crossings, at both eval times and at the end
+    trip = JumpTriplet(base=DiffusionSpec.scalar("0.5*x", "1"), cp_rate=8.0,
+                       cp_dist=DiscreteDist((0.3, -0.7, 0.1),
+                                            (0.2, 0.5, 0.3)),
+                       atoms=(Atom(time=0.4, mass=0.5, dist=UNIT),))
+    gd = GirsanovData(K="0.5*sin(x)", U="1.5 + 0.1*x")
+    cfg = SimConfig(n_paths=40, dt_max=0.01, horizon=1.0, seed=11,
+                    explosion_guard=3.0)
+    runs = []
+    for chunk in (1, 40):
+        monkeypatch.setattr(jumpkit, "CHUNK_SIZE", chunk)
+        runs.append(simulate_jump_exponential(
+            trip, gd, cfg, levels=(1.0, 2.0, 3.0), eval_times=(0.3, 1.0)))
+    for a, b in zip(*runs):
+        # rows stop before the first eval time, between the two, or never
+        stopped = np.isnan(a.z_evals).sum(axis=0)
+        assert 0 < stopped[0] < stopped[1] < cfg.n_paths
+        for field in a._fields:
+            np.testing.assert_array_equal(getattr(a, field),
+                                          getattr(b, field))
+
+
 def test_two_point_law_counts_per_support_point():
     # sizes 1 and 2 with U = (x + 1)^2 = 4 and 9: a jump adds 1 or 4 to
     # C(Z) and multiplies Z by 4 or 9, so (C, Z) give both counts

@@ -298,9 +298,16 @@ def test_passages_record_one_step_at_every_level_it_crosses():
     rec = mc.Passages(3, (1.0, 2.0, 3.0))
     count = np.zeros(3, dtype=np.intp)
     rows = np.array([2, 0, 1])
-    crossed = rec.cross(count, rows, np.array([2.5, 0.5, 1.0]), 0.25,
-                        np.array([-1.0, -2.0, -3.0]))
+    asked = []
+
+    def value(i):
+        # the value is formed only at the positions that cross
+        asked.append(i.tolist())
+        return np.array([-1.0, -2.0, -3.0])[i]
+
+    crossed = rec.cross(count, rows, np.array([2.5, 0.5, 1.0]), 0.25, value)
     assert crossed.tolist() == [0, 2]
+    assert asked == [[0, 2]]
     assert count.tolist() == [2, 0, 1]
     inf, nan = math.inf, math.nan
     np.testing.assert_array_equal(
@@ -309,12 +316,15 @@ def test_passages_record_one_step_at_every_level_it_crosses():
         rec.values, [[nan] * 3, [-3.0, nan, nan], [-1.0, -1.0, nan]])
     # per-path times; a crossed level is never recorded again
     crossed = rec.cross(count, rows, np.array([9.0, 0.0, 1.5]),
-                        np.array([0.5, 0.6, 0.7]), np.array([4.0, 5.0, 6.0]))
+                        np.array([0.5, 0.6, 0.7]),
+                        np.array([4.0, 5.0, 6.0]).__getitem__)
     assert crossed.tolist() == [0]
     assert count.tolist() == [3, 0, 1]
     np.testing.assert_array_equal(rec.times[2], [0.25, 0.25, 0.5])
     np.testing.assert_array_equal(rec.values[2], [-1.0, -1.0, 4.0])
-    assert rec.cross(count, rows, np.array([9.0, 0.9, 1.9]), 0.75).size == 0
+    assert rec.cross(count, rows, np.array([9.0, 0.9, 1.9]), 0.75,
+                     value).size == 0
+    assert asked == [[0, 2]]
 
 
 def test_passages_mark_every_level_left_at_an_end():
