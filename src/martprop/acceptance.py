@@ -353,8 +353,7 @@ def criterion_8(threads=1):
             path = os.path.join(tmp, f"{preset}.json")
             with open(path, "w") as fh:
                 json.dump({"preset": preset,
-                           "mc": {"n_paths": n_paths, "dt_max": 0.01,
-                                  "horizon": 1.0}}, fh)
+                           "mc": {"n_paths": n_paths, "dt_max": 0.01}}, fh)
             runs.append((command, "--config", path))
         for args in runs:
             b1 = _cli_report_bytes(args, 1)
@@ -370,8 +369,7 @@ def criterion_8(threads=1):
 def _scaled(spec, lam):
     root = math.sqrt(lam)
     return DiffusionSpec(
-        dim=spec.dim, intervals=spec.intervals,
-        b=tuple(e * lam for e in spec.b),
+        intervals=spec.intervals, b=tuple(e * lam for e in spec.b),
         sigma=tuple(tuple(e * root for e in row) for row in spec.sigma),
         x0=spec.x0)
 

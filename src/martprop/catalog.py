@@ -20,8 +20,7 @@ _UNIT = {"support": [1.0], "probs": [1.0]}
 
 
 def _mc(n_paths, dt_max):
-    return {"n_paths": n_paths, "dt_max": dt_max, "horizon": 1.0,
-            "seed": 42}
+    return {"n_paths": n_paths, "dt_max": dt_max, "seed": 42}
 
 
 def _diffusion(b, beta, plan, n_paths, dt_max=0.005):
@@ -38,8 +37,7 @@ def _jump(triplet, U):
 def _running_sup(eigenvalues):
     unit = [1.0] + [0.0] * (len(eigenvalues) - 1)
     return {"t": 1.0, "plan": _PLAN, "mc": _mc(10000, 0.005),
-            "covariance": {"modes": len(eigenvalues),
-                           "eigenvalues": eigenvalues},
+            "covariance": {"eigenvalues": eigenvalues},
             "functional": {"kind": "running_sup", "weights": unit,
                            "direction": unit, "claimed_lipschitz": 1.0,
                            "claimed_growth": 1.0}}

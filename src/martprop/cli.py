@@ -240,7 +240,7 @@ def hilbert(config_path, preset, seed, threads, output_path, fmt):
     def body():
         rc = _resolve(config_path, preset, seed, kind="hilbert")
         rc.functional.check_modes(rc.covariance.modes)
-        cond_cfg = replace(rc.mc.until(rc.t), n_paths=CONDITION_PATHS)
+        cond_cfg = replace(rc.mc, n_paths=CONDITION_PATHS)
         times, states = sample_path_array(rc.covariance, cond_cfg,
                                           CONDITION_PATHS)
         cond = check_conditions(rc.functional, rc.covariance, times,

@@ -4,7 +4,8 @@ round-trip serialization embedded in every report.
 A config may name a `preset` (a config document from `catalog`) and/or
 spell out sections; explicit sections override the preset's.  Infinite
 interval endpoints are written as the strings "inf"/"-inf" (JSON has no
-infinity literal).
+infinity literal).  Every section refuses a key its parser does not
+read, so a misspelled key cannot change the problem a run answers.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import catalog
 from .errors import ConfigError, MartpropError
@@ -60,22 +61,32 @@ def _section(fld):
         raise ConfigError(str(exc), field=fld) from None
 
 
+def _only(d, keys, fld):
+    """Refuse a key of section `fld` (the top level when empty) that is
+    not one of `keys`, the keys its parser reads."""
+    if not isinstance(d, dict):
+        raise ConfigError("expected a JSON object", field=fld)
+    for key in d:
+        if key not in keys:
+            raise ConfigError(f"unknown key {key!r}; the keys read here "
+                              f"are {', '.join(keys)}", field=fld)
+
+
 def spec_from_dict(d, fld="spec"):
     with _section(fld):
-        dim = int(d.get("dim", 1))
+        _only(d, ("b", "sigma", "x0", "intervals"), fld)
+        dim = len(d["b"])
         intervals = [( _bound(pair[0], f"{fld}.intervals"),
                        _bound(pair[1], f"{fld}.intervals"))
                      for pair in d.get("intervals",
                                        [["-inf", "inf"]] * dim)]
-        return DiffusionSpec(dim=dim, intervals=tuple(intervals),
-                             b=tuple(d["b"]),
+        return DiffusionSpec(intervals=tuple(intervals), b=tuple(d["b"]),
                              sigma=tuple(tuple(row) for row in d["sigma"]),
                              x0=tuple(d.get("x0", [0.0] * dim)))
 
 
 def spec_to_dict(spec):
-    return {"dim": spec.dim,
-            "intervals": [[_bound_out(l), _bound_out(r)]
+    return {"intervals": [[_bound_out(l), _bound_out(r)]
                           for (l, r) in spec.intervals],
             "b": [e.render() for e in spec.b],
             "sigma": [[e.render() for e in row] for row in spec.sigma],
@@ -84,6 +95,7 @@ def spec_to_dict(spec):
 
 def exponent_from_dict(d, fld="exponent"):
     with _section(fld):
+        _only(d, ("beta",), fld)
         return ExponentSpec(beta=tuple(d["beta"]))
 
 
@@ -93,6 +105,7 @@ def exponent_to_dict(exp):
 
 def plan_from_dict(d, fld="plan"):
     with _section(fld):
+        _only(d, ("levels", "time_caps"), fld)
         return LocalizationPlan(levels=tuple(d["levels"]),
                                 time_caps=tuple(d["time_caps"]))
 
@@ -101,19 +114,20 @@ def plan_to_dict(plan):
     return {"levels": list(plan.levels), "time_caps": list(plan.time_caps)}
 
 
-def mc_from_dict(d, fld="mc"):
+def mc_from_dict(d, t, fld="mc"):
     with _section(fld):
-        return SimConfig(**d)
+        _only(d, ("n_paths", "dt_max", "seed", "explosion_guard"), fld)
+        return SimConfig(**dict(d, dt_max=min(d["dt_max"], t)), horizon=t)
 
 
 def mc_to_dict(mc):
-    return {"n_paths": mc.n_paths, "dt_max": mc.dt_max,
-            "horizon": mc.horizon, "seed": mc.seed,
+    return {"n_paths": mc.n_paths, "dt_max": mc.dt_max, "seed": mc.seed,
             "explosion_guard": mc.explosion_guard}
 
 
 def _dist_from_dict(d, fld):
     with _section(fld):
+        _only(d, ("support", "probs"), fld)
         return DiscreteDist(support=tuple(d["support"]),
                             probs=tuple(d["probs"]))
 
@@ -122,16 +136,22 @@ def _dist_to_dict(dist):
     return {"support": list(dist.support), "probs": list(dist.probs)}
 
 
+def _atom_from_dict(d, fld):
+    with _section(fld):
+        _only(d, ("time", "mass", "dist"), fld)
+        return Atom(time=float(d["time"]), mass=float(d["mass"]),
+                    dist=_dist_from_dict(d["dist"], f"{fld}.dist"))
+
+
 def triplet_from_dict(d, fld="triplet"):
     with _section(fld):
+        _only(d, ("base", "cp_rate", "cp_dist", "atoms"), fld)
         base = spec_from_dict(d["base"], fld=f"{fld}.base")
         cp_rate = float(d.get("cp_rate", 0.0))
         cp_dist = (_dist_from_dict(d["cp_dist"], f"{fld}.cp_dist")
                    if d.get("cp_dist") else None)
-        atoms = tuple(
-            Atom(time=float(a["time"]), mass=float(a["mass"]),
-                 dist=_dist_from_dict(a["dist"], f"{fld}.atoms"))
-            for a in d.get("atoms", ()))
+        atoms = tuple(_atom_from_dict(a, f"{fld}.atoms[{k}]")
+                      for k, a in enumerate(d.get("atoms", ())))
         return JumpTriplet(base=base, cp_rate=cp_rate, cp_dist=cp_dist,
                            atoms=atoms)
 
@@ -148,6 +168,7 @@ def triplet_to_dict(trip):
 
 def girsanov_from_dict(d, fld="girsanov"):
     with _section(fld):
+        _only(d, ("K", "U"), fld)
         return GirsanovData(K=d["K"], U=d["U"])
 
 
@@ -157,22 +178,30 @@ def girsanov_to_dict(gd):
 
 def covariance_from_dict(d, fld="covariance"):
     with _section(fld):
-        return CovarianceSpec(modes=int(d["modes"]),
-                              eigenvalues=tuple(d["eigenvalues"]))
+        _only(d, ("eigenvalues",), fld)
+        return CovarianceSpec(eigenvalues=tuple(d["eigenvalues"]))
 
 
 def covariance_to_dict(cov):
-    return {"modes": cov.modes, "eigenvalues": list(cov.eigenvalues)}
+    return {"eigenvalues": list(cov.eigenvalues)}
+
+
+# what a functional of each kind reads besides its kind and claims
+_PHI_KEYS = {"pointwise": ("exprs",), "running_sup": ("weights", "direction")}
 
 
 def functional_from_dict(d, fld="functional"):
     with _section(fld):
-        return FunctionalSpec(
+        phi = FunctionalSpec(
             kind=d["kind"], exprs=tuple(d.get("exprs", ())),
             weights=tuple(d.get("weights", ())),
             direction=tuple(d.get("direction", ())),
             claimed_lipschitz=d.get("claimed_lipschitz"),
             claimed_growth=d.get("claimed_growth"))
+        # after FunctionalSpec, which refuses an unknown kind
+        _only(d, ("kind", *_PHI_KEYS[phi.kind], "claimed_lipschitz",
+                  "claimed_growth"), fld)
+        return phi
 
 
 def functional_to_dict(phi):
@@ -207,7 +236,7 @@ class RunConfig:
     functional: FunctionalSpec = None
 
     def to_dict(self):
-        d = {"kind": self.kind, "t": self.t,
+        d = {"t": self.t,
              "plan": plan_to_dict(self.plan), "mc": mc_to_dict(self.mc)}
         if self.preset:
             d["preset"] = self.preset
@@ -230,6 +259,7 @@ _SECTIONS = {"spec": spec_from_dict, "exponent": exponent_from_dict,
              "triplet": triplet_from_dict, "girsanov": girsanov_from_dict,
              "covariance": covariance_from_dict,
              "functional": functional_from_dict}
+_TOP_KEYS = ("preset", "t", "plan", "mc", *_SECTIONS)
 _KINDS = (("jump", {"triplet", "girsanov"}),
           ("hilbert", {"covariance", "functional"}),
           ("diffusion", {"spec", "exponent"}))
@@ -239,8 +269,10 @@ def resolve(raw: dict, preset_name: str = None,
             seed: int = None) -> RunConfig:
     """Parse and validate a raw config dict over an optional preset's
     document: a section the config gives replaces the preset's, except
-    `mc`, which merges field by field."""
+    `mc`, which merges field by field.  The run's `mc` has horizon t and
+    a `dt_max` capped at t."""
     raw = dict(raw or {})
+    _only(raw, _TOP_KEYS, "")
     name = preset_name or raw.get("preset")
     doc = catalog.document(name) if name else {}
     with _section("mc"):
@@ -263,9 +295,7 @@ def resolve(raw: dict, preset_name: str = None,
         raise ConfigError("t must be positive and finite", field="t")
     plan = (plan_from_dict(raw["plan"]) if "plan" in raw
             else LocalizationPlan.geometric(horizon=t))
-    mc = mc_from_dict(mc)
-    if mc.horizon < t:
-        mc = replace(mc, horizon=t)
+    mc = mc_from_dict(mc, t)
     return RunConfig(kind=kind, t=t, plan=plan, mc=mc, preset=name or "",
                      **sections)
 

@@ -34,30 +34,29 @@ CHUNK_SIZE = 512
 
 @dataclass(frozen=True)
 class CovarianceSpec:
-    """Spectrum of the covariance operator: diag(eigenvalues)."""
+    """Spectrum of the covariance operator: diag(eigenvalues), one
+    eigenvalue per mode."""
 
-    modes: int
     eigenvalues: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "eigenvalues",
                            tuple(float(v) for v in self.eigenvalues))
-        if self.modes < 1:
-            raise ValidationError("modes must be positive")
-        if len(self.eigenvalues) != self.modes:
-            raise ValidationError(
-                f"expected {self.modes} eigenvalues, "
-                f"got {len(self.eigenvalues)}")
+        if not self.eigenvalues:
+            raise ValidationError("need at least one eigenvalue")
         if any(v <= 0 for v in self.eigenvalues):
             raise ValidationError("eigenvalues must be positive")
         for a, b in zip(self.eigenvalues, self.eigenvalues[1:]):
             if b > a:
                 raise ValidationError("eigenvalues must be nonincreasing")
 
+    @property
+    def modes(self):
+        return len(self.eigenvalues)
+
     @classmethod
     def dyadic(cls, modes):
-        return cls(modes=modes,
-                   eigenvalues=tuple(2.0 ** -(k + 1) for k in range(modes)))
+        return cls(eigenvalues=tuple(2.0 ** -(k + 1) for k in range(modes)))
 
 
 @dataclass(frozen=True)

@@ -120,13 +120,9 @@ class MCEstimate:
 class DeficitCurve:
     # entries: (level m_n, cap, Q_hat(rho_n > t), std_error)
     entries: list
-    extrapolated_expectation: float
+    deficit: float      # 1 - the last level's survival
     converged: bool
     notes: list = field(default_factory=list)
-
-    @property
-    def deficit(self):
-        return 1.0 - self.extrapolated_expectation
 
 
 class EnsembleResult(NamedTuple):
@@ -498,7 +494,7 @@ def survival_curve(passage_times, plan: LocalizationPlan, t: float,
         entries.append((m, cap, q_hat, se))
     (_, _, q_prev, se_prev), (_, _, q_last, se_last) = entries[-2:]
     return DeficitCurve(
-        entries=entries, extrapolated_expectation=q_last,
+        entries=entries, deficit=1.0 - q_last,
         converged=(plan.time_caps[-2] > t
                    and abs(q_last - q_prev) <= 2.0 * (se_last + se_prev)),
         notes=list(notes))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import DimensionMismatch, PreconditionViolated, ValidationError
 from .expr import ZERO, CoefficientExpr, Num
@@ -67,20 +67,19 @@ class DiffusionSpec:
     """SDE coefficients with state space and start point.
 
     intervals: one (l, r) pair per coordinate, -inf/inf allowed.
-    b: drift, one expression per coordinate.
+    b: drift, one expression per coordinate; dim is len(b).
     sigma: dispersion matrix of expressions, dim x dim.
     """
 
-    dim: int
     intervals: tuple
     b: tuple
     sigma: tuple
     x0: tuple
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValidationError("dim must be a positive integer")
         object.__setattr__(self, "b", _as_expr_tuple(self.b, "b"))
+        if not self.b:
+            raise ValidationError("b must have at least one entry")
         object.__setattr__(self, "sigma",
                            tuple(_as_expr_tuple(row, "sigma")
                                  for row in self.sigma))
@@ -91,9 +90,6 @@ class DiffusionSpec:
         if len(self.intervals) != self.dim:
             raise DimensionMismatch(
                 f"expected {self.dim} intervals, got {len(self.intervals)}")
-        if len(self.b) != self.dim:
-            raise DimensionMismatch(
-                f"expected {self.dim} drift entries, got {len(self.b)}")
         if len(self.sigma) != self.dim or any(len(row) != self.dim
                                               for row in self.sigma):
             raise DimensionMismatch(
@@ -110,6 +106,10 @@ class DiffusionSpec:
                     f"x0[{i}]={v} is not strictly inside ({l}, {r})")
 
     @property
+    def dim(self):
+        return len(self.b)
+
+    @property
     def homogeneous(self):
         """True iff no coefficient references t."""
         exprs = list(self.b) + [e for row in self.sigma for e in row]
@@ -120,14 +120,10 @@ class DiffusionSpec:
         return _sum_exprs([_prod_exprs([self.sigma[i][k], self.sigma[j][k]])
                            for k in range(self.dim)])
 
-    def with_drift(self, new_b):
-        return DiffusionSpec(dim=self.dim, intervals=self.intervals,
-                             b=tuple(new_b), sigma=self.sigma, x0=self.x0)
-
     @classmethod
     def scalar(cls, b, sigma, x0=0.0, interval=(-INF, INF)):
         """Convenience constructor for the 1-d case."""
-        return cls(dim=1, intervals=(interval,), b=(b,), sigma=((sigma,),),
+        return cls(intervals=(interval,), b=(b,), sigma=((sigma,),),
                    x0=(x0,))
 
 
@@ -181,9 +177,6 @@ class LocalizationPlan:
         if any(c <= 0 for c in self.time_caps):
             raise ValidationError("time caps must be positive")
 
-    def __len__(self):
-        return len(self.levels)
-
     @classmethod
     def geometric(cls, first=8.0, count=4, horizon=1.0):
         """Doubling levels with time caps horizon + 1, horizon + 2, ...:
@@ -226,19 +219,27 @@ def _check_compatible(spec, exp):
 
 
 def modified_drift(spec: DiffusionSpec, exp: ExponentSpec) -> DiffusionSpec:
-    """Girsanov-modified dynamics: drift b~ = b + c beta, c = sigma sigma^T."""
+    """Girsanov-modified dynamics: drift b~ = b + c beta, c = sigma sigma^T.
+    Entry i reads `x` as coordinate i, so it refuses a c_ij beta_j, i != j,
+    that reads `x`."""
     _check_compatible(spec, exp)
     new_b = []
     for i in range(spec.dim):
-        correction = _sum_exprs([_prod_exprs([spec.c_expr(i, j), exp.beta[j]])
-                                 for j in range(spec.dim)])
+        terms = [_prod_exprs([spec.c_expr(i, j), exp.beta[j]])
+                 for j in range(spec.dim)]
+        for j, term in enumerate(terms):
+            if j != i and "x" in term.free_variables():
+                raise ValidationError(
+                    f"c[{i}][{j}] * beta[{j}] reads x, which drift entry {i} "
+                    f"reads as coordinate {i}: use a diagonal sigma")
+        correction = _sum_exprs(terms)
         if correction.is_zero():
             new_b.append(spec.b[i])
         elif spec.b[i].is_zero():
             new_b.append(correction)
         else:
             new_b.append(spec.b[i] + correction)
-    return spec.with_drift(new_b)
+    return replace(spec, b=tuple(new_b))
 
 
 def quadratic_exponent(spec: DiffusionSpec, exp: ExponentSpec) -> CoefficientExpr:

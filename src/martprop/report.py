@@ -70,7 +70,6 @@ def deficit_curve_dict(curve):
     return {"entries": [{"level": lv, "time_cap": cap,
                          "survival": q, "std_error": se}
                         for (lv, cap, q, se) in curve.entries],
-            "extrapolated_expectation": curve.extrapolated_expectation,
             "deficit": curve.deficit,
             "converged": curve.converged,
             "notes": list(curve.notes)}

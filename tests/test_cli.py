@@ -15,7 +15,7 @@ def runner():
 
 
 def _small(tmp_path, preset, **mc):
-    base = {"n_paths": 500, "dt_max": 0.02, "horizon": 1.0}
+    base = {"n_paths": 500, "dt_max": 0.02}
     base.update(mc)
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"preset": preset, "mc": base}))
@@ -204,6 +204,20 @@ def test_resolved_config_reproduces_the_report(runner, tmp_path, command,
                                "--output", str(again)])
     assert res.exit_code == 0
     assert again.read_bytes() == first.read_bytes()
+    # keys that repeated another value or were read by no run
+    report = json.loads(first.read_text())
+    assert "kind" not in report["resolved_config"]
+    assert not _keys(report) & {"horizon", "dim", "modes",
+                                "extrapolated_expectation"}
+
+
+def _keys(obj):
+    """Every dict key in a JSON document."""
+    if isinstance(obj, dict):
+        return set(obj).union(*map(_keys, obj.values()))
+    if isinstance(obj, list):
+        return set().union(*map(_keys, obj))
+    return set()
 
 
 # --- exit codes ----------------------------------------------------------------
@@ -229,15 +243,52 @@ def test_exit_1_on_invalid_config(runner, tmp_path):
 
 
 def test_exit_1_on_a_removed_mc_field(runner, tmp_path):
-    # neither is a SimConfig field: a config that names one, such as the
-    # resolved config of a report written when it was, is refused
+    # none is an mc key: a config that names one, such as the resolved
+    # config of a report written when it was, is refused
     p = tmp_path / "old.json"
-    for name in ("adaptive", "bridge_correction"):
+    for name in ("adaptive", "bridge_correction", "horizon"):
         p.write_text(json.dumps({"preset": "identity-zero",
                                  "mc": {name: False}}))
         res = runner.invoke(main, ["deficit", "--config", str(p)])
         assert res.exit_code == 1
         assert "error: mc: " in res.output and name in res.output
+
+
+@pytest.mark.parametrize("command, raw, prefix", [
+    ("jump", {"preset": "poisson-U4",
+              "triplet": {"base": {"b": ["0"], "sigma": [["1"]]},
+                          "cprate": 5,
+                          "cp_dist": {"support": [1.0], "probs": [1.0]}}},
+     "triplet: unknown key 'cprate'"),
+    ("deficit", {"preset": "identity-zero",
+                 "spec": {"b": ["0"], "sigma": [["1"]], "xo": [1.0]}},
+     "spec: unknown key 'xo'"),
+    ("hilbert", {"preset": "running-sup-1",
+                 "functional": {"kind": "running_sup", "weights": [1.0],
+                                "direction": [1.0],
+                                "claimed_lipschits": 0.5}},
+     "functional: unknown key 'claimed_lipschits'"),
+    ("deficit", {"preset": "identity-zero", "tt": 2.0},
+     "unknown key 'tt'"),
+    ("deficit", {"preset": "identity-zero",
+                 "spec": {"dim": 1, "b": ["0"], "sigma": [["1"]]}},
+     "spec: unknown key 'dim'"),
+    ("hilbert", {"preset": "running-sup-1",
+                 "covariance": {"modes": 1, "eigenvalues": [1.0]}},
+     "covariance: unknown key 'modes'"),
+    ("deficit", {"preset": "identity-zero", "kind": "diffusion"},
+     "unknown key 'kind'"),
+], ids=["cprate", "xo", "claimed_lipschits", "tt", "spec.dim",
+        "covariance.modes", "kind"])
+def test_exit_1_on_a_key_no_run_reads(runner, tmp_path, command, raw,
+                                     prefix):
+    # each of these once ran a different problem, or repeated a value,
+    # and exited 0
+    p = tmp_path / "typo.json"
+    p.write_text(json.dumps(raw))
+    res = runner.invoke(main, [command, "--config", str(p)])
+    assert res.exit_code == 1
+    assert res.output.splitlines()[-1].startswith(f"error: {prefix}; ")
 
 
 @pytest.mark.parametrize("raw, field", [
@@ -285,7 +336,7 @@ def test_exit_1_on_bad_expression(runner, tmp_path):
     p.write_text(json.dumps({
         "spec": {"b": ["0"], "sigma": [["1"]]},
         "exponent": {"beta": ["x +"]},
-        "mc": {"n_paths": 10, "dt_max": 0.1, "horizon": 1.0}}))
+        "mc": {"n_paths": 10, "dt_max": 0.1}}))
     res = runner.invoke(main, ["classify", "--config", str(p)])
     assert res.exit_code == 1
 
@@ -297,7 +348,7 @@ def test_coarse_plan_tolerated_by_classify(runner, tmp_path):
     p.write_text(json.dumps({
         "preset": "brownian-cubic",
         "plan": {"levels": [0.5, 1.0], "time_caps": [2.0, 2.0]},
-        "mc": {"n_paths": 2000, "dt_max": 0.01, "horizon": 1.0}}))
+        "mc": {"n_paths": 2000, "dt_max": 0.01}}))
     res = runner.invoke(main, ["classify", "--config", str(p)])
     assert res.exit_code == 0
 
@@ -309,7 +360,7 @@ def test_exit_1_on_degenerate_sigma(runner, tmp_path):
     p.write_text(json.dumps({
         "spec": {"b": ["0"], "sigma": [["log(x)"]], "x0": [1.0]},
         "exponent": {"beta": ["x"]},
-        "mc": {"n_paths": 10, "dt_max": 0.1, "horizon": 1.0}}))
+        "mc": {"n_paths": 10, "dt_max": 0.1}}))
     res = runner.invoke(main, ["classify", "--config", str(p)])
     assert res.exit_code == 1
 
@@ -321,7 +372,7 @@ def test_exit_2_on_numerical_failure(runner, tmp_path):
     p.write_text(json.dumps({
         "spec": {"b": ["0"], "sigma": [["1"]], "x0": [1.0]},
         "exponent": {"beta": ["1/x"]},
-        "mc": {"n_paths": 10, "dt_max": 0.1, "horizon": 1.0}}))
+        "mc": {"n_paths": 10, "dt_max": 0.1}}))
     res = runner.invoke(main, ["deficit", "--config", str(p)])
     assert res.exit_code == 2
 
@@ -331,11 +382,10 @@ def test_exit_2_on_a_non_finite_phi(runner, tmp_path, command):
     # phi = 1/x is infinite where every path starts
     p = tmp_path / "domain.json"
     p.write_text(json.dumps({
-        "covariance": {"modes": 1, "eigenvalues": [1.0]},
+        "covariance": {"eigenvalues": [1.0]},
         "functional": {"kind": "pointwise", "exprs": ["1/x"]},
         "t": 1.0,
-        "mc": {"n_paths": 200, "dt_max": 0.01, "horizon": 1.0,
-               "seed": 3}}))
+        "mc": {"n_paths": 200, "dt_max": 0.01, "seed": 3}}))
     res = runner.invoke(main, [command, "--config", str(p)])
     assert res.exit_code == 2
     assert ("numerical failure: phi is not finite in mode 0 at t=0, "
@@ -349,7 +399,7 @@ def test_exit_2_when_both_jump_triplets_fail(runner, tmp_path):
     p.write_text(json.dumps({
         "triplet": {"base": {"b": ["log(x + 1) - 10"], "sigma": [["1"]]}},
         "girsanov": {"K": "10", "U": "1"},
-        "mc": {"n_paths": 20, "dt_max": 0.01, "horizon": 1.0, "seed": 1}}))
+        "mc": {"n_paths": 20, "dt_max": 0.01, "seed": 1}}))
     res = runner.invoke(main, ["jump", "--config", str(p)])
     assert res.exit_code == 2
     assert "on path 5 at t=0.07" in res.output
@@ -362,7 +412,7 @@ def test_plan_less_config_past_t_4_keeps_live_levels(runner, tmp_path):
     p.write_text(json.dumps({
         "t": 5, "spec": {"b": ["0"], "sigma": [["1"]]},
         "exponent": {"beta": ["0"]},
-        "mc": {"n_paths": 200, "dt_max": 0.1, "horizon": 5.0}}))
+        "mc": {"n_paths": 200, "dt_max": 0.1}}))
     out = tmp_path / "r.json"
     res = runner.invoke(main, ["deficit", "--config", str(p),
                                "--output", str(out)])

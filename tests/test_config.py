@@ -21,7 +21,7 @@ def test_infinity_encoding():
         "spec": {"b": ["0"], "sigma": [["1"]],
                  "intervals": [["-inf", "inf"]]},
         "exponent": {"beta": ["x"]},
-        "mc": {"n_paths": 10, "dt_max": 0.1, "horizon": 1.0}})
+        "mc": {"n_paths": 10, "dt_max": 0.1}})
     assert rc.spec.intervals == ((-math.inf, math.inf),)
     assert config.spec_to_dict(rc.spec)["intervals"] == [["-inf", "inf"]]
 
@@ -57,9 +57,13 @@ def test_seed_override():
     assert rc.mc.seed == 99
 
 
-def test_horizon_stretched_to_t():
+def test_the_run_simulates_to_t():
+    # mc has no horizon of its own: the run's is t, and its step is at
+    # most t
     rc = config.resolve({"preset": "identity-zero", "t": 3.0})
-    assert rc.mc.horizon >= 3.0
+    assert (rc.mc.horizon, rc.mc.dt_max) == (3.0, 0.02)
+    rc = config.resolve({"preset": "identity-zero", "t": 0.01})
+    assert (rc.mc.horizon, rc.mc.dt_max) == (0.01, 0.01)
 
 
 def test_field_paths_in_errors():
@@ -117,11 +121,56 @@ def test_jump_and_hilbert_sections():
                     "cp_rate": 1.0,
                     "cp_dist": {"support": [1.0], "probs": [1.0]}},
         "girsanov": {"K": "0", "U": "2"},
-        "mc": {"n_paths": 10, "dt_max": 0.1, "horizon": 1.0}})
+        "mc": {"n_paths": 10, "dt_max": 0.1}})
     assert rc.kind == "jump"
     rc = config.resolve({
-        "covariance": {"modes": 2, "eigenvalues": [0.5, 0.25]},
+        "covariance": {"eigenvalues": [0.5, 0.25]},
         "functional": {"kind": "running_sup", "weights": [1.0, 0.0],
                        "direction": [1.0, 0.0]},
-        "mc": {"n_paths": 10, "dt_max": 0.1, "horizon": 1.0}})
+        "mc": {"n_paths": 10, "dt_max": 0.1}})
     assert rc.kind == "hilbert"
+
+
+_BM = {"b": ["0"], "sigma": [["1"]]}
+_UNIT = {"support": [1.0], "probs": [1.0]}
+
+
+@pytest.mark.parametrize("raw, field, key", [
+    ({"preset": "poisson-U4", "triplet": {"base": dict(_BM, dim=1)}},
+     "triplet.base", "dim"),
+    ({"preset": "poisson-U4",
+      "triplet": {"base": _BM, "cp_rate": 1.0,
+                  "cp_dist": dict(_UNIT, prob=[1.0])}},
+     "triplet.cp_dist", "prob"),
+    ({"preset": "atom-half",
+      "triplet": {"base": _BM, "atoms": [
+          {"time": 0.5, "mass": 0.5, "dist": _UNIT},
+          {"time": 0.7, "mas": 0.5, "dist": _UNIT}]}},
+     "triplet.atoms[1]", "mas"),
+    ({"preset": "atom-half",
+      "triplet": {"base": _BM, "atoms": [
+          {"time": 0.5, "mass": 0.5, "dist": dict(_UNIT, size=1)}]}},
+     "triplet.atoms[0].dist", "size"),
+    ({"preset": "poisson-U4", "girsanov": {"K": "0", "U": "4", "V": "1"}},
+     "girsanov", "V"),
+    ({"preset": "identity-zero", "exponent": {"beta": ["x"], "gamma": 1}},
+     "exponent", "gamma"),
+    ({"preset": "identity-zero",
+      "plan": {"levels": [4, 8], "time_caps": [2, 3], "caps": [2, 3]}},
+     "plan", "caps"),
+    ({"preset": "running-sup-1",
+      "functional": {"kind": "pointwise", "exprs": ["x"],
+                     "weights": [1.0]}},
+     "functional", "weights"),
+    ({"preset": "running-sup-1",
+      "functional": {"kind": "running_sup", "weights": [1.0],
+                     "direction": [1.0], "exprs": ["x"]}},
+     "functional", "exprs"),
+], ids=["base", "cp_dist", "atom", "atom-dist", "girsanov", "exponent",
+        "plan", "pointwise-weights", "running_sup-exprs"])
+def test_a_key_no_parser_reads_is_refused(raw, field, key):
+    # the section is named, and the key, whatever else the section holds
+    with pytest.raises(ConfigError) as exc:
+        config.resolve(raw)
+    assert exc.value.field == field
+    assert str(exc.value).startswith(f"{field}: unknown key {key!r}")

@@ -289,7 +289,7 @@ def test_vanishing_c_between_the_fail_fast_points_is_named():
 
 
 def test_multidimensional_rejected():
-    spec2 = DiffusionSpec(dim=2, intervals=((-1, 1), (-1, 1)),
+    spec2 = DiffusionSpec(intervals=((-1, 1), (-1, 1)),
                           b=("0", "0"), sigma=(("1", "0"), ("0", "1")),
                           x0=(0, 0))
     with pytest.raises(PreconditionViolated):

@@ -27,11 +27,11 @@ PLAN = LocalizationPlan(levels=(4.0, 8.0, 16.0, 32.0),
 
 def test_covariance_validation():
     with pytest.raises(ValidationError):
-        CovarianceSpec(modes=2, eigenvalues=(1.0,))
+        CovarianceSpec(eigenvalues=())
     with pytest.raises(ValidationError):
-        CovarianceSpec(modes=2, eigenvalues=(1.0, -0.5))
+        CovarianceSpec(eigenvalues=(1.0, -0.5))
     with pytest.raises(ValidationError):
-        CovarianceSpec(modes=2, eigenvalues=(0.5, 1.0))  # increasing
+        CovarianceSpec(eigenvalues=(0.5, 1.0))  # increasing
     assert CovarianceSpec.dyadic(3).eigenvalues == (0.5, 0.25, 0.125)
 
 
@@ -52,7 +52,7 @@ def test_functional_validation():
 # --- Q-Brownian sampling ------------------------------------------------------------
 
 def test_per_mode_variances_match_spectrum():
-    cov = CovarianceSpec(modes=3, eigenvalues=(1.0, 0.5, 0.25))
+    cov = CovarianceSpec(eigenvalues=(1.0, 0.5, 0.25))
     cfg = SimConfig(n_paths=4000, dt_max=0.05, horizon=1.0, seed=31)
     _, states = sample_path_array(cov, cfg, 4000)
     finals = states[:, -1, :]
@@ -160,7 +160,7 @@ def test_hilbert_paths_follow_their_documented_streams():
 
 def test_running_sup_is_predictable():
     phi = FunctionalSpec.running_sup(1)
-    cov = CovarianceSpec(modes=1, eigenvalues=(1.0,))
+    cov = CovarianceSpec(eigenvalues=(1.0,))
     times = np.array([0.0, 1.0, 2.0, 3.0])
     states = np.array([[0.0], [2.0], [1.0], [5.0]])
     vals = phi_values(phi, cov, times, states)
@@ -170,7 +170,7 @@ def test_running_sup_is_predictable():
 
 def test_pointwise_functional():
     phi = FunctionalSpec(kind="pointwise", exprs=("tanh(x)", "0"))
-    cov = CovarianceSpec(modes=2, eigenvalues=(1.0, 0.5))
+    cov = CovarianceSpec(eigenvalues=(1.0, 0.5))
     times = np.array([0.0, 1.0])
     states = np.array([[0.5, 1.0], [2.0, -1.0]])
     vals = phi_values(phi, cov, times, states)
@@ -181,7 +181,7 @@ def test_pointwise_functional():
 # --- condition checks ------------------------------------------------------------------
 
 def test_running_sup_conditions_pass():
-    cov = CovarianceSpec(modes=1, eigenvalues=(1.0,))
+    cov = CovarianceSpec(eigenvalues=(1.0,))
     phi = FunctionalSpec.running_sup(1)
     cfg = SimConfig(n_paths=256, dt_max=0.02, horizon=1.0, seed=23)
     times, states = sample_path_array(cov, cfg, 256)
@@ -192,7 +192,7 @@ def test_running_sup_conditions_pass():
 
 
 def test_quadratic_growth_fails_check():
-    cov = CovarianceSpec(modes=1, eigenvalues=(1.0,))
+    cov = CovarianceSpec(eigenvalues=(1.0,))
     phi = FunctionalSpec(kind="pointwise", exprs=("x^3",),
                          claimed_lipschitz=1.0, claimed_growth=1.0)
     cfg = SimConfig(n_paths=256, dt_max=0.02, horizon=4.0, seed=29)
@@ -204,7 +204,7 @@ def test_quadratic_growth_fails_check():
 # --- estimates ------------------------------------------------------------------------
 
 def test_expectation_one_mode():
-    cov = CovarianceSpec(modes=1, eigenvalues=(1.0,))
+    cov = CovarianceSpec(eigenvalues=(1.0,))
     phi = FunctionalSpec.running_sup(1)
     cfg = SimConfig(n_paths=5000, dt_max=0.01, horizon=1.0, seed=42)
     direct, curve = estimate_hilbert_expectation(phi, cov, 1.0, PLAN, cfg)
@@ -255,7 +255,7 @@ def test_one_draw_gives_both_dynamics_their_separate_runs(monkeypatch):
 def test_a_non_finite_phi_is_refused():
     # as the diffusion engine and the jump kit refuse a non-finite
     # coefficient: the error names the mode, the time and the state
-    cov = CovarianceSpec(modes=2, eigenvalues=(1.0, 0.5))
+    cov = CovarianceSpec(eigenvalues=(1.0, 0.5))
     phi = FunctionalSpec(kind="pointwise", exprs=("0", "sqrt(x)"))
     cfg = SimConfig(n_paths=600, dt_max=0.1, horizon=1.0, seed=3)
     for run in (lambda: hilbert_novikov_estimate(phi, cov, 1.0, cfg),
@@ -276,7 +276,7 @@ def test_modified_rows_past_every_level_may_explode():
     # phi = x^3 drives some modified paths to inf within t = 1; a path
     # that has passed every level is dropped, so the run ends with a
     # deficit instead of a non-finite-phi error
-    cov = CovarianceSpec(modes=1, eigenvalues=(1.0,))
+    cov = CovarianceSpec(eigenvalues=(1.0,))
     phi = FunctionalSpec(kind="pointwise", exprs=("x^3",))
     cfg = SimConfig(n_paths=200, dt_max=0.01, horizon=1.0, seed=4)
     plan = LocalizationPlan(levels=(8.0, 16.0), time_caps=(2.0, 3.0))
@@ -289,7 +289,7 @@ def test_dropped_modified_rows_overflow_nothing():
     # the `hilbert` command's run of this config (default plan): a
     # modified row past the largest level would overflow within a few
     # steps, so it is dropped there
-    cov = CovarianceSpec(modes=1, eigenvalues=(1.0,))
+    cov = CovarianceSpec(eigenvalues=(1.0,))
     phi = FunctionalSpec(kind="pointwise", exprs=("x^3",))
     cfg = SimConfig(n_paths=1100, dt_max=0.01, horizon=1.0, seed=4)
     _, curve = estimate_hilbert_expectation(
@@ -298,7 +298,7 @@ def test_dropped_modified_rows_overflow_nothing():
 
 
 def test_novikov_probe_heavy_at_large_t():
-    cov = CovarianceSpec(modes=1, eigenvalues=(1.0,))
+    cov = CovarianceSpec(eigenvalues=(1.0,))
     phi = FunctionalSpec.running_sup(1)
     cfg = SimConfig(n_paths=20000, dt_max=0.02, horizon=3.0, seed=42)
     heavy = hilbert_novikov_estimate(phi, cov, 3.0, cfg)
@@ -310,7 +310,7 @@ def test_novikov_probe_heavy_at_large_t():
 
 def test_novikov_refuses_t_beyond_the_horizon():
     # as mc.novikov_estimate does; it used to simulate to t = 3 anyway
-    cov = CovarianceSpec(modes=1, eigenvalues=(1.0,))
+    cov = CovarianceSpec(eigenvalues=(1.0,))
     phi = FunctionalSpec.running_sup(1)
     cfg = SimConfig(n_paths=100, dt_max=0.02, horizon=1.0, seed=1)
     with pytest.raises(ValidationError):

@@ -105,7 +105,7 @@ def test_grown_buffers_hold_only_the_steps_not_yet_taken(monkeypatch):
     # dt = dt_max / (2 sigma^2 + 1), more than four times the first
     # buffer's, so every path outgrows it three times
     d = 2
-    spec = DiffusionSpec(dim=d, intervals=((-math.inf, math.inf),) * d,
+    spec = DiffusionSpec(intervals=((-math.inf, math.inf),) * d,
                          b=("0", "0"),
                          sigma=(("1 + 4*t", "0"), ("0", "1 + 4*t")),
                          x0=(0.0, 0.0))
@@ -238,7 +238,7 @@ def test_correlated_2d_ensemble_matches_a_scalar_loop():
     # only that coordinate; the loop sums over coordinates in the
     # engine's order, and q = beta . c beta in einsum's
     sig = ((1.0, 0.5), (0.0, 1.0))
-    spec = DiffusionSpec(dim=2, intervals=((-math.inf, math.inf),) * 2,
+    spec = DiffusionSpec(intervals=((-math.inf, math.inf),) * 2,
                          b=("x", "-x"), sigma=(("1", "0.5"), ("0", "1")),
                          x0=(0.3, -0.2))
     exp = ExponentSpec(beta=("x", "x"))

@@ -36,10 +36,10 @@ def test_time_dependence_detection():
 
 def test_dimension_mismatches():
     with pytest.raises(DimensionMismatch):
-        DiffusionSpec(dim=2, intervals=((-1, 1),), b=("0", "0"),
+        DiffusionSpec(intervals=((-1, 1),), b=("0", "0"),
                       sigma=(("1", "0"), ("0", "1")), x0=(0, 0))
     with pytest.raises(DimensionMismatch):
-        DiffusionSpec(dim=2, intervals=((-1, 1), (-1, 1)), b=("0",),
+        DiffusionSpec(intervals=((-1, 1), (-1, 1)), b=("0",),
                       sigma=(("1", "0"), ("0", "1")), x0=(0, 0))
 
 
@@ -51,7 +51,7 @@ def test_x0_must_be_interior():
 
 
 def test_c_expr_is_sigma_sigma_transpose():
-    spec = DiffusionSpec(dim=2, intervals=((-math.inf, math.inf),) * 2,
+    spec = DiffusionSpec(intervals=((-math.inf, math.inf),) * 2,
                          b=("0", "0"), sigma=(("x", "1"), ("0", "2")),
                          x0=(0.5, 0.5))
     # c[0][0] = x^2 + 1 evaluated with x = coordinate 0
@@ -97,6 +97,39 @@ def test_quadratic_exponent_value():
     assert q(0.0, 3.0) == 36.0
 
 
+def test_modified_drift_refuses_a_cross_term_that_reads_x():
+    # b~_0 = c_00 beta_0 + c_01 beta_1 = x0 + 0.5 x1, but x in drift
+    # entry 0 is coordinate 0: the entry would read x + 0.5 x
+    spec = DiffusionSpec(intervals=((-math.inf, math.inf),) * 2,
+                         b=("0", "0"), sigma=(("1", "0"), ("0.5", "1")),
+                         x0=(0.0, 0.0))
+    with pytest.raises(ValidationError, match=r"c\[0\]\[1\] \* beta\[1\]"):
+        modified_drift(spec, ExponentSpec(beta=("x", "x")))
+    # an x-dependent c_01 is refused with an x-free beta too
+    spec = DiffusionSpec(intervals=((-math.inf, math.inf),) * 2,
+                         b=("0", "0"), sigma=(("1", "0"), ("x", "1")),
+                         x0=(0.0, 0.0))
+    with pytest.raises(ValidationError):
+        modified_drift(spec, ExponentSpec(beta=("1", "1")))
+
+
+def test_modified_drift_in_two_dimensions():
+    # diagonal sigma: entry i needs only coordinate i
+    spec = DiffusionSpec(intervals=((-math.inf, math.inf),) * 2,
+                         b=("-x", "1"), sigma=(("2", "0"), ("0", "x")),
+                         x0=(0.5, 0.5))
+    mod = modified_drift(spec, ExponentSpec(beta=("x", "x^2")))
+    assert mod.b[0](0.0, 1.5) == -1.5 + 4.0 * 1.5
+    assert mod.b[1](0.0, 2.0) == 1.0 + 2.0 ** 4
+    # constant correlated sigma and x-free beta: b~ = c beta with
+    # c = [[1, 0.5], [0.5, 1.25]] and beta = (1, 2)
+    spec = DiffusionSpec(intervals=((-math.inf, math.inf),) * 2,
+                         b=("0", "0"), sigma=(("1", "0"), ("0.5", "1")),
+                         x0=(0.0, 0.0))
+    mod = modified_drift(spec, ExponentSpec(beta=("1", "2")))
+    assert (mod.b[0](0.0, 7.0), mod.b[1](0.0, 7.0)) == (2.0, 3.0)
+
+
 def test_dim_mismatch_between_spec_and_exponent():
     with pytest.raises(DimensionMismatch):
         modified_drift(BM, ExponentSpec(beta=("x", "x")))
@@ -130,7 +163,7 @@ def test_require_scalar_homogeneous():
     require_scalar_homogeneous(BM, "test")
     with pytest.raises(PreconditionViolated):
         require_scalar_homogeneous(
-            DiffusionSpec(dim=2, intervals=((-1, 1), (-1, 1)),
+            DiffusionSpec(intervals=((-1, 1), (-1, 1)),
                           b=("0", "0"), sigma=(("1", "0"), ("0", "1")),
                           x0=(0, 0)), "test")
     with pytest.raises(PreconditionViolated):
