@@ -15,7 +15,6 @@ from .errors import (
     DimensionMismatch,
     EvalDomain,
     ExprSyntaxError,
-    IndexOutOfRange,
     JumpBoundViolation,
     MartpropError,
     PreconditionViolated,

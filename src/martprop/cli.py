@@ -2,8 +2,8 @@
 
 Validation happens before any computation; every report embeds the fully
 resolved config and seed so runs are reproducible byte-for-byte.  Exit
-codes: 0 success, 1 validation/config error, 2 numerical failure,
-3 self-test failure.
+codes: 0 success, 1 a `ValidationError` (bad input), 2 any other
+`MartpropError` (numerical failure), 3 self-test failure.
 """
 
 from __future__ import annotations
@@ -14,21 +14,7 @@ from dataclasses import replace
 import click
 
 from . import catalog, config as cfgmod, report as repmod
-from .errors import (
-    ConfigError,
-    DegenerateDiffusion,
-    DimensionMismatch,
-    EvalDomain,
-    ExprSyntaxError,
-    IndexOutOfRange,
-    JumpBoundViolation,
-    MartpropError,
-    PreconditionViolated,
-    QuadratureFailure,
-    UnboundedOnCompact,
-    UnknownIdentifier,
-    ValidationError,
-)
+from .errors import ConfigError, MartpropError, ValidationError
 from .feller import martingale_verdict
 from .hilbert import (
     check_conditions,
@@ -46,12 +32,6 @@ from .mc import (
 
 # paths sampled for the Hilbert kit's empirical condition checks
 CONDITION_PATHS = 128
-
-_VALIDATION_ERRORS = (ConfigError, ValidationError, ExprSyntaxError,
-                      UnknownIdentifier, DimensionMismatch,
-                      IndexOutOfRange, PreconditionViolated)
-_NUMERICAL_ERRORS = (QuadratureFailure, UnboundedOnCompact,
-                     JumpBoundViolation, EvalDomain, DegenerateDiffusion)
 
 
 def _common(fn):
@@ -114,11 +94,11 @@ def _echo_curve(curve):
 def _run(body):
     try:
         body()
-    except _VALIDATION_ERRORS as exc:
+    except ValidationError as exc:
         # a ConfigError's message already starts with its field
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
-    except _NUMERICAL_ERRORS + (MartpropError,) as exc:
+    except MartpropError as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(2)
 

@@ -1,11 +1,17 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.  The class sets the CLI's
+exit code: 1 for a `ValidationError` (bad input), 2 for any other
+`MartpropError` (a numerical failure)."""
 
 
 class MartpropError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ExprSyntaxError(MartpropError):
+class ValidationError(MartpropError):
+    """Input data violates a structural invariant."""
+
+
+class ExprSyntaxError(ValidationError):
     """Malformed coefficient expression.
 
     Carries the character position of the offending token and the set of
@@ -18,7 +24,7 @@ class ExprSyntaxError(MartpropError):
         self.expected = frozenset(expected)
 
 
-class UnknownIdentifier(MartpropError):
+class UnknownIdentifier(ValidationError):
     """Identifier outside the variable/function catalog."""
 
     def __init__(self, name, position):
@@ -31,11 +37,7 @@ class EvalDomain(MartpropError):
     """Expression evaluated to a non-finite value where a finite one is required."""
 
 
-class DimensionMismatch(MartpropError):
-    pass
-
-
-class IndexOutOfRange(MartpropError):
+class DimensionMismatch(ValidationError):
     pass
 
 
@@ -47,7 +49,7 @@ class QuadratureFailure(MartpropError):
     """Quadrature did not meet its error target or probes were inconclusive."""
 
 
-class PreconditionViolated(MartpropError):
+class PreconditionViolated(ValidationError):
     """Hard failure of a grid-based precondition check (e.g. c <= 0)."""
 
 
@@ -55,15 +57,11 @@ class UnboundedOnCompact(MartpropError):
     """Grid supremum keeps growing under refinement."""
 
 
-class ValidationError(MartpropError):
-    """Input data violates a structural invariant."""
-
-
 class JumpBoundViolation(MartpropError):
     """A simulated jump of the exponent hit or crossed -1."""
 
 
-class ConfigError(MartpropError):
+class ConfigError(ValidationError):
     """CLI configuration is invalid; carries the offending field path."""
 
     def __init__(self, message, field=""):

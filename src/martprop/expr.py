@@ -22,7 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EvalDomain, ExprSyntaxError, UnknownIdentifier
+from .errors import (EvalDomain, ExprSyntaxError, UnknownIdentifier,
+                     ValidationError)
 
 VARIABLES = ("t", "x")
 
@@ -358,13 +359,13 @@ class CoefficientExpr:
 
     # small algebra used to build modified drifts and quadratic exponents
     def __add__(self, other):
-        return CoefficientExpr(Bin("+", self.ast, _coerce(other)))
+        return CoefficientExpr(Bin("+", self.ast, as_expr(other).ast))
 
     def __sub__(self, other):
-        return CoefficientExpr(Bin("-", self.ast, _coerce(other)))
+        return CoefficientExpr(Bin("-", self.ast, as_expr(other).ast))
 
     def __mul__(self, other):
-        return CoefficientExpr(Bin("*", self.ast, _coerce(other)))
+        return CoefficientExpr(Bin("*", self.ast, as_expr(other).ast))
 
     def is_zero(self) -> bool:
         return isinstance(self.ast, Num) and self.ast.value == 0.0
@@ -379,10 +380,18 @@ class CoefficientExpr:
         return hash(self.ast)
 
 
-def _coerce(value):
+def as_expr(value, what="operand") -> CoefficientExpr:
+    """`value` as an expression: an expression as is, a string parsed,
+    a number (not a bool) as a constant; anything else raises
+    ValidationError naming `what`."""
     if isinstance(value, CoefficientExpr):
-        return value.ast
-    return CoefficientExpr.constant(float(value)).ast
+        return value
+    if isinstance(value, str):
+        return CoefficientExpr.parse(value)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return CoefficientExpr.constant(float(value))
+    raise ValidationError(f"{what}: cannot interpret {value!r} as a "
+                          "coefficient expression")
 
 
 def parse(text: str) -> CoefficientExpr:

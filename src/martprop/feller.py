@@ -348,7 +348,7 @@ def classify_explosion(spec: DiffusionSpec, xi: float = None) -> FellerReport:
     for endpoint in ("left", "right"):
         try:
             sides[endpoint] = feller_v(spec, endpoint, xi)
-        except (QuadratureFailure, DegenerateDiffusion, MartpropError) as exc:
+        except MartpropError as exc:
             sides[endpoint] = VSide("failed", reason=str(exc))
             diagnostics.append(f"{endpoint}: {exc}")
     return FellerReport(v_left=sides["left"], v_right=sides["right"],

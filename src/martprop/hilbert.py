@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EvalDomain, ValidationError
-from .expr import CoefficientExpr
+from .expr import as_expr
 from .mc import (MCEstimate, Passages, SimConfig, fixed_grid, map_chunks,
-                 survival_curve)
+                 novikov_mean, survival_curve)
 from .model import LocalizationPlan
 from .rng import normal_block
 
@@ -76,11 +76,8 @@ class FunctionalSpec:
 
     def __post_init__(self):
         if self.kind == "pointwise":
-            exprs = []
-            for e in self.exprs:
-                exprs.append(e if isinstance(e, CoefficientExpr)
-                             else CoefficientExpr.parse(str(e)))
-            object.__setattr__(self, "exprs", tuple(exprs))
+            object.__setattr__(self, "exprs", tuple(
+                as_expr(e, "phi") for e in self.exprs))
             if not self.exprs:
                 raise ValidationError("pointwise phi needs expressions")
         elif self.kind == "running_sup":
@@ -337,12 +334,12 @@ def estimate_hilbert_expectation(phi: FunctionalSpec, cov: CovarianceSpec,
     notes = []
     if conditions is not None and not conditions.passed:
         notes.append("conditions report failed; estimates are not "
-                     "certified (verdict Inconclusive)")
+                     "certified")
     logz, _, passage = _run_hilbert(cov, phi, config.until(t),
                                     levels=plan.levels, eval_times=(t,),
                                     threads=threads)
     direct = MCEstimate.from_samples(np.exp(logz[:, 0]), notes=notes)
-    return direct, survival_curve(passage, plan, t, notes)
+    return direct, survival_curve(passage, plan, t)
 
 
 def hilbert_novikov_estimate(phi: FunctionalSpec, cov: CovarianceSpec,
@@ -353,10 +350,4 @@ def hilbert_novikov_estimate(phi: FunctionalSpec, cov: CovarianceSpec,
     large t while Z stays a true martingale."""
     _, nov, _ = _run_hilbert(cov, phi, config.until(t), eval_times=(t,),
                              threads=threads)
-    with np.errstate(over="ignore"):
-        samples = np.exp(0.5 * nov[:, 0])
-    notes = []
-    if np.any(np.isinf(samples)):
-        notes.append("overflowing samples clipped to 1e308")
-        samples = np.minimum(samples, 1e308)
-    return MCEstimate.from_samples(samples, notes=notes)
+    return novikov_mean(nov[:, 0])

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (EvalDomain, JumpBoundViolation, ValidationError)
-from .expr import CoefficientExpr
+from .expr import CoefficientExpr, as_expr
 from .mc import (CHUNK_SIZE, Passages, SimConfig, _total, fixed_grid,
                  map_chunks, survival_curve)
 from .model import (Classification, DiffusionSpec, LocalizationPlan,
@@ -31,16 +31,6 @@ from .model import (Classification, DiffusionSpec, LocalizationPlan,
 from .rng import normal_block, uniform_block
 
 _TOL = 1e-12
-
-
-def _as_expr(e, what):
-    if isinstance(e, CoefficientExpr):
-        return e
-    if isinstance(e, str):
-        return CoefficientExpr.parse(e)
-    if isinstance(e, (int, float)):
-        return CoefficientExpr.constant(float(e))
-    raise ValidationError(f"{what}: cannot interpret {e!r} as an expression")
 
 
 @dataclass(frozen=True)
@@ -126,8 +116,8 @@ class GirsanovData:
     U: CoefficientExpr       # jump reweighting, in (t, x = jump size)
 
     def __post_init__(self):
-        object.__setattr__(self, "K", _as_expr(self.K, "K"))
-        object.__setattr__(self, "U", _as_expr(self.U, "U"))
+        object.__setattr__(self, "K", as_expr(self.K, "K"))
+        object.__setattr__(self, "U", as_expr(self.U, "U"))
 
     def u(self, t, x):
         return float(_u_table(self, [t], [x])[0, 0])
@@ -692,7 +682,7 @@ def _verdict(result, plan, t):
                                   "Q(R_{t and rho} < infinity) = 1"])
     deficit = curve.deficit
     se_last = curve.entries[-1][3]
-    notes = list(curve.notes)
+    notes = []
     if curve.converged and deficit <= max(0.01, 3.0 * se_last):
         classification = Classification.TRUE_MARTINGALE
     elif curve.converged:

@@ -263,6 +263,12 @@ def _run_chunk(spec, config, indices, levels, eval_times, beta, q_expr,
     normals = np.empty((0, 0))
     drawn_at = 0
 
+    def domain_error(what, finite):
+        bad = np.flatnonzero(~finite)[0]
+        return EvalDomain(f"non-finite {what} on path "
+                          f"{int(indices[row[bad]])} at t={t[bad]:.6g}, "
+                          f"x={x[:, bad].tolist()}")
+
     def explode(ended, code):
         # a path ending at the guard or the step floor passes every level
         # it has not crossed, at its end time
@@ -293,11 +299,7 @@ def _run_chunk(spec, config, indices, levels, eval_times, beta, q_expr,
         if not np.isfinite(load).all():
             finite = np.logical_and.reduce([np.isfinite(c) for c in coefs])
             if not finite.all():
-                bad = np.flatnonzero(~finite)[0]
-                raise EvalDomain(
-                    f"non-finite coefficient on path "
-                    f"{int(indices[row[bad]])} at t={t[bad]:.6g}, "
-                    f"x={x[:, bad].tolist()}")
+                raise domain_error("coefficient", finite)
 
         dt = dt_max / load          # load >= 1, so dt <= dt_max
         # hard floor: terminate as numerical explosion (checked pre-clip)
@@ -349,9 +351,11 @@ def _run_chunk(spec, config, indices, levels, eval_times, beta, q_expr,
                 q = np.einsum("ni,nij,nj->n", beta_t,
                               np.einsum("nik,njk->nij", sig_t, sig_t),
                               beta_t)
-            if not (all(np.isfinite(v).all() for v in bv)
-                    and np.isfinite(q).all()):
-                raise EvalDomain("non-finite exponent coefficient")
+            finite = np.isfinite(q)
+            for v in bv:
+                finite &= np.isfinite(v)
+            if not finite.all():
+                raise domain_error("exponent coefficient", finite)
             # beta integrates against the martingale part X^c only
             logz += (_total(v * (dxi - bdt)
                             for v, dxi, bdt in zip(bv, dx, b_dt))
@@ -468,6 +472,14 @@ def novikov_estimate(spec: DiffusionSpec, exp: ExponentSpec, t: float,
     if np.any(incomplete):
         notes.append(f"{int(np.sum(incomplete))} incomplete path(s)")
         nov = nov[~incomplete]
+    return novikov_mean(nov, notes)
+
+
+def novikov_mean(nov, notes=()) -> MCEstimate:
+    """Sample mean of exp(0.5 nov), one sample per entry of `nov`; a
+    sample that overflows is clipped to 1e308, with a note after
+    `notes`."""
+    notes = list(notes)
     with np.errstate(over="ignore"):
         samples = np.exp(0.5 * nov)
     if np.any(np.isinf(samples)):
@@ -480,14 +492,18 @@ def survival_curve(passage_times, plan: LocalizationPlan, t: float,
                    notes=()) -> DeficitCurve:
     """Survival Q_hat(rho_n > t) per plan level from first-passage times
     (one row per path, one column per level); a level whose time cap is
-    at most t survives with probability 0 by construction.  Converged
-    when the last two levels agree within twice the summed standard
-    errors, and neither is such a level."""
+    at most t survives with probability 0 by construction, which a note
+    ahead of `notes` says.  Converged when the last two levels agree
+    within twice the summed standard errors, and neither is such a
+    level."""
     n = len(passage_times)
     entries = []
+    capped = []
     for j, (m, cap) in enumerate(zip(plan.levels, plan.time_caps)):
         if cap <= t:
             q_hat, se = 0.0, 0.0
+            capped.append(f"level {m}: time cap {cap} <= t, survival is 0 "
+                          "by construction")
         else:
             q_hat = float(np.mean(passage_times[:, j] > t))
             se = math.sqrt(q_hat * (1.0 - q_hat) / n)
@@ -497,7 +513,7 @@ def survival_curve(passage_times, plan: LocalizationPlan, t: float,
         entries=entries, deficit=1.0 - q_last,
         converged=(plan.time_caps[-2] > t
                    and abs(q_last - q_prev) <= 2.0 * (se_last + se_prev)),
-        notes=list(notes))
+        notes=capped + list(notes))
 
 
 def estimate_deficit_localized(modified_spec: DiffusionSpec,
@@ -513,14 +529,10 @@ def estimate_deficit_localized(modified_spec: DiffusionSpec,
     result = run_ensemble(modified_spec, config.until(t),
                           levels=plan.levels, eval_times=(t,),
                           stop_at_largest_level=True, threads=threads)
-    notes = [f"level {m}: time cap {cap} <= t, survival is 0 by "
-             "construction"
-             for m, cap in zip(plan.levels, plan.time_caps) if cap <= t]
     floored = int(np.sum(result.status == 2))
-    if floored:
-        notes.append(f"{floored} path(s) hit the step-size floor and were "
-                     "treated as exploded (conservative)")
-    return survival_curve(result.passage_times, plan, t, notes)
+    return survival_curve(result.passage_times, plan, t, [
+        f"{floored} path(s) hit the step-size floor and were treated as "
+        "exploded (conservative)"] if floored else [])
 
 
 def localized_bound_check(spec: DiffusionSpec, exp: ExponentSpec,

@@ -15,25 +15,13 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .errors import DimensionMismatch, PreconditionViolated, ValidationError
-from .expr import ZERO, CoefficientExpr, Num
-from .report import deficit_curve_dict
+from .expr import ZERO, CoefficientExpr, Num, as_expr
 
 INF = math.inf
 
 
 def _as_expr_tuple(items, what):
-    out = []
-    for item in items:
-        if isinstance(item, CoefficientExpr):
-            out.append(item)
-        elif isinstance(item, str):
-            out.append(CoefficientExpr.parse(item))
-        elif isinstance(item, (int, float)):
-            out.append(CoefficientExpr.constant(float(item)))
-        else:
-            raise ValidationError(f"{what}: cannot interpret {item!r} "
-                                  "as a coefficient expression")
-    return tuple(out)
+    return tuple(as_expr(item, what) for item in items)
 
 
 def _is_one(e):
@@ -197,7 +185,7 @@ class MartingaleVerdict:
     classification: Classification
     feller_original: object = None   # FellerReport
     feller_modified: object = None   # FellerReport
-    deficit_curve: object = None     # DeficitCurve
+    deficit_curve: object = None     # DeficitCurve, reported in curves
     notes: list = field(default_factory=list)
 
     def to_dict(self):
@@ -207,8 +195,6 @@ class MartingaleVerdict:
             obj = getattr(self, key)
             if obj is not None:
                 d[key] = obj.to_dict()
-        if self.deficit_curve is not None:
-            d["deficit_curve"] = deficit_curve_dict(self.deficit_curve)
         return d
 
 

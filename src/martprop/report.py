@@ -14,8 +14,6 @@ import json
 
 from . import __version__
 
-_FLOAT_SIG = 17  # round-trip precision for doubles
-
 
 def _jsonable(obj):
     if isinstance(obj, dict):

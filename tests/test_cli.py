@@ -1,9 +1,12 @@
 import json
+import pathlib
+import re
 
 import pytest
 from click.testing import CliRunner
 
-from martprop import catalog
+import martprop
+from martprop import catalog, cli
 from martprop.cli import main
 
 _COMMAND = {"diffusion": "deficit", "jump": "jump", "hilbert": "hilbert"}
@@ -163,9 +166,20 @@ def test_jump_report_serializes_the_curve_once(runner, tmp_path):
     assert res.exit_code == 0
     rep = json.loads(out.read_text())
     assert rep["resolved_config"]["triplet"]["atoms"]
-    curve = rep["verdict"]["deficit_curve"]
-    assert curve == rep["curves"]["deficit"]
-    assert all("time_cap" in e for e in curve["entries"])
+
+    def curves(node):
+        # every serialized curve in the report, wherever it sits
+        if isinstance(node, dict):
+            return ([node] if "entries" in node else []) + [
+                c for v in node.values() for c in curves(v)]
+        if isinstance(node, list):
+            return [c for v in node for c in curves(v)]
+        return []
+    assert curves(rep) == [rep["curves"]["deficit"]]
+    # nor does the verdict copy the curve's notes
+    text = out.read_text()
+    for note in rep["curves"]["deficit"]["notes"]:
+        assert text.count(json.dumps(note)) == 1
 
 
 def test_hilbert_command(runner, tmp_path):
@@ -221,6 +235,39 @@ def _keys(obj):
 
 
 # --- exit codes ----------------------------------------------------------------
+
+def _readme_exit_codes():
+    """{error class: exit code}, from the backquoted names in the rows
+    for codes 1 and 2 of README's "Exit codes" table."""
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    table = readme.read_text().split("### Exit codes")[1].split("###")[0]
+    return {name: int(code)
+            for code, meaning in re.findall(r"^\| ([12]) \| (.*) \|$",
+                                            table, re.MULTILINE)
+            for name in re.findall(r"`(\w+)`", meaning)}
+
+
+_EXPORTED_ERRORS = sorted(
+    name for name in martprop.__all__
+    if isinstance(getattr(martprop, name), type)
+    and issubclass(getattr(martprop, name), martprop.MartpropError))
+
+
+@pytest.mark.parametrize(
+    "name", sorted(set(_EXPORTED_ERRORS) | set(_readme_exit_codes())))
+def test_each_exported_error_exits_with_its_readme_code(name):
+    # README names every exported error class, and only those
+    assert name in _EXPORTED_ERRORS
+    cls = getattr(martprop, name)
+    args = (("boom", 0) if name in ("ExprSyntaxError", "UnknownIdentifier")
+            else ("boom",))
+
+    def body():
+        raise cls(*args)
+    with pytest.raises(SystemExit) as exc:
+        cli._run(body)
+    assert exc.value.code == _readme_exit_codes()[name]
+
 
 def test_exit_1_on_unknown_preset(runner):
     res = runner.invoke(main, ["classify", "--preset", "nope"])

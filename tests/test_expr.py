@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from martprop.errors import EvalDomain, ExprSyntaxError, UnknownIdentifier
-from martprop.expr import CoefficientExpr, parse
+from martprop.errors import (EvalDomain, ExprSyntaxError, UnknownIdentifier,
+                             ValidationError)
+from martprop.expr import CoefficientExpr, as_expr, parse
 
 
 # --- precedence and evaluation ------------------------------------------
@@ -180,6 +181,17 @@ def test_algebra_helpers():
     assert combined(0.0, 3.0) == 7.0
     assert CoefficientExpr.constant(0.0).is_zero()
     assert not parse("x").is_zero()
+
+
+def test_as_expr_takes_an_expression_a_string_or_a_number():
+    x = parse("x")
+    assert as_expr(x, "b") is x
+    assert as_expr("x", "b") == x
+    assert as_expr(-2, "b") == CoefficientExpr.constant(-2.0)
+    # a bool is not a number here, as JSON's true is not
+    for value in (None, True, ["x"]):
+        with pytest.raises(ValidationError, match="^b: cannot interpret"):
+            as_expr(value, "b")
 
 
 # --- a constant evaluates as t at its value ---------------------------------

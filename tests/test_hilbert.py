@@ -7,6 +7,7 @@ from martprop import hilbert
 from martprop.errors import EvalDomain, ValidationError
 from martprop.hilbert import (
     _run_hilbert,
+    ConditionsReport,
     CovarianceSpec,
     FunctionalSpec,
     check_conditions,
@@ -211,6 +212,26 @@ def test_expectation_one_mode():
     assert abs(direct.mean - 1.0) <= 3.0 * direct.std_error
     assert curve.converged
     assert curve.deficit == pytest.approx(0.0, abs=0.01)
+
+
+def test_curve_notes_capped_levels_and_the_mean_failed_conditions():
+    cov = CovarianceSpec(eigenvalues=(1.0,))
+    phi = FunctionalSpec.running_sup(1)
+    plan = LocalizationPlan(levels=(4.0, 8.0, 16.0),
+                            time_caps=(0.5, 1.0, 2.0))
+    failed = ConditionsReport(
+        lipschitz_hat=2.0, growth_hat=0.5, claimed_lipschitz=1.0,
+        claimed_growth=1.0, lipschitz_passed=False, growth_passed=True,
+        n_paths=8)
+    direct, curve = estimate_hilbert_expectation(
+        phi, cov, 1.0, plan,
+        SimConfig(n_paths=50, dt_max=0.05, horizon=1.0, seed=3),
+        conditions=failed)
+    assert curve.notes == [
+        "level 4.0: time cap 0.5 <= t, survival is 0 by construction",
+        "level 8.0: time cap 1.0 <= t, survival is 0 by construction"]
+    assert direct.notes == ["conditions report failed; estimates are not "
+                            "certified"]
 
 
 def test_expectation_deterministic_across_threads():

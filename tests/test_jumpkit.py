@@ -226,6 +226,19 @@ def test_verdict_strict_local_for_cubic_K():
     assert v.deficit_curve.deficit > 0.1
 
 
+def test_curve_notes_each_level_capped_at_or_below_t_once():
+    trip, gd = POISSON_U4
+    plan = LocalizationPlan(levels=(4.0, 8.0, 16.0),
+                            time_caps=(0.5, 1.0, 2.0))
+    v, _ = analyze_jump(trip, gd, 1.0, plan,
+                        SimConfig(n_paths=50, dt_max=0.05, horizon=1.0,
+                                  seed=3))
+    assert v.deficit_curve.notes[:2] == [
+        "level 4.0: time cap 0.5 <= t, survival is 0 by construction",
+        "level 8.0: time cap 1.0 <= t, survival is 0 by construction"]
+    assert not any("time cap" in note for note in v.notes)
+
+
 def test_jump_checks_refuse_t_beyond_the_horizon(monkeypatch):
     def no_simulation(*args, **kwargs):
         raise AssertionError("simulated past the horizon")

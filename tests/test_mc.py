@@ -159,19 +159,18 @@ def test_compaction_does_not_change_output(monkeypatch):
         np.testing.assert_array_equal(a, b)
 
 
-def test_eval_domain_names_the_path_after_others_ended():
-    # sigma = 1 (b = 0) wherever log(x + 0.9) is finite, so every path
-    # steps dt = dt_max / 2 with X = x0 + sum sqrt(dt) Z until it stops
-    # at |X| >= 2 or stands at x <= -0.9, where sigma is nan
-    spec = DiffusionSpec.scalar("0", "1 + 0*log(x + 0.9)", x0=1.0)
-    cfg = SimConfig(n_paths=64, dt_max=0.02, horizon=1.0, seed=4)
+def _first_step_at_or_below(cfg, floor):
+    """(path, t, x) where the first path of BM from x0 = 1, stopped at
+    |X| >= 2 and stepping dt = dt_max / 2, stands at x <= floor; some path
+    with a lower index stopped earlier, so the failing path no longer
+    sits at its own index among the live rows."""
     first = None                     # (step, path, t, x) of the failure
     stopped_before = set()
     for idx in range(cfg.n_paths):
         z = path_generator(cfg.seed, idx).standard_normal(200)
         x, t = 1.0, 0.0
         for k in range(200):
-            if x <= -0.9:
+            if x <= floor:
                 if first is None or k < first[0]:
                     first = (k, idx, t, float(x))
                 break
@@ -187,13 +186,33 @@ def test_eval_domain_names_the_path_after_others_ended():
                 break
     assert first is not None
     k_bad, bad, t_bad, x_bad = first
-    # some path with a lower index stopped earlier, so the failing path
-    # no longer sits at its own index among the live rows
     assert any(k < k_bad and idx < bad for k, idx in stopped_before)
+    return bad, t_bad, x_bad
+
+
+def test_eval_domain_names_the_path_after_others_ended():
+    # sigma = 1 (b = 0) wherever log(x + 0.9) is finite, so every path
+    # steps dt = dt_max / 2 until it stops at |X| >= 2 or stands at
+    # x <= -0.9, where sigma is nan
+    spec = DiffusionSpec.scalar("0", "1 + 0*log(x + 0.9)", x0=1.0)
+    cfg = SimConfig(n_paths=64, dt_max=0.02, horizon=1.0, seed=4)
+    bad, t_bad, x_bad = _first_step_at_or_below(cfg, -0.9)
     with pytest.raises(EvalDomain) as exc:
         run_ensemble(spec, cfg, levels=(2.0,), stop_at_largest_level=True)
     assert str(exc.value) == (f"non-finite coefficient on path {bad} "
                               f"at t={t_bad:.6g}, x={[x_bad]}")
+
+
+def test_a_non_finite_exponent_names_the_path_after_others_ended():
+    # BM paths with beta = log(x + 0.9), which is not finite at x <= -0.9
+    spec = DiffusionSpec.scalar("0", "1", x0=1.0)
+    cfg = SimConfig(n_paths=64, dt_max=0.02, horizon=1.0, seed=4)
+    bad, t_bad, x_bad = _first_step_at_or_below(cfg, -0.9)
+    with pytest.raises(EvalDomain) as exc:
+        run_ensemble(spec, cfg, exp=ExponentSpec.scalar("log(x + 0.9)"),
+                     levels=(2.0,), stop_at_largest_level=True)
+    assert str(exc.value) == (f"non-finite exponent coefficient on path "
+                              f"{bad} at t={t_bad:.6g}, x={[x_bad]}")
 
 
 def test_paths_ending_at_guard_or_floor_pass_every_level_left():
