@@ -175,11 +175,13 @@ def _run_hilbert(cov, phi, config, levels=(), eval_times=None, threads=1):
     """(logz_evals, nov_evals) under the original dynamics and, per
     level, passage_times under the modified dynamics, one row per path.
 
-    A chunk draws its normals once and steps both dynamics in one pass
-    on the same dW: its state holds the original rows W first and, when
-    there are levels, the modified rows W + int Q phi ds after them.  A
-    modified row is dropped once it passes the largest level: no output
-    reads it, and it may explode.
+    A chunk draws its normals once, scales them in place to the
+    increments dW, and steps both dynamics in one pass on the same dW:
+    its state holds the original rows W first and, when there are
+    levels, the modified rows W + int Q phi ds after them.  A modified
+    row is dropped once it passes the largest level: no output reads it,
+    and it may explode.  A running_sup phi is s * direction, with s each
+    row's running sup, so its step works on the vector s alone.
     """
     phi.check_modes(cov.modes)
     if eval_times is None:
@@ -188,11 +190,16 @@ def _run_hilbert(cov, phi, config, levels=(), eval_times=None, threads=1):
     eval_lookup = {t: j for j, t in enumerate(eval_times)}
     grid = fixed_grid(config.horizon, config.dt_max, eval_times)
     lam = np.asarray(cov.eigenvalues)
-    sqrt_lam = np.sqrt(lam)
-    w = np.asarray(phi.weights)
+    scale = np.sqrt(np.diff(grid))[:, None] * np.sqrt(lam)[None, :]
+    w, d = np.asarray(phi.weights), np.asarray(phi.direction)
+    sup = phi.kind == "running_sup"
+    if sup:
+        # ||Q^{1/2} phi||^2 = a s^2; phi is finite where s max|d_k| is
+        a, dmax = float(np.sum(lam * d * d)), np.abs(d).max()
 
     def work(indices):
         normals = _normals(cov, config, indices, grid)
+        normals *= scale
         n = len(indices)
         logz, nov = np.zeros(n), np.zeros(n)
         logz_evals = np.full((n, len(eval_times)), math.nan)
@@ -205,18 +212,28 @@ def _run_hilbert(cov, phi, config, levels=(), eval_times=None, threads=1):
         sup_before = np.zeros(len(x))
         for i in range(1, len(grid)):
             t0, dt = grid[i - 1], grid[i] - grid[i - 1]
-            phi_now = _phi(phi, t0, x, sup_before)
-            dW = normals[:, i - 1, :] * (sqrt_lam * math.sqrt(dt))[None, :]
-            orig = phi_now[:n]
-            qphi2 = np.sum(lam[None, :] * orig * orig, axis=1)
-            logz += np.sum(orig * dW, axis=1) - 0.5 * qphi2 * dt
+            dW = normals[:, i - 1]
+            if sup:
+                if not np.isfinite(sup_before * dmax).all():
+                    _phi(phi, t0, x, sup_before)    # raises EvalDomain
+                s = sup_before[:n]
+                qphi2 = (a * s) * s
+                logz += s * (dW @ d) - 0.5 * qphi2 * dt
+            else:
+                phi_now = _phi(phi, t0, x, sup_before)
+                orig = phi_now[:n]
+                qphi2 = np.sum(lam * orig * orig, axis=1)
+                logz += np.sum(orig * dW, axis=1) - 0.5 * qphi2 * dt
             nov += qphi2 * dt
             x[:n] += dW
-            # dW[rows] is dW itself while no modified row has left
-            x[n:] += ((dW if len(rows) == n else dW[rows])
-                      + lam[None, :] * phi_now[n:] * dt)
+            # dW[rows] is dW itself while no modified row has left; a running
+            # sup's drift goes into this step's normals, read by no later step
+            dW = dW if len(rows) == n else dW[rows]
+            for k in np.flatnonzero(d):
+                dW[:, k] += lam[k] * (sup_before[n:] * d[k]) * dt
+            x[n:] += dW if sup else dW + lam * phi_now[n:] * dt
             # the next step reads the running sup through x(t_i)
-            if phi.kind == "running_sup":
+            if sup:
                 sup_before = np.maximum(sup_before, x @ w)
             xm = x[n:]
             passages.cross(count, rows, np.sqrt(np.sum(xm * xm, axis=1)),
@@ -304,17 +321,15 @@ def check_conditions(phi: FunctionalSpec, cov: CovarianceSpec, times,
     qphi2 = np.sum(lam[None, None, :] * phis * phis, axis=2)
     growth_hat = float(np.max(qphi2 / (1.0 + sup_norm_before ** 2)))
 
-    lips = 0.0
-    for a in range(n - 1):
-        b = a + 1
-        diff_phi = np.sqrt(np.sum(
-            (lam[None, :] * (phis[a] - phis[b])) ** 2, axis=1))   # (T,)
-        diff_path = np.sqrt(np.sum((states[a] - states[b]) ** 2, axis=1))
-        run_diff = np.maximum.accumulate(diff_path)
-        sup_before = np.concatenate([[0.0], run_diff[:-1]])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(sup_before > 0, diff_phi / sup_before, 0.0)
-        lips = max(lips, float(np.max(ratio)))
+    # consecutive path pairs (a, a + 1), all at once
+    diff_phi = np.sqrt(np.sum(
+        (lam * (phis[:-1] - phis[1:])) ** 2, axis=2))      # (n-1, T)
+    diff_path = np.sqrt(np.sum((states[:-1] - states[1:]) ** 2, axis=2))
+    # at grid index 0 the sup over earlier times is empty: the ratio is 0
+    sup_before = np.maximum.accumulate(diff_path, axis=1)[:, :-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(sup_before > 0, diff_phi[:, 1:] / sup_before, 0.0)
+    lips = float(np.max(ratio, initial=0.0))
 
     cl = phi.claimed_lipschitz
     cg = phi.claimed_growth

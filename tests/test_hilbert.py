@@ -128,29 +128,59 @@ def _scalar_run(cov, phi, cfg, levels, eval_times):
     return logz_rows, passage_rows, crossed_rows
 
 
+def _unit(modes, k, sign=1.0):
+    v = np.zeros(modes)
+    v[k] = sign
+    return tuple(v)
+
+
 def test_hilbert_paths_follow_their_documented_streams():
     # path p's (T-1, K) normals are its main stream (seed, p) in C order,
     # across more than one 512-path chunk, and both dynamics read them:
-    # logz follows W, the passages follow W + int Q phi ds.  Both kinds
-    # of phi are pinned bit for bit against a per-path scalar loop.
-    cov = CovarianceSpec.dyadic(3)
-    cfg = SimConfig(n_paths=600, dt_max=0.25, horizon=1.0, seed=13)
+    # logz follows W, the passages follow W + int Q phi ds.  Each phi is
+    # pinned against a per-path scalar loop.  At 16 modes numpy sums over
+    # the modes pairwise with 8 accumulators.  A one-hot direction (here
+    # -1 on a mode the weights do not read) and a pointwise phi match bit
+    # for bit.  A spread direction matches in its passages; its log Z
+    # sums a s^2 and s (dW . d), where the loop sums mode by mode, so it
+    # matches to a relative 1e-12.
+    # 16 eigenvalues that are no powers of 2, so that a product taken in
+    # another order rounds differently
+    three = CovarianceSpec.dyadic(3)
+    sixteen = CovarianceSpec(eigenvalues=0.7 / np.arange(1.0, 17.0) ** 2)
+    spread = np.arange(16.0, 0.0, -1.0) * (-1.0) ** np.arange(16)
+    cases = (
+        (three, FunctionalSpec.running_sup(3, mode_index=1), 0.0),
+        (three, FunctionalSpec(kind="pointwise",
+                               exprs=("tanh(x)", "x * t", "0.5")), 0.0),
+        (sixteen, FunctionalSpec(kind="running_sup", weights=_unit(16, 1),
+                                 direction=_unit(16, 0, -1.0)), 0.0),
+        (sixteen, FunctionalSpec(kind="running_sup", weights=_unit(16, 1),
+                                 direction=spread / np.linalg.norm(spread)),
+         1e-12),
+        (sixteen, FunctionalSpec(kind="pointwise", exprs=(
+            "tanh(x)", "x * t", "0.5",
+            *(f"sin({k} * x) + t" for k in range(1, 14)))), 0.0))
+    cfg = SimConfig(n_paths=600, dt_max=0.2, horizon=1.0, seed=13)
     levels, eval_times = (0.5, 1.0), (0.5, 1.0)
-    grid, states = sample_path_array(cov, cfg, cfg.n_paths)
-    for p in range(cfg.n_paths):
-        z = path_generator(cfg.seed, p).standard_normal((len(grid) - 1, 3))
-        inc = (z * np.sqrt(np.asarray(cov.eigenvalues))[None, :]
-               * np.sqrt(np.diff(grid))[:, None])
-        np.testing.assert_array_equal(states[p, 1:],
-                                      np.cumsum(inc, axis=0))
-    for phi in (FunctionalSpec.running_sup(3, mode_index=1),
-                FunctionalSpec(kind="pointwise",
-                               exprs=("tanh(x)", "x * t", "0.5"))):
+    for cov in (three, sixteen):
+        grid, states = sample_path_array(cov, cfg, cfg.n_paths)
+        for p in range(cfg.n_paths):
+            z = path_generator(cfg.seed, p).standard_normal(
+                (len(grid) - 1, cov.modes))
+            inc = (z * np.sqrt(np.asarray(cov.eigenvalues))[None, :]
+                   * np.sqrt(np.diff(grid))[:, None])
+            np.testing.assert_array_equal(states[p, 1:],
+                                          np.cumsum(inc, axis=0))
+    for cov, phi, rtol in cases:
         logz, _, passage = _run_hilbert(cov, phi, cfg, levels=levels,
                                         eval_times=eval_times)
         ref_logz, ref_passage, crossed_w = _scalar_run(cov, phi, cfg,
                                                        levels, eval_times)
-        assert logz.tolist() == ref_logz
+        if rtol:
+            np.testing.assert_allclose(logz, ref_logz, rtol=rtol, atol=0.0)
+        else:
+            assert logz.tolist() == ref_logz
         assert passage.tolist() == ref_passage
         # the drift moves some passages, so the check above tells the
         # dynamics apart
@@ -190,6 +220,40 @@ def test_running_sup_conditions_pass():
     assert rep.lipschitz_hat <= 1.0 + 1e-9
     assert rep.growth_hat <= 1.0 + 1e-9
     assert rep.passed
+
+
+def _pairwise_lipschitz(phi, cov, times, states):
+    """L_hat as a loop over the pairs (a, a + 1), one pair at a time."""
+    lam = np.asarray(cov.eigenvalues)
+    phis = phi_values(phi, cov, times, states)
+    lips = 0.0
+    for a in range(len(states) - 1):
+        b = a + 1
+        diff_phi = np.sqrt(np.sum(
+            (lam[None, :] * (phis[a] - phis[b])) ** 2, axis=1))
+        diff_path = np.sqrt(np.sum((states[a] - states[b]) ** 2, axis=1))
+        run_diff = np.maximum.accumulate(diff_path)
+        sup_before = np.concatenate([[0.0], run_diff[:-1]])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(sup_before > 0, diff_phi / sup_before, 0.0)
+        lips = max(lips, float(np.max(ratio)))
+    return lips
+
+
+@pytest.mark.parametrize("phi", [
+    FunctionalSpec(kind="running_sup", weights=(0.0, 1.0, 0.0),
+                   direction=(0.6, 0.0, -0.8)),
+    FunctionalSpec(kind="pointwise", exprs=("x^3", "tanh(x) * t", "1"))])
+@pytest.mark.parametrize("n", [1, 2, 128])
+def test_lipschitz_estimate_matches_the_pair_loop(phi, n):
+    # all n - 1 consecutive pairs at once give the loop's bits; one path
+    # has no pair and estimates 0
+    cov = CovarianceSpec.dyadic(3)
+    cfg = SimConfig(n_paths=n, dt_max=0.02, horizon=1.0, seed=37)
+    times, states = sample_path_array(cov, cfg, n)
+    rep = check_conditions(phi, cov, times, states)
+    assert rep.lipschitz_hat == _pairwise_lipschitz(phi, cov, times, states)
+    assert (rep.lipschitz_hat > 0.0) == (n > 1)
 
 
 def test_quadratic_growth_fails_check():
