@@ -108,9 +108,8 @@ def criterion_3(threads=1):
     t = 3.0
     cfg = SimConfig(n_paths=100000, dt_max=0.01, horizon=t,
                     seed=p.mc.seed)
-    result = run_ensemble(p.spec, cfg, exp=p.exponent, eval_times=(t,),
-                          threads=threads)
-    nov = result.nov_evals[:, 0]
+    result = run_ensemble(p.spec, cfg, exp=p.exponent, threads=threads)
+    nov = np.where(result.status == 0, result.final_nov, math.nan)
     with np.errstate(over="ignore"):
         samples = np.minimum(np.exp(0.5 * nov), 1e308)
     half_mean = float(np.mean(samples[: len(samples) // 2]))
@@ -230,7 +229,7 @@ def criterion_6(threads=1):
                         seed=p.mc.seed)
         min_dn = min(float(np.min(res.min_delta_N))
                      for res in simulate_jump_exponential(
-                         p.triplet, p.girsanov, cfg, eval_times=(p.t,)))
+                         p.triplet, p.girsanov, cfg))
         a_ok = min_dn > -1.0
         ok = ok and a_ok
         parts.append(f"(a) {name} min dN={min_dn:.4f}>-1: {a_ok}")
@@ -267,9 +266,9 @@ def criterion_6(threads=1):
     r_path = compute_R(trip, gd, grid)
     d_exact = r_path.R[-1] == 4.0  # int K^2 c dt = 4t at t=1
     cfg = SimConfig(n_paths=4000, dt_max=0.005, horizon=1.0, seed=7)
-    res, _ = simulate_jump_exponential(trip, gd, cfg, eval_times=(1.0,))
-    m_jump = float(np.mean(res.z_evals[:, 0]))
-    se_jump = float(np.std(res.z_evals[:, 0], ddof=1)
+    res, _ = simulate_jump_exponential(trip, gd, cfg)
+    m_jump = float(np.mean(res.z))
+    se_jump = float(np.std(res.z, ddof=1)
                     / math.sqrt(cfg.n_paths))
     diff = estimate_mean_direct(bm, ExponentSpec.scalar("2"), 1.0,
                                 SimConfig(n_paths=4000, dt_max=0.005,

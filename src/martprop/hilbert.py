@@ -123,10 +123,11 @@ def _phi(phi, t, x, sup_before):
     naming the mode, the time and the state."""
     if phi.kind == "running_sup":
         direction = np.asarray(phi.direction)
-        out = sup_before[:, None] * direction[None, :]
         # a product is finite where sup_before times the largest |entry|
-        # of direction is
-        finite = np.isfinite(sup_before * np.abs(direction).max()).all()
+        # of direction is; one that is not raises below
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = sup_before[:, None] * direction[None, :]
+            finite = np.isfinite(sup_before * np.abs(direction).max()).all()
     else:
         out = np.empty(x.shape)
         for k, e in enumerate(phi.exprs):
@@ -171,8 +172,8 @@ def _normals(cov, config, indices, grid):
                         shape[1] * shape[2]).reshape(shape)
 
 
-def _run_hilbert(cov, phi, config, levels=(), eval_times=None, threads=1):
-    """(logz_evals, nov_evals) under the original dynamics and, per
+def _run_hilbert(cov, phi, config, levels=(), threads=1):
+    """(logz, nov) at the horizon under the original dynamics and, per
     level, passage_times under the modified dynamics, one row per path.
 
     A chunk draws its normals once, scales them in place to the
@@ -184,11 +185,7 @@ def _run_hilbert(cov, phi, config, levels=(), eval_times=None, threads=1):
     row's running sup, so its step works on the vector s alone.
     """
     phi.check_modes(cov.modes)
-    if eval_times is None:
-        eval_times = (config.horizon,)
-    eval_times = tuple(sorted(set(float(t) for t in eval_times)))
-    eval_lookup = {t: j for j, t in enumerate(eval_times)}
-    grid = fixed_grid(config.horizon, config.dt_max, eval_times)
+    grid = fixed_grid(config.horizon, config.dt_max)
     lam = np.asarray(cov.eigenvalues)
     scale = np.sqrt(np.diff(grid))[:, None] * np.sqrt(lam)[None, :]
     w, d = np.asarray(phi.weights), np.asarray(phi.direction)
@@ -202,8 +199,6 @@ def _run_hilbert(cov, phi, config, levels=(), eval_times=None, threads=1):
         normals *= scale
         n = len(indices)
         logz, nov = np.zeros(n), np.zeros(n)
-        logz_evals = np.full((n, len(eval_times)), math.nan)
-        nov_evals = np.full((n, len(eval_times)), math.nan)
         passages = Passages(n, levels)
         # `rows` maps the modified rows still held to their paths
         rows = np.arange(n if levels else 0)
@@ -214,7 +209,9 @@ def _run_hilbert(cov, phi, config, levels=(), eval_times=None, threads=1):
             t0, dt = grid[i - 1], grid[i] - grid[i - 1]
             dW = normals[:, i - 1]
             if sup:
-                if not np.isfinite(sup_before * dmax).all():
+                with np.errstate(over="ignore"):
+                    finite = np.isfinite(sup_before * dmax).all()
+                if not finite:
                     _phi(phi, t0, x, sup_before)    # raises EvalDomain
                 s = sup_before[:n]
                 qphi2 = (a * s) * s
@@ -243,11 +240,7 @@ def _run_hilbert(cov, phi, config, levels=(), eval_times=None, threads=1):
                 keep = np.concatenate([np.ones(n, dtype=bool), going])
                 x, sup_before = x[keep], sup_before[keep]
                 count, rows = count[going], rows[going]
-            j = eval_lookup.get(float(grid[i]))
-            if j is not None:
-                logz_evals[:, j] = logz
-                nov_evals[:, j] = nov
-        return logz_evals, nov_evals, passages.times
+        return logz, nov, passages.times
 
     return map_chunks(work, config.n_paths, CHUNK_SIZE, threads)
 
@@ -358,9 +351,8 @@ def estimate_hilbert_expectation(phi: FunctionalSpec, cov: CovarianceSpec,
         notes.append("conditions report failed; estimates are not "
                      "certified")
     logz, _, passage = _run_hilbert(cov, phi, config.until(t),
-                                    levels=plan.levels, eval_times=(t,),
-                                    threads=threads)
-    direct = MCEstimate.from_samples(np.exp(logz[:, 0]), notes=notes)
+                                    levels=plan.levels, threads=threads)
+    direct = MCEstimate.from_samples(np.exp(logz), notes=notes)
     return direct, survival_curve(passage, plan, t)
 
 
@@ -370,6 +362,5 @@ def hilbert_novikov_estimate(phi: FunctionalSpec, cov: CovarianceSpec,
     """Sample mean of exp(0.5 int ||Q^{1/2} phi||^2 ds) under the
     original dynamics; the running-sup example makes this diverge for
     large t while Z stays a true martingale."""
-    _, nov, _ = _run_hilbert(cov, phi, config.until(t), eval_times=(t,),
-                             threads=threads)
-    return novikov_mean(nov[:, 0])
+    _, nov, _ = _run_hilbert(cov, phi, config.until(t), threads=threads)
+    return novikov_mean(nov)

@@ -239,12 +239,11 @@ def compute_R(trip: JumpTriplet, gd: GirsanovData, grid,
 
 
 class JumpSimResult(NamedTuple):
-    """Per-path outputs, in path-index order."""
+    """Per-path outputs at the horizon, in path-index order; a row that
+    stops at the guard reports its values there, and Z as nan."""
 
-    z_evals: np.ndarray        # (n_paths, E)
-    z_final: np.ndarray
+    z: np.ndarray              # Z at the horizon, nan if stopped at the guard
     passage_times: np.ndarray  # (n_paths, L)
-    z_at_passage: np.ndarray
     min_delta_N: np.ndarray    # most negative Delta N per path (inf if none)
     r_final: np.ndarray
     c_over_z_final: np.ndarray  # int (1/Z_-^2) dC(Z) at the horizon
@@ -437,12 +436,11 @@ def _check_jump_bound(delta_n, t, paths):
 
 
 def simulate_jump_exponential(trip: JumpTriplet, gd: GirsanovData,
-                              config: SimConfig, *, levels=(),
-                              eval_times=None, threads=1):
-    """Simulate (X, N, Z) pathwise on a fixed grid under the original and
-    the Girsanov-modified triplet, Z via the Doleans-Dade product; returns
-    (original, modified) JumpSimResults.  R is evaluated with the original
-    (trip, gd) data along both triplets' paths.
+                              config: SimConfig, *, levels=(), threads=1):
+    """Simulate (X, N, Z) pathwise on a fixed grid to the horizon under the
+    original and the Girsanov-modified triplet, Z via the Doleans-Dade
+    product; returns (original, modified) JumpSimResults.  R is evaluated
+    with the original (trip, gd) data along both triplets' paths.
 
     The paths of a chunk (CHUNK_SIZE paths, through `map_chunks` on up to
     `threads` threads) advance together, both triplets' rows stacked on
@@ -458,8 +456,7 @@ def simulate_jump_exponential(trip: JumpTriplet, gd: GirsanovData,
     step evaluates the other coefficients on the live rows, advances x,
     log Z, R and C(Z), adds the step's jumps on the rows still live (by
     their row numbers directly until some row leaves), then the atoms.
-    Z = exp(log Z^c) prod(1 + Delta N) is formed only where it is read:
-    at level crossings, at eval times, at guard stops and at the end.
+    Z = exp(log Z^c) prod(1 + Delta N) is formed once, at the horizon.
     Path p reads only its own streams of
     (seed, p): one main-stream normal per step, and on the jump stream one
     uniform per step and compound-Poisson support point (that point's jump
@@ -469,15 +466,10 @@ def simulate_jump_exponential(trip: JumpTriplet, gd: GirsanovData,
     the original triplet's paths.
     """
     validate_jump(trip, gd)
-    if eval_times is None:
-        eval_times = (config.horizon,)
-    eval_times = tuple(sorted(set(float(t) for t in eval_times)))
     levels = np.array([float(m) for m in levels])
     grid = fixed_grid(config.horizon, config.dt_max,
-                      [a.time for a in trip.atoms] + list(eval_times))
+                      [a.time for a in trip.atoms])
     steps = len(grid) - 1
-    eval_column = {int(np.searchsorted(grid, t)) - 1: j
-                   for j, t in enumerate(eval_times)}
     cp = _cp_steps(trip, gd, grid) if trip.cp_rate > 0 else None
     n_sizes = 0 if cp is None else len(cp.sizes)
     atoms = {a.step: a for a in _atom_steps(trip, gd, grid, steps * n_sizes)}
@@ -507,8 +499,7 @@ def simulate_jump_exponential(trip: JumpTriplet, gd: GirsanovData,
         if cp is not None:
             cp_u = uniforms[:, :steps * n_sizes].reshape(m, steps, n_sizes)
             block = max(1, JUMP_BLOCK_CELLS // (2 * m * n_sizes))
-        z_evals = np.full((2 * m, len(eval_times)), math.nan)
-        finals = np.empty((4, 2 * m))  # final z, min Delta N, R, C/Z
+        finals = np.full((4, 2 * m), math.nan)  # Z, min Delta N, R, C/Z
         passages = Passages(2 * m, levels)
         # the state of the live rows only: the original triplet's paths,
         # then the modified one's.  `row` is a row's place in the outputs,
@@ -522,10 +513,6 @@ def simulate_jump_exponential(trip: JumpTriplet, gd: GirsanovData,
         coz = np.zeros(row.size)      # int (1/Z_-^2) dC(Z)
         dn_min = np.full(row.size, math.inf)
         count = np.zeros(row.size, dtype=np.intp)   # levels crossed
-
-        def z_at(k):
-            # Z at live positions k, formed only where it is read
-            return np.exp(log_zc[k]) * jump_prod[k]
 
         for i in range(steps):
             if not row.size:
@@ -603,26 +590,21 @@ def simulate_jump_exponential(trip: JumpTriplet, gd: GirsanovData,
                 r_acc += atom.delta_r
                 coz += (1.0 - np.sqrt(1.0 + dn)) ** 2
 
-            # levels before the guard; a stopped path records no eval time
+            # levels before the guard; a stopped row keeps Z nan
             ax = np.abs(x)
             if len(levels):
-                passages.cross(count, row, ax, t1, z_at)
+                passages.cross(count, row, ax, t1)
             going = ax < config.explosion_guard
             if not going.all():
                 out = ~going
-                finals[:, row[out]] = (z_at(out), dn_min[out], r_acc[out],
-                                       coz[out])
+                finals[1:, row[out]] = dn_min[out], r_acc[out], coz[out]
                 row, run, draw, x, log_zc, jump_prod, r_acc, coz, dn_min, \
                     count = (v[going] for v in (
                         row, run, draw, x, log_zc, jump_prod, r_acc, coz,
                         dn_min, count))
-            j = eval_column.get(i)
-            if j is not None:
-                z_evals[row, j] = z_at(slice(None))
-        finals[:, row] = z_at(slice(None)), dn_min, r_acc, coz
+        finals[:, row] = np.exp(log_zc) * jump_prod, dn_min, r_acc, coz
         return [v for k in (slice(None, m), slice(m, None)) for v in (
-            z_evals[k], finals[0, k], passages.times[k], passages.values[k],
-            *finals[1:, k])]
+            finals[0, k], passages.times[k], *finals[1:, k])]
 
     out = map_chunks(work, config.n_paths, CHUNK_SIZE, threads)
     w = len(JumpSimResult._fields)
@@ -660,8 +642,7 @@ def analyze_jump(trip: JumpTriplet, gd: GirsanovData, t: float,
     """
     config.check_plan(plan)
     original, modified = simulate_jump_exponential(
-        trip, gd, config.until(t), levels=plan.levels, eval_times=(t,),
-        threads=threads)
+        trip, gd, config.until(t), levels=plan.levels, threads=threads)
     return _verdict(modified, plan, t), _compensator_report(original)
 
 

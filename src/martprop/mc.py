@@ -21,12 +21,15 @@ steps.  A path reads the same normals as one buffer from step 0 would
 hold.  Ensembles are reduced in path-index order, so results are
 bit-identical for any worker count.
 
-A chunk holds the state of its live paths coordinate-major, one vector
-per coordinate, and evaluates b and sigma per coordinate; sums over
-coordinates run term by term in a fixed order.  A coefficient that reads
-neither t nor x is evaluated once per chunk.  `Passages` records
-first passages for this engine and for the jump and Hilbert kits: a live
-path carries only the number of levels it has crossed.
+A path runs to the horizon, its last step cut short there, unless it
+ends first at the explosion guard, at the step floor or (when asked) at
+the largest level.  A chunk holds the state of its live paths
+coordinate-major, one vector per coordinate, and evaluates b and sigma
+per coordinate; sums over coordinates run term by term in a fixed order.
+A coefficient that reads neither t nor x is evaluated once per chunk.
+`Passages` records first passages for this engine and for the jump and
+Hilbert kits: a live path carries only the number of levels it has
+crossed.
 """
 
 from __future__ import annotations
@@ -133,7 +136,8 @@ class DeficitCurve:
 
 
 class EnsembleResult(NamedTuple):
-    """Per-path outputs, in path-index order."""
+    """Per-path outputs, in path-index order; a path of status 0 ends at
+    the horizon, so its final values are those at the horizon."""
 
     status: np.ndarray          # int8: 0 horizon, 1 guard, 2 dt floor, 3 level
     end_time: np.ndarray
@@ -141,8 +145,7 @@ class EnsembleResult(NamedTuple):
     final_logz: np.ndarray
     passage_times: np.ndarray   # (n, L) first time ||X|| >= level, inf if never
     logz_at_passage: np.ndarray
-    logz_evals: np.ndarray      # (n, E), nan where the path ended earlier
-    nov_evals: np.ndarray       # (n, E) accumulated integral of q
+    final_nov: np.ndarray       # accumulated integral of q
 
 
 def map_chunks(work, n, chunk_size, threads=1):
@@ -189,14 +192,14 @@ class Passages:
     record through it.
 
     `times[p, j]` is the first time path p's norm reached `levels[j]`
-    (inf if never) and `values[p, j]` the value the caller passes with
-    it (log Z or Z; nan if none).  `cross` takes that value as a
-    function of the live positions that crossed, so a caller forms it
-    only for them.  The levels a path has crossed are
-    always the first ones, because the levels increase, so each live
-    path carries only their number: `count`, an array of the caller's
-    live state, which each call updates in place.  `rows` maps the
-    caller's live positions to rows of `times`.
+    (inf if never) and `values[p, j]` the log Z the caller passes with
+    it (nan if none).  `cross` takes that value as a function of the
+    live positions that crossed, so a caller forms it only for them.
+    The levels a path has crossed are always the first ones, because the
+    levels increase, so each live path carries only their number:
+    `count`, an array of the caller's live state, which each call
+    updates in place.  `rows` maps the caller's live positions to rows
+    of `times`.
     """
 
     def __init__(self, n, levels):
@@ -255,14 +258,13 @@ def _load(b, sig):
     return norm + _total(s * s for si in sig for s in si) + 1.0
 
 
-def _first_steps(spec, config, evals):
+def _first_steps(spec, config):
     """Steps in a chunk's first normal buffer: the horizon at dt_max over
     the mean load at x0 and at 1 and 2 noise deviations sqrt(c_ii(x0)
-    horizon) either side of it, plus a step per evaluation time and a
-    margin.  A mean above _FIRST_LOAD_CAP (or not finite) says that
-    steps shrink fast away from x0: the paths that go there outgrow any
-    first buffer, so it is sized for the others, at the load at x0
-    (capped)."""
+    horizon) either side of it, plus a margin.  A mean above
+    _FIRST_LOAD_CAP (or not finite) says that steps shrink fast away from
+    x0: the paths that go there outgrow any first buffer, so it is sized
+    for the others, at the load at x0 (capped)."""
     x0 = np.asarray(spec.x0, dtype=np.float64)[:, None]
     with np.errstate(all="ignore"):
         dev = np.sqrt(config.horizon * np.array(
@@ -275,18 +277,16 @@ def _first_steps(spec, config, evals):
     mean = float(np.mean(load))
     if not mean <= _FIRST_LOAD_CAP:
         mean = float(np.fmin(load[2], _FIRST_LOAD_CAP))
-    return int(math.ceil(config.horizon * mean / config.dt_max)) + evals + 8
+    return int(math.ceil(config.horizon * mean / config.dt_max)) + 9
 
 
-def _run_chunk(spec, config, indices, levels, eval_times, beta, q_expr,
+def _run_chunk(spec, config, indices, levels, beta, q_expr,
                stop_at_largest_level):
     d = spec.dim
     n = len(indices)
-    E = len(eval_times)
-    eval_times = np.append(np.asarray(eval_times, dtype=np.float64),
-                           math.inf)
-    # a path is at its eval time once t passes that time less _SNAP_EPS
-    snaps = eval_times - _SNAP_EPS
+    horizon = config.horizon
+    # a path is at the horizon once t passes it less _SNAP_EPS
+    snap = horizon - _SNAP_EPS
     dt_max, dt_min = config.dt_max, config.dt_min
     passages = Passages(n, levels)
     L = len(passages.levels)
@@ -301,30 +301,24 @@ def _run_chunk(spec, config, indices, levels, eval_times, beta, q_expr,
     abs_norm = d == 1 and all(1e-150 <= v <= 1e150 for v in (
         *passages.levels, config.explosion_guard))
 
-    # per-path outputs: passages and eval-time values are written as they
-    # happen, the rest once, when the path ends
+    # per-path outputs: passages are written as they happen, the rest
+    # once, when the path ends
     status = np.zeros(n, dtype=np.int8)
     end_time = np.empty(n)
     final_state = np.empty((n, d))
     final_logz = np.empty(n)
-    logz_evals = np.full((n, E), math.nan)
-    nov_evals = np.full((n, E), math.nan)
+    final_nov = np.empty(n)
 
     # state of the live paths only, in path order, coordinate-major (x[i]
     # is coordinate i of every live path): `row` is a path's row in the
     # outputs and `slot` its column in the normal buffer, which holds one
     # draw of every path per row, from step `drawn_at` of each stream;
-    # `count` is its number of levels crossed and `eidx` of eval times
-    # passed, `next_eval` the eval time it steps towards and `snap` that
-    # time less _SNAP_EPS
+    # `count` is its number of levels crossed
     row = np.arange(n)
     x = np.repeat(np.asarray(spec.x0, dtype=np.float64)[:, None], n, axis=1)
     t = np.zeros(n)
     logz = np.zeros(n)
     nov = np.zeros(n)
-    eidx = np.zeros(n, dtype=np.intp)
-    next_eval = np.full(n, eval_times[0])
-    snap = np.full(n, snaps[0])
     count = np.zeros(n, dtype=np.intp)
     slot = row
     normals = np.empty((0, 0))
@@ -351,10 +345,10 @@ def _run_chunk(spec, config, indices, levels, eval_times, beta, q_expr,
         end_time[r] = t[ended]
         final_state[r] = x[:, ended].T
         final_logz[r] = logz[ended]
+        final_nov[r] = nov[ended]
         keep = ~ended
         return (keep, row[keep], x[:, keep], t[keep], logz[keep], nov[keep],
-                eidx[keep], next_eval[keep], snap[keep], count[keep],
-                slot[keep])
+                count[keep], slot[keep])
 
     k = 0
     while row.size:
@@ -372,21 +366,20 @@ def _run_chunk(spec, config, indices, levels, eval_times, beta, q_expr,
             # pre-clip)
             floored = dt < dt_min
             explode(floored, 2)
-            (keep, row, x, t, logz, nov, eidx, next_eval, snap, count,
-             slot) = retire(floored)
+            keep, row, x, t, logz, nov, count, slot = retire(floored)
             if not row.size:
                 break
             b = [v[keep] for v in b]
             sig = [[v[keep] for v in si] for si in sig]
             dt = dt[keep]
 
-        dt = np.minimum(dt, next_eval - t)
+        dt = np.minimum(dt, horizon - t)
 
         if (k - drawn_at + 1) * d > len(normals):
             normals = None  # so the old buffer is freed before the draw
             if k == 0:
                 normals = normal_block(config.seed, indices,
-                                       _first_steps(spec, config, E) * d,
+                                       _first_steps(spec, config) * d,
                                        transposed=True)
             else:
                 # steps [k, 2k), or fewer to hold _GROWN_NORMALS: the
@@ -437,10 +430,9 @@ def _run_chunk(spec, config, indices, levels, eval_times, beta, q_expr,
         for xi, dxi in zip(x, dx):
             xi += dxi
         t += dt
-        hit = t >= snap
-        any_hit = hit.any()
-        if any_hit:
-            t[hit] = next_eval[hit]
+        # reaching the horizon ends a path
+        at_horizon = t >= snap
+        t[at_horizon] = horizon
         norm = (np.abs(x[0]) if abs_norm
                 else np.sqrt(_total(xi * xi for xi in x)))
 
@@ -449,8 +441,7 @@ def _run_chunk(spec, config, indices, levels, eval_times, beta, q_expr,
 
         # guard crossing: numerical explosion proxy
         ended = norm >= config.explosion_guard
-        done = ended.any()
-        if done:
+        if ended.any():
             explode(ended, 1)
         if stop_at_largest_level and len(crossed):
             # a path stops the step it first crosses the largest level,
@@ -458,54 +449,31 @@ def _run_chunk(spec, config, indices, levels, eval_times, beta, q_expr,
             stopped = crossed[(count[crossed] == L) & ~ended[crossed]]
             status[row[stopped]] = 3
             ended[stopped] = True
-            done |= stopped.size > 0
-        if any_hit:
-            hit &= ~ended
-            rr, cols = row[hit], eidx[hit]
-            logz_evals[rr, cols] = logz[hit]
-            nov_evals[rr, cols] = nov[hit]
-            eidx[hit] = cols + 1
-            next_eval[hit] = eval_times[cols + 1]
-            snap[hit] = snaps[cols + 1]
-            ended |= eidx >= E
-            done = ended.any()
-        if done:
-            (_, row, x, t, logz, nov, eidx, next_eval, snap, count,
-             slot) = retire(ended)
+        ended |= at_horizon
+        if ended.any():
+            _, row, x, t, logz, nov, count, slot = retire(ended)
         k += 1
 
     return EnsembleResult(status, end_time, final_state, final_logz,
-                          passages.times, passages.values, logz_evals,
-                          nov_evals)
+                          passages.times, passages.values, final_nov)
 
 
 def run_ensemble(spec: DiffusionSpec, config: SimConfig, *,
-                 exp: ExponentSpec = None, levels=(), eval_times=None,
+                 exp: ExponentSpec = None, levels=(),
                  stop_at_largest_level=False,
                  threads=1) -> EnsembleResult:
-    """Simulate an ensemble; the workhorse behind every estimator.
-
-    eval_times defaults to (horizon,); it must be sorted, positive and end
-    at the horizon.  Paths run in chunks of CHUNK_SIZE (`map_chunks`), so
-    `threads` never changes the output.
+    """Simulate an ensemble to the config's horizon; the workhorse behind
+    every estimator.  Paths run in chunks of CHUNK_SIZE (`map_chunks`),
+    so `threads` never changes the output.
     """
-    if eval_times is None:
-        eval_times = (config.horizon,)
-    eval_times = tuple(float(t) for t in eval_times)
-    if list(eval_times) != sorted(set(eval_times)):
-        raise ValidationError("eval_times must be strictly increasing")
-    if eval_times[0] <= 0 or eval_times[-1] != config.horizon:
-        raise ValidationError(
-            "eval_times must be positive and end at the horizon")
-
     beta = q_expr = None
     if exp is not None:
         beta = exp.beta
         q_expr = quadratic_exponent(spec, exp)
 
     def work(indices):
-        return _run_chunk(spec, config, indices, levels, eval_times, beta,
-                          q_expr, stop_at_largest_level)
+        return _run_chunk(spec, config, indices, levels, beta, q_expr,
+                          stop_at_largest_level)
 
     return EnsembleResult(*map_chunks(work, config.n_paths, CHUNK_SIZE,
                                       threads))
@@ -518,17 +486,14 @@ def estimate_mean_direct(spec: DiffusionSpec, exp: ExponentSpec, t: float,
     Downward-biased for strict local martingales: the missing mass sits in
     rare huge samples, which the heavy-tail diagnostic flags.
     """
-    result = run_ensemble(spec, config.until(t), exp=exp, eval_times=(t,),
-                          threads=threads)
-    logs = result.logz_evals[:, 0]
-    incomplete = np.isnan(logs)
+    result = run_ensemble(spec, config.until(t), exp=exp, threads=threads)
+    incomplete = result.status != 0
     notes = []
     if np.any(incomplete):
         notes.append(f"{int(np.sum(incomplete))} path(s) ended in "
                      "NumericalExplosion before t; their last Z value "
                      "was used")
-        logs = np.where(incomplete, result.final_logz, logs)
-    est = MCEstimate.from_samples(np.exp(logs), notes=notes)
+    est = MCEstimate.from_samples(np.exp(result.final_logz), notes=notes)
     est.n_effective = int(np.sum(~incomplete))
     return est
 
@@ -538,15 +503,12 @@ def novikov_estimate(spec: DiffusionSpec, exp: ExponentSpec, t: float,
     """Sample mean of exp(0.5 int_0^t q(s, X_s) ds) under the original
     dynamics; divergence shows up as heavy_tail_flag plus a sample mean
     that keeps growing with n_paths (reported, not proven)."""
-    result = run_ensemble(spec, config.until(t), exp=exp, eval_times=(t,),
-                          threads=threads)
-    nov = result.nov_evals[:, 0]
+    result = run_ensemble(spec, config.until(t), exp=exp, threads=threads)
+    complete = result.status == 0
     notes = []
-    incomplete = np.isnan(nov)
-    if np.any(incomplete):
-        notes.append(f"{int(np.sum(incomplete))} incomplete path(s)")
-        nov = nov[~incomplete]
-    return novikov_mean(nov, notes)
+    if not np.all(complete):
+        notes.append(f"{int(np.sum(~complete))} incomplete path(s)")
+    return novikov_mean(result.final_nov[complete], notes)
 
 
 def novikov_mean(nov, notes=()) -> MCEstimate:
@@ -601,8 +563,8 @@ def estimate_deficit_localized(modified_spec: DiffusionSpec,
     """
     config.check_plan(plan)
     result = run_ensemble(modified_spec, config.until(t),
-                          levels=plan.levels, eval_times=(t,),
-                          stop_at_largest_level=True, threads=threads)
+                          levels=plan.levels, stop_at_largest_level=True,
+                          threads=threads)
     floored = int(np.sum(result.status == 2))
     return survival_curve(result.passage_times, plan, t, [
         f"{floored} path(s) hit the step-size floor and were treated as "
@@ -666,24 +628,26 @@ def stopped_exponential_means(spec: DiffusionSpec, exp: ExponentSpec,
 
     For plan levels passing localized_bound_check these must be 1 within
     Monte Carlo noise (optional stopping for the stopped UI martingale).
-    Returns one MCEstimate per level.
+    Returns one MCEstimate per level, from one ensemble per distinct
+    min(cap_n, t), run to that time: a level reads the bits that a call
+    at t = min(cap_n, t) gives it.
     """
     config.check_plan(plan)
-    eval_times = sorted({c for c in plan.time_caps if c < t} | {t})
-    result = run_ensemble(spec, config.until(t), exp=exp,
-                          levels=plan.levels, eval_times=tuple(eval_times),
-                          stop_at_largest_level=True, threads=threads)
-    eval_index = {tv: j for j, tv in enumerate(eval_times)}
+    config = config.until(t)    # refuses a t beyond the horizon
     estimates = []
-    for j, (m, cap) in enumerate(zip(plan.levels, plan.time_caps)):
+    run_to = None
+    for j, cap in enumerate(plan.time_caps):
         t_eff = min(cap, t)
-        col = eval_index[t_eff]
+        if t_eff != run_to:     # the caps are nondecreasing
+            result = run_ensemble(spec, config.until(t_eff), exp=exp,
+                                  levels=plan.levels,
+                                  stop_at_largest_level=True, threads=threads)
+            run_to = t_eff
+        # a path ending before t_eff passes every level at its end, so one
+        # that has not passed m_n by t_eff ran to it
         pas = result.passage_times[:, j]
-        logz_cut = result.logz_evals[:, col]
-        # paths stopped at the largest level before t_eff have no logz at
-        # t_eff; their rho_n occurred at or before that stop, so only rows
-        # with pas >= t_eff need logz_cut
-        logz = np.where(pas <= t_eff, result.logz_at_passage[:, j], logz_cut)
+        logz = np.where(pas <= t_eff, result.logz_at_passage[:, j],
+                        result.final_logz)
         valid = ~np.isnan(logz)
         estimates.append(MCEstimate.from_samples(
             np.exp(logz[valid]),

@@ -79,12 +79,12 @@ def test_sample_path_array_deterministic():
     assert len(np.unique(s1[:, -1, 0])) == 4
 
 
-def _scalar_run(cov, phi, cfg, levels, eval_times):
+def _scalar_run(cov, phi, cfg, levels):
     """Path by path, from its own stream (seed, p) read in C order as
-    (T-1, K) normals: log Z at eval_times under W, the first passage of
+    (T-1, K) normals: log Z at the horizon under W, the first passage of
     ||.|| over each level under W + int Q phi ds, and whether W itself
     reached each level.  No chunk and no stacked rows."""
-    grid = fixed_grid(cfg.horizon, cfg.dt_max, eval_times)
+    grid = fixed_grid(cfg.horizon, cfg.dt_max)
     T, K = len(grid), cov.modes
     lam = np.asarray(cov.eigenvalues)
     sqrt_lam = np.sqrt(lam)
@@ -102,7 +102,7 @@ def _scalar_run(cov, phi, cfg, levels, eval_times):
         z = path_generator(cfg.seed, p).standard_normal((T - 1, K))
         x, sup, logz = np.zeros(K), 0.0, 0.0
         xm, supm = np.zeros(K), 0.0
-        passage, logz_evals = [math.inf] * len(levels), []
+        passage = [math.inf] * len(levels)
         crossed_w = [False] * len(levels)
         for i in range(1, T):
             dt = grid[i] - grid[i - 1]
@@ -120,9 +120,7 @@ def _scalar_run(cov, phi, cfg, levels, eval_times):
                 if passage[j] == math.inf and np.sqrt(np.sum(xm * xm)) >= m:
                     passage[j] = grid[i]
                 crossed_w[j] |= bool(np.sqrt(np.sum(x * x)) >= m)
-            if grid[i] in eval_times:
-                logz_evals.append(logz)
-        logz_rows.append(logz_evals)
+        logz_rows.append(logz)
         passage_rows.append(passage)
         crossed_rows.append(crossed_w)
     return logz_rows, passage_rows, crossed_rows
@@ -162,7 +160,7 @@ def test_hilbert_paths_follow_their_documented_streams():
             "tanh(x)", "x * t", "0.5",
             *(f"sin({k} * x) + t" for k in range(1, 14)))), 0.0))
     cfg = SimConfig(n_paths=600, dt_max=0.2, horizon=1.0, seed=13)
-    levels, eval_times = (0.5, 1.0), (0.5, 1.0)
+    levels = (0.5, 1.0)
     for cov in (three, sixteen):
         grid, states = sample_path_array(cov, cfg, cfg.n_paths)
         for p in range(cfg.n_paths):
@@ -173,10 +171,8 @@ def test_hilbert_paths_follow_their_documented_streams():
             np.testing.assert_array_equal(states[p, 1:],
                                           np.cumsum(inc, axis=0))
     for cov, phi, rtol in cases:
-        logz, _, passage = _run_hilbert(cov, phi, cfg, levels=levels,
-                                        eval_times=eval_times)
-        ref_logz, ref_passage, crossed_w = _scalar_run(cov, phi, cfg,
-                                                       levels, eval_times)
+        logz, _, passage = _run_hilbert(cov, phi, cfg, levels=levels)
+        ref_logz, ref_passage, crossed_w = _scalar_run(cov, phi, cfg, levels)
         if rtol:
             np.testing.assert_allclose(logz, ref_logz, rtol=rtol, atol=0.0)
         else:
@@ -319,10 +315,10 @@ def test_one_draw_gives_both_dynamics_their_separate_runs(monkeypatch):
     plan = LocalizationPlan(levels=(0.5, 1.0), time_caps=(2.0, 2.0))
     direct, curve = estimate_hilbert_expectation(phi, cov, 1.0, plan, cfg,
                                                  threads=2)
-    logz, _, no_levels = _run_hilbert(cov, phi, cfg, eval_times=(1.0,))
+    logz, _, no_levels = _run_hilbert(cov, phi, cfg)
     assert no_levels.shape == (cfg.n_paths, 0)
-    _, passage, _ = _scalar_run(cov, phi, cfg, plan.levels, (1.0,))
-    assert direct == MCEstimate.from_samples(np.exp(logz[:, 0]))
+    _, passage, _ = _scalar_run(cov, phi, cfg, plan.levels)
+    assert direct == MCEstimate.from_samples(np.exp(logz))
     assert curve == survival_curve(np.array(passage), plan, 1.0)
     assert 0.0 < curve.entries[0][2] < 1.0
 
@@ -363,6 +359,7 @@ def test_a_non_finite_phi_is_refused():
     ((0.6, 0.8), math.inf, 0),
     ((0.0, 1.0), math.nan, 0),
     ((0.6, 0.8), 1.7976931348623157e308, None)])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_running_sup_phi_is_refused_where_a_product_is_not_finite(
         direction, sup, mode):
     # finiteness is tested on the running sup times the largest

@@ -185,18 +185,17 @@ PLAN = LocalizationPlan(levels=(8.0, 16.0, 24.0, 32.0),
 
 def test_simulation_deterministic():
     trip, gd = POISSON_U4
-    r1 = simulate_jump_exponential(trip, gd, CFG, eval_times=(1.0,))
-    r2 = simulate_jump_exponential(trip, gd, CFG, eval_times=(1.0,))
+    r1 = simulate_jump_exponential(trip, gd, CFG)
+    r2 = simulate_jump_exponential(trip, gd, CFG)
     for a, b in zip(r1, r2):
-        np.testing.assert_array_equal(a.z_final, b.z_final)
+        np.testing.assert_array_equal(a.z, b.z)
 
 
 def test_delta_N_stays_above_minus_one():
     for trip, gd in (POISSON_U4, ATOM_HALF):
-        for res in simulate_jump_exponential(trip, gd, CFG,
-                                             eval_times=(1.0,)):
+        for res in simulate_jump_exponential(trip, gd, CFG):
             assert float(np.min(res.min_delta_N)) > -1.0
-            assert np.all(res.z_final > 0.0)
+            assert np.all(res.z > 0.0)
 
 
 def test_compensator_identity():
@@ -313,8 +312,7 @@ def test_paths_do_not_depend_on_the_paths_that_stop_beside_them(
         monkeypatch):
     # a low guard stops rows at different steps: a chunk of forty finds
     # its jumps' rows by search once a row has left, where a chunk of one
-    # mostly indexes them directly; Z is formed at each stop, at level
-    # crossings, at both eval times and at the end
+    # mostly indexes them directly
     trip = JumpTriplet(base=DiffusionSpec.scalar("0.5*x", "1"), cp_rate=8.0,
                        cp_dist=DiscreteDist((0.3, -0.7, 0.1),
                                             (0.2, 0.5, 0.3)),
@@ -326,11 +324,10 @@ def test_paths_do_not_depend_on_the_paths_that_stop_beside_them(
     for chunk in (1, 40):
         monkeypatch.setattr(jumpkit, "CHUNK_SIZE", chunk)
         runs.append(simulate_jump_exponential(
-            trip, gd, cfg, levels=(1.0, 2.0, 3.0), eval_times=(0.3, 1.0)))
+            trip, gd, cfg, levels=(1.0, 2.0, 3.0)))
     for a, b in zip(*runs):
-        # rows stop before the first eval time, between the two, or never
-        stopped = np.isnan(a.z_evals).sum(axis=0)
-        assert 0 < stopped[0] < stopped[1] < cfg.n_paths
+        # some rows stop at the guard, the others reach the horizon
+        assert 0 < np.isnan(a.z).sum() < cfg.n_paths
         for field in a._fields:
             np.testing.assert_array_equal(getattr(a, field),
                                           getattr(b, field))
@@ -348,7 +345,7 @@ def test_two_point_law_counts_per_support_point():
     for res, weights in zip(simulate_jump_exponential(trip, gd, cfg),
                             ((1.0, 1.0), (4.0, 9.0))):
         c = res.c_over_z_final
-        half_log = 0.5 * (np.log(res.z_final) + compensator)
+        half_log = 0.5 * (np.log(res.z) + compensator)
         raw = (half_log - c * math.log(2.0)) / (
             math.log(3.0) - 4.0 * math.log(2.0))
         n2 = np.round(raw)
@@ -434,10 +431,10 @@ def test_modified_rows_follow_girsanov(trip, gd, levels):
     # any grid.  A drift the modified rows get twice moves them apart.
     cfg = SimConfig(n_paths=20000, dt_max=0.01, horizon=1.0, seed=7)
     original, modified = simulate_jump_exponential(
-        trip, gd, cfg, levels=levels, eval_times=(1.0,))
+        trip, gd, cfg, levels=levels)
     for j, m in enumerate(levels):
         p_side = np.where(original.passage_times[:, j] > 1.0,
-                          original.z_evals[:, 0], 0.0)
+                          original.z, 0.0)
         q_side = modified.passage_times[:, j] > 1.0
         se = math.hypot(np.std(p_side, ddof=1), np.std(q_side, ddof=1))
         gap = float(np.mean(p_side) - np.mean(q_side))
@@ -454,9 +451,9 @@ def _poisson_inverse(u, mu):
     return k
 
 
-def _reference_path(trip, gd, grid, seed, path, levels, eval_times,
-                    guard, modified):
-    """One path by a scalar loop over the documented streams."""
+def _reference_path(trip, gd, grid, seed, path, levels, guard, modified):
+    """One path by a scalar loop over the documented streams; Z is nan
+    where the path stops at the guard."""
     sizes, probs = trip.cp_dist.support, trip.cp_dist.probs
     lam, atom = trip.cp_rate, trip.atoms[0]
     steps = len(grid) - 1
@@ -467,8 +464,6 @@ def _reference_path(trip, gd, grid, seed, path, levels, eval_times,
         math.inf
     multi = set()  # support points with a count of 2 or more in a step
     passage = [math.inf] * len(levels)
-    z_pass = [math.nan] * len(levels)
-    z_evals = [math.nan] * len(eval_times)
     for i in range(steps):
         t0, t1 = grid[i], grid[i + 1]
         dt = t1 - t0
@@ -510,15 +505,12 @@ def _reference_path(trip, gd, grid, seed, path, levels, eval_times,
             dn_min = min(dn_min, dn)
             r += atom_delta_R(atom, gd)
             coz += (1 - math.sqrt(1 + dn)) ** 2
-        z = math.exp(log_zc) * prod
         for j, m in enumerate(levels):
             if passage[j] == math.inf and abs(x) >= m:
-                passage[j], z_pass[j] = t1, z
+                passage[j] = t1
         if abs(x) >= guard:
-            break
-        if t1 in eval_times:
-            z_evals[eval_times.index(t1)] = z
-    return (z_evals, z, passage, z_pass, dn_min, r, coz, multi)
+            return (math.nan, passage, dn_min, r, coz, multi)
+    return (math.exp(log_zc) * prod, passage, dn_min, r, coz, multi)
 
 
 _STATE_COEFS = ("-x", "1 + 0.1*x^2", "tanh(x)")
@@ -551,26 +543,22 @@ def test_lockstep_chunks_match_a_scalar_loop_per_path(monkeypatch, modified,
         atoms=(Atom(time=0.375, mass=0.4,
                     dist=DiscreteDist((1.0, 2.0), (0.7, 0.3))),))
     gd = GirsanovData(K=k, U="1 + 0.5*t + 0.1*x")
-    levels, eval_times = (0.5, 1.5), (0.5, 1.0)
+    levels = (0.5, 1.5)
     cfg = SimConfig(n_paths=40, dt_max=0.05, horizon=1.0, seed=3,
                     explosion_guard=2.5)
     monkeypatch.setattr(jumpkit, "CHUNK_SIZE", 7)
     # 2 * 7 rows and 2 support points: jumps are found 3 steps at a time
     monkeypatch.setattr(jumpkit, "JUMP_BLOCK_CELLS", 100)
-    res = simulate_jump_exponential(trip, gd, cfg, levels=levels,
-                                    eval_times=eval_times)[modified]
-    grid = fixed_grid(1.0, 0.05, (0.375, *eval_times))
+    res = simulate_jump_exponential(trip, gd, cfg, levels=levels)[modified]
+    grid = fixed_grid(1.0, 0.05, (0.375,))
     stopped, multi = 0, set()
     for p in range(cfg.n_paths):
-        z_ev, z_fin, pas, z_pas, dn_min, r, coz, path_multi = \
-            _reference_path(trip, gd, grid, 3, p, levels, list(eval_times),
-                            2.5, modified)
-        stopped += math.isnan(z_ev[-1])
+        z, pas, dn_min, r, coz, path_multi = _reference_path(
+            trip, gd, grid, 3, p, levels, 2.5, modified)
+        stopped += math.isnan(z)
         multi |= path_multi
-        np.testing.assert_allclose(res.z_evals[p], z_ev, rtol=1e-11)
-        np.testing.assert_allclose(res.z_final[p], z_fin, rtol=1e-11)
+        np.testing.assert_allclose(res.z[p], z, rtol=1e-11)
         np.testing.assert_array_equal(res.passage_times[p], pas)
-        np.testing.assert_allclose(res.z_at_passage[p], z_pas, rtol=1e-11)
         np.testing.assert_allclose(res.min_delta_N[p], dn_min, rtol=1e-13)
         np.testing.assert_allclose(res.r_final[p], r, rtol=1e-11)
         np.testing.assert_allclose(res.c_over_z_final[p], coz, rtol=1e-11)

@@ -38,7 +38,7 @@ def test_repeat_runs_identical():
     r1 = run_ensemble(BM, CFG, exp=BETA_X, levels=PLAN.levels)
     r2 = run_ensemble(BM, CFG, exp=BETA_X, levels=PLAN.levels)
     np.testing.assert_array_equal(r1.final_state, r2.final_state)
-    np.testing.assert_array_equal(r1.logz_evals, r2.logz_evals)
+    np.testing.assert_array_equal(r1.final_logz, r2.final_logz)
     np.testing.assert_array_equal(r1.passage_times, r2.passage_times)
 
 
@@ -47,8 +47,8 @@ def test_thread_count_does_not_change_output():
     r1 = run_ensemble(BM, cfg, exp=BETA_X, threads=1)
     r8 = run_ensemble(BM, cfg, exp=BETA_X, threads=8)
     np.testing.assert_array_equal(r1.final_state, r8.final_state)
-    np.testing.assert_array_equal(r1.logz_evals, r8.logz_evals)
-    np.testing.assert_array_equal(r1.nov_evals, r8.nov_evals)
+    np.testing.assert_array_equal(r1.final_logz, r8.final_logz)
+    np.testing.assert_array_equal(r1.final_nov, r8.final_nov)
 
 
 def test_chunk_size_does_not_change_output(monkeypatch):
@@ -56,8 +56,7 @@ def test_chunk_size_does_not_change_output(monkeypatch):
     # and the one default chunk see different live rows at every step
     spec = DiffusionSpec.scalar("x^3", "1", x0=0.5)
     cfg = SimConfig(n_paths=50, dt_max=0.05, horizon=1.0, seed=9)
-    kwargs = dict(exp=BETA_X, levels=(1.0, 2.0), eval_times=(0.5, 1.0),
-                  stop_at_largest_level=True)
+    kwargs = dict(exp=BETA_X, levels=(1.0, 2.0), stop_at_largest_level=True)
     whole = run_ensemble(spec, cfg, **kwargs)
     monkeypatch.setattr(mc, "CHUNK_SIZE", 7)
     chunked = run_ensemble(spec, cfg, threads=2, **kwargs)
@@ -129,7 +128,7 @@ def test_grown_buffers_hold_only_the_steps_not_yet_taken(monkeypatch):
     run_ensemble(spec, cfg)
     # sigma reads no x, so the load is 2 + 1 at every state the first
     # buffer is sized from
-    first = int(math.ceil(cfg.horizon * 3.0 / cfg.dt_max)) + 1 + 8
+    first = int(math.ceil(cfg.horizon * 3.0 / cfg.dt_max)) + 9
     assert draws[0] == (cfg.n_paths, 0, first * d, False)
     # the doubling rule: a path that outgrows steps [0, k) draws steps
     # [k, 2k)
@@ -178,9 +177,9 @@ def test_grown_buffers_stay_within_their_cap(monkeypatch):
 
 @pytest.mark.parametrize("drift, first", [
     # load |x| + 2 at x0 = 0 and at +-1, +-2: mean 3.2
-    ("x", 640 + 1 + 8),
+    ("x", 640 + 9),
     # load |x|^3 + 2: mean 5.6 passes the cap, so the load at x0, 2
-    ("x^3", 400 + 1 + 8)])
+    ("x^3", 400 + 9)])
 def test_first_buffer_is_sized_from_the_mean_load_near_x0(monkeypatch,
                                                           drift, first):
     draws = []
@@ -204,7 +203,7 @@ def test_chunks_with_kept_states_do_not_change_output(monkeypatch):
     spec = DiffusionSpec.scalar("x^3", "1")
     cfg = SimConfig(n_paths=40, dt_max=0.01, horizon=1.0, seed=8,
                     explosion_guard=12.0)
-    kwargs = dict(levels=(2.0, 4.0, 8.0), eval_times=(0.5, 1.0))
+    kwargs = dict(levels=(2.0, 4.0, 8.0))
     resumed = []
 
     def recorded(*args, **kwargs):
@@ -228,8 +227,7 @@ def test_compaction_does_not_change_output(monkeypatch):
     spec = DiffusionSpec.scalar("0", "2 + 1e4*max(-x - 1, 0)")
     cfg = SimConfig(n_paths=200, dt_max=1.0, horizon=1.0, seed=5,
                     explosion_guard=2.5)
-    kwargs = dict(exp=BETA_X, levels=(1.0, 2.0), eval_times=(0.25, 0.5, 1.0),
-                  stop_at_largest_level=True)
+    kwargs = dict(exp=BETA_X, levels=(1.0, 2.0), stop_at_largest_level=True)
     whole = run_ensemble(spec, cfg, **kwargs)
     assert set(whole.status.tolist()) == {0, 1, 2, 3}
     monkeypatch.setattr(mc, "CHUNK_SIZE", 1)
@@ -339,7 +337,7 @@ def test_constant_coefficients_give_the_bits_of_per_step_ones(dim):
                 ExponentSpec(beta=tuple(("0.7^1.3" + extra,
                                          "0.4" + extra)[:dim])))
     cfg = SimConfig(n_paths=30, dt_max=0.05, horizon=1.0, seed=12)
-    kwargs = dict(levels=(0.5, 1.0), eval_times=(0.5, 1.0))
+    kwargs = dict(levels=(0.5, 1.0))
     fixed_spec, fixed_exp = spec(False)
     moving_spec, moving_exp = spec(True)
     fixed = run_ensemble(fixed_spec, cfg, exp=fixed_exp, **kwargs)
@@ -395,9 +393,8 @@ def test_correlated_2d_ensemble_matches_a_scalar_loop():
                          x0=(0.3, -0.2))
     exp = ExponentSpec(beta=("x", "x"))
     cfg = SimConfig(n_paths=30, dt_max=0.05, horizon=1.0, seed=12)
-    levels, eval_times = (0.5, 1.0, 2.0), (0.5, 1.0)
-    ens = run_ensemble(spec, cfg, exp=exp, levels=levels,
-                       eval_times=eval_times)
+    levels = (0.5, 1.0, 2.0)
+    ens = run_ensemble(spec, cfg, exp=exp, levels=levels)
     c = [[sig[i][0] * sig[j][0] + sig[i][1] * sig[j][1] for j in range(2)]
          for i in range(2)]
     trace = sig[0][0] ** 2 + sig[0][1] ** 2 + sig[1][0] ** 2 + sig[1][1] ** 2
@@ -406,35 +403,31 @@ def test_correlated_2d_ensemble_matches_a_scalar_loop():
         z = iter(path_generator(cfg.seed, idx).standard_normal(1000))
         x, t, logz, nov = [0.3, -0.2], 0.0, 0.0, 0.0
         passage, logz_pass = [math.inf] * 3, [math.nan] * 3
-        logz_evals, nov_evals = [], []
-        for t_eval in eval_times:
-            while t < t_eval:
-                b = (x[0], -x[1])
-                load = math.sqrt(b[0] * b[0] + b[1] * b[1]) + trace + 1.0
-                dt = min(cfg.dt_max / load, t_eval - t)
-                dw = [next(z) * math.sqrt(dt) for _ in range(2)]
-                b_dt = [bi * dt for bi in b]
-                dx = [b_dt[i] + (0.0 + sig[i][0] * dw[0]
-                                 + sig[i][1] * dw[1]) for i in range(2)]
-                q = 0.0
-                for i in range(2):
-                    for j in range(2):
-                        q += x[i] * c[i][j] * x[j]
-                logz += (x[0] * (dx[0] - b_dt[0]) + x[1] * (dx[1] - b_dt[1])
-                         - 0.5 * q * dt)
-                nov += q * dt
-                x = [x[0] + dx[0], x[1] + dx[1]]
-                t = t + dt
-                if t >= t_eval - 1e-12:
-                    t = t_eval
-                norm = math.sqrt(x[0] * x[0] + x[1] * x[1])
-                for j, m in enumerate(levels):
-                    if passage[j] == math.inf and norm >= m:
-                        passage[j], logz_pass[j] = t, logz
-            logz_evals.append(logz)
-            nov_evals.append(nov)
+        while t < cfg.horizon:
+            b = (x[0], -x[1])
+            load = math.sqrt(b[0] * b[0] + b[1] * b[1]) + trace + 1.0
+            dt = min(cfg.dt_max / load, cfg.horizon - t)
+            dw = [next(z) * math.sqrt(dt) for _ in range(2)]
+            b_dt = [bi * dt for bi in b]
+            dx = [b_dt[i] + (0.0 + sig[i][0] * dw[0]
+                             + sig[i][1] * dw[1]) for i in range(2)]
+            q = 0.0
+            for i in range(2):
+                for j in range(2):
+                    q += x[i] * c[i][j] * x[j]
+            logz += (x[0] * (dx[0] - b_dt[0]) + x[1] * (dx[1] - b_dt[1])
+                     - 0.5 * q * dt)
+            nov += q * dt
+            x = [x[0] + dx[0], x[1] + dx[1]]
+            t = t + dt
+            if t >= cfg.horizon - 1e-12:
+                t = cfg.horizon
+            norm = math.sqrt(x[0] * x[0] + x[1] * x[1])
+            for j, m in enumerate(levels):
+                if passage[j] == math.inf and norm >= m:
+                    passage[j], logz_pass[j] = t, logz
         for column, value in zip(want, (0, t, x, logz, passage, logz_pass,
-                                        logz_evals, nov_evals)):
+                                        nov)):
             column.append(value)
     for field, got, value in zip(ens._fields, ens, want):
         np.testing.assert_array_equal(got, np.array(value, dtype=got.dtype),
@@ -509,11 +502,10 @@ def test_seed_changes_output():
 # --- structural invariants -----------------------------------------------------
 
 def test_z_is_positive_along_paths():
-    res = run_ensemble(DiffusionSpec.scalar("-x", "1"),
-                       SimConfig(n_paths=5, dt_max=0.01, horizon=1.0,
-                                 seed=11),
-                       exp=BETA_X, eval_times=np.linspace(0.1, 1.0, 10))
-    z = np.exp(res.logz_evals)
+    cfg = SimConfig(n_paths=5, dt_max=0.01, horizon=1.0, seed=11)
+    z = np.exp([run_ensemble(DiffusionSpec.scalar("-x", "1"), cfg.until(t),
+                             exp=BETA_X).final_logz
+                for t in np.linspace(0.1, 1.0, 10)])
     assert np.all(np.isfinite(z)) and np.all(z > 0.0)
     assert not np.all(z == 1.0)
 
@@ -571,6 +563,21 @@ def test_stopped_means_are_one_within_noise():
         SimConfig(n_paths=20000, dt_max=0.002, horizon=1.0, seed=42))
     for est in ests:
         assert abs(est.mean - 1.0) <= 3.0 * est.std_error
+
+
+@pytest.mark.parametrize("caps", [(0.3, 0.6, 2.0), (0.005, 0.6, 2.0)])
+def test_a_level_capped_below_t_reads_the_run_to_its_cap(caps):
+    # one ensemble per distinct min(cap, t): level j of the call at t = 1
+    # has the bits of the same call at t = min(cap_j, 1).  A cap below
+    # dt_max runs at dt_max = cap.
+    plan = LocalizationPlan(levels=(1.0, 2.0, 4.0), time_caps=caps)
+    cfg = SimConfig(n_paths=4000, dt_max=0.01, horizon=1.0, seed=42)
+    ests = stopped_exponential_means(BM, BETA_X, 1.0, plan, cfg)
+    for j, (cap, est) in enumerate(zip(caps, ests)):
+        assert abs(est.mean - 1.0) <= 3.0 * est.std_error
+        alone = stopped_exponential_means(BM, BETA_X, min(cap, 1.0), plan,
+                                          cfg)[j]
+        assert alone == est
 
 
 def test_levels_capped_at_t_do_not_converge():
@@ -663,10 +670,4 @@ def test_plan_must_stay_below_guard():
     with pytest.raises(ValidationError):
         cfg.check_plan(PLAN)
 
-
-def test_eval_times_validation():
-    with pytest.raises(ValidationError):
-        run_ensemble(BM, CFG, eval_times=(0.5, 0.2, 1.0))
-    with pytest.raises(ValidationError):
-        run_ensemble(BM, CFG, eval_times=(0.5,))  # must end at horizon
 
