@@ -138,10 +138,9 @@ def classify(config_path, preset, seed, threads, output_path, fmt,
                                 rc.mc, threads=threads)
             _echo_estimate("direct mean", direct)
             _echo_curve(curve)
-            estimates = {"direct_mean": repmod.mc_estimate_dict(direct)}
-            curves = {"deficit": repmod.deficit_curve_dict(curve)}
-        rep = repmod.build_report("classify", rc,
-                                  verdict=verdict.to_dict(),
+            estimates = {"direct_mean": direct}
+            curves = {"deficit": curve}
+        rep = repmod.build_report("classify", rc, verdict=verdict,
                                   estimates=estimates, curves=curves)
         _emit(rep, rc, output_path, fmt, curve=curve)
     _run(body)
@@ -157,9 +156,8 @@ def deficit(config_path, preset, seed, threads, output_path, fmt):
         curve = deficit_for(rc.spec, rc.exponent, rc.plan, rc.t, rc.mc,
                             threads=threads)
         _echo_curve(curve)
-        rep = repmod.build_report(
-            "deficit", rc,
-            curves={"deficit": repmod.deficit_curve_dict(curve)})
+        rep = repmod.build_report("deficit", rc,
+                                  curves={"deficit": curve})
         _emit(rep, rc, output_path, fmt, curve=curve)
     _run(body)
 
@@ -180,9 +178,8 @@ def novikov(config_path, preset, seed, threads, output_path, fmt):
             raise ConfigError("novikov needs a diffusion or hilbert "
                               "config")
         _echo_estimate("novikov mean", est)
-        rep = repmod.build_report(
-            "novikov", rc,
-            estimates={"novikov": repmod.mc_estimate_dict(est)})
+        rep = repmod.build_report("novikov", rc,
+                                  estimates={"novikov": est})
         _emit(rep, rc, output_path, fmt)
     _run(body)
 
@@ -205,10 +202,9 @@ def jump(config_path, preset, seed, threads, output_path, fmt):
                    f"(gap {comp.mean_gap:.3e} +/- {comp.std_error:.3e})",
                    err=True)
         rep = repmod.build_report(
-            "jump", rc, verdict=verdict.to_dict(),
-            estimates={"compensator_identity": comp.to_dict()},
-            curves={"deficit": repmod.deficit_curve_dict(curve)}
-            if curve is not None else None)
+            "jump", rc, verdict=verdict,
+            estimates={"compensator_identity": comp},
+            curves={"deficit": curve} if curve is not None else None)
         _emit(rep, rc, output_path, fmt, curve=curve)
     _run(body)
 
@@ -236,9 +232,8 @@ def hilbert(config_path, preset, seed, threads, output_path, fmt):
         _echo_curve(curve)
         rep = repmod.build_report(
             "hilbert", rc,
-            estimates={"direct_mean": repmod.mc_estimate_dict(direct),
-                       "conditions": cond.to_dict()},
-            curves={"deficit": repmod.deficit_curve_dict(curve)})
+            estimates={"direct_mean": direct, "conditions": cond},
+            curves={"deficit": curve})
         _emit(rep, rc, output_path, fmt, curve=curve)
     _run(body)
 

@@ -21,6 +21,7 @@ from .hilbert import CovarianceSpec, FunctionalSpec
 from .jumpkit import Atom, DiscreteDist, GirsanovData, JumpTriplet
 from .mc import SimConfig
 from .model import DiffusionSpec, ExponentSpec, LocalizationPlan
+from .report import jsonable
 
 
 def _bound(value, fld):
@@ -34,14 +35,6 @@ def _bound(value, fld):
         raise ConfigError("interval bounds must be numbers or 'inf'/'-inf'",
                           field=fld)
     return float(value)
-
-
-def _bound_out(value):
-    if value == math.inf:
-        return "inf"
-    if value == -math.inf:
-        return "-inf"
-    return value
 
 
 # --- section parsers -----------------------------------------------------
@@ -85,22 +78,10 @@ def spec_from_dict(d, fld="spec"):
                              x0=tuple(d.get("x0", [0.0] * dim)))
 
 
-def spec_to_dict(spec):
-    return {"intervals": [[_bound_out(l), _bound_out(r)]
-                          for (l, r) in spec.intervals],
-            "b": [e.render() for e in spec.b],
-            "sigma": [[e.render() for e in row] for row in spec.sigma],
-            "x0": list(spec.x0)}
-
-
 def exponent_from_dict(d, fld="exponent"):
     with _section(fld):
         _only(d, ("beta",), fld)
         return ExponentSpec(beta=tuple(d["beta"]))
-
-
-def exponent_to_dict(exp):
-    return {"beta": [e.render() for e in exp.beta]}
 
 
 def plan_from_dict(d, fld="plan"):
@@ -110,19 +91,10 @@ def plan_from_dict(d, fld="plan"):
                                 time_caps=tuple(d["time_caps"]))
 
 
-def plan_to_dict(plan):
-    return {"levels": list(plan.levels), "time_caps": list(plan.time_caps)}
-
-
 def mc_from_dict(d, t, fld="mc"):
     with _section(fld):
         _only(d, ("n_paths", "dt_max", "seed", "explosion_guard"), fld)
         return SimConfig(**dict(d, dt_max=min(d["dt_max"], t)), horizon=t)
-
-
-def mc_to_dict(mc):
-    return {"n_paths": mc.n_paths, "dt_max": mc.dt_max, "seed": mc.seed,
-            "explosion_guard": mc.explosion_guard}
 
 
 def _dist_from_dict(d, fld):
@@ -130,10 +102,6 @@ def _dist_from_dict(d, fld):
         _only(d, ("support", "probs"), fld)
         return DiscreteDist(support=tuple(d["support"]),
                             probs=tuple(d["probs"]))
-
-
-def _dist_to_dict(dist):
-    return {"support": list(dist.support), "probs": list(dist.probs)}
 
 
 def _atom_from_dict(d, fld):
@@ -157,13 +125,8 @@ def triplet_from_dict(d, fld="triplet"):
 
 
 def triplet_to_dict(trip):
-    d = {"base": spec_to_dict(trip.base), "cp_rate": trip.cp_rate}
-    if trip.cp_dist is not None:
-        d["cp_dist"] = _dist_to_dict(trip.cp_dist)
-    if trip.atoms:
-        d["atoms"] = [{"time": a.time, "mass": a.mass,
-                       "dist": _dist_to_dict(a.dist)} for a in trip.atoms]
-    return d
+    """The triplet's fields without an absent `cp_dist` or `atoms`."""
+    return {k: v for k, v in vars(trip).items() if v not in (None, ())}
 
 
 def girsanov_from_dict(d, fld="girsanov"):
@@ -172,18 +135,10 @@ def girsanov_from_dict(d, fld="girsanov"):
         return GirsanovData(K=d["K"], U=d["U"])
 
 
-def girsanov_to_dict(gd):
-    return {"K": gd.K.render(), "U": gd.U.render()}
-
-
 def covariance_from_dict(d, fld="covariance"):
     with _section(fld):
         _only(d, ("eigenvalues",), fld)
         return CovarianceSpec(eigenvalues=tuple(d["eigenvalues"]))
-
-
-def covariance_to_dict(cov):
-    return {"eigenvalues": list(cov.eigenvalues)}
 
 
 # what a functional of each kind reads besides its kind and claims
@@ -205,17 +160,11 @@ def functional_from_dict(d, fld="functional"):
 
 
 def functional_to_dict(phi):
-    d = {"kind": phi.kind}
-    if phi.kind == "pointwise":
-        d["exprs"] = [e.render() for e in phi.exprs]
-    else:
-        d["weights"] = list(phi.weights)
-        d["direction"] = list(phi.direction)
-    if phi.claimed_lipschitz is not None:
-        d["claimed_lipschitz"] = phi.claimed_lipschitz
-    if phi.claimed_growth is not None:
-        d["claimed_growth"] = phi.claimed_growth
-    return d
+    """The kind, the keys its parser reads, and the claims made."""
+    keys = ("kind", *_PHI_KEYS[phi.kind], "claimed_lipschitz",
+            "claimed_growth")
+    return {k: getattr(phi, k) for k in keys
+            if getattr(phi, k) is not None}
 
 
 # --- the resolved bundle -------------------------------------------------
@@ -236,22 +185,18 @@ class RunConfig:
     functional: FunctionalSpec = None
 
     def to_dict(self):
-        d = {"t": self.t,
-             "plan": plan_to_dict(self.plan), "mc": mc_to_dict(self.mc)}
-        if self.preset:
-            d["preset"] = self.preset
-        if self.spec is not None:
-            d["spec"] = spec_to_dict(self.spec)
-        if self.exponent is not None:
-            d["exponent"] = exponent_to_dict(self.exponent)
+        """The plain JSON document of the config, which `resolve` reads
+        back to the same config: the fields without `kind`, which the
+        sections imply, an empty `preset`, absent sections and
+        `mc.horizon`, which is `t`."""
+        d = {k: v for k, v in vars(self).items()
+             if k != "kind" and v not in (None, "")}
         if self.triplet is not None:
             d["triplet"] = triplet_to_dict(self.triplet)
-        if self.girsanov is not None:
-            d["girsanov"] = girsanov_to_dict(self.girsanov)
-        if self.covariance is not None:
-            d["covariance"] = covariance_to_dict(self.covariance)
         if self.functional is not None:
             d["functional"] = functional_to_dict(self.functional)
+        d = jsonable(d)
+        del d["mc"]["horizon"]
         return d
 
 

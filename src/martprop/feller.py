@@ -129,12 +129,6 @@ class FellerReport:
             else:
                 self.conclusion = "Explosive"
 
-    def to_dict(self):
-        return {"conclusion": self.conclusion, "xi": self.xi,
-                "v_left": self.v_left.to_dict(),
-                "v_right": self.v_right.to_dict(),
-                "diagnostics": list(self.diagnostics)}
-
 
 def _require_positive_c(zs, values):
     """Raise DegenerateDiffusion at the first z where c is not positive

@@ -276,14 +276,7 @@ class ConditionsReport:
         return self.lipschitz_passed and self.growth_passed
 
     def to_dict(self):
-        return {"lipschitz_hat": self.lipschitz_hat,
-                "growth_hat": self.growth_hat,
-                "claimed_lipschitz": self.claimed_lipschitz,
-                "claimed_growth": self.claimed_growth,
-                "lipschitz_passed": self.lipschitz_passed,
-                "growth_passed": self.growth_passed,
-                "passed": self.passed, "n_paths": self.n_paths,
-                "notes": list(self.notes)}
+        return {**vars(self), "passed": self.passed}
 
 
 def check_conditions(phi: FunctionalSpec, cov: CovarianceSpec, times,

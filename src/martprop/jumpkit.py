@@ -619,11 +619,6 @@ class CompensatorReport:
     r_mean: float
     n_paths: int
 
-    def to_dict(self):
-        return {"passed": self.passed, "mean_gap": self.mean_gap,
-                "std_error": self.std_error, "r_mean": self.r_mean,
-                "n_paths": self.n_paths}
-
 
 def analyze_jump(trip: JumpTriplet, gd: GirsanovData, t: float,
                  plan: LocalizationPlan, config: SimConfig, threads=1):

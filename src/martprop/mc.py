@@ -134,6 +134,11 @@ class DeficitCurve:
     converged: bool
     notes: list = field(default_factory=list)
 
+    def to_dict(self):
+        return {**vars(self), "entries": [
+            {"level": lv, "time_cap": cap, "survival": q, "std_error": se}
+            for (lv, cap, q, se) in self.entries]}
+
 
 class EnsembleResult(NamedTuple):
     """Per-path outputs, in path-index order; a path of status 0 ends at
@@ -559,16 +564,23 @@ def estimate_deficit_localized(modified_spec: DiffusionSpec,
 
     Uses one shared ensemble for all levels, so the survival column is
     exactly nondecreasing in n.  Converged when the last two levels agree
-    within twice the summed standard errors.
+    within twice the summed standard errors and no path ended at the step
+    floor: such a path counts as exploded at every level it had not
+    passed, so floor hits move the levels together and the deficit may
+    overstate the true one by up to their share of paths.
     """
     config.check_plan(plan)
     result = run_ensemble(modified_spec, config.until(t),
                           levels=plan.levels, stop_at_largest_level=True,
                           threads=threads)
     floored = int(np.sum(result.status == 2))
-    return survival_curve(result.passage_times, plan, t, [
+    curve = survival_curve(result.passage_times, plan, t, [
         f"{floored} path(s) hit the step-size floor and were treated as "
-        "exploded (conservative)"] if floored else [])
+        "exploded, so the deficit may overstate the true one by up to "
+        f"{floored / len(result.status):.4g}; not converged"]
+        if floored else [])
+    curve.converged = curve.converged and not floored
+    return curve
 
 
 def localized_bound_check(spec: DiffusionSpec, exp: ExponentSpec,
@@ -589,7 +601,6 @@ def localized_bound_check(spec: DiffusionSpec, exp: ExponentSpec,
             grid_sup = 0.0
             # state grid per coordinate, clipped to the interval
             per_coord = []
-            open_sides = []
             for (l, r) in spec.intervals:
                 lo, hi = max(-m, l), min(m, r)
                 eps = (hi - lo) / (10.0 * n_pts)
@@ -598,7 +609,6 @@ def localized_bound_check(spec: DiffusionSpec, exp: ExponentSpec,
                 pts = np.linspace(lo + (eps if lo_open else 0.0),
                                   hi - (eps if hi_open else 0.0), n_pts)
                 per_coord.append(pts)
-                open_sides.append(lo_open or hi_open)
             ts = np.linspace(0.0, cap, n_pts) if time_dep else [0.0]
             for tv in ts:
                 for pts in per_coord:

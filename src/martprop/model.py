@@ -189,13 +189,10 @@ class MartingaleVerdict:
     notes: list = field(default_factory=list)
 
     def to_dict(self):
-        d = {"classification": self.classification.value,
-             "notes": list(self.notes)}
-        for key in ("feller_original", "feller_modified"):
-            obj = getattr(self, key)
-            if obj is not None:
-                d[key] = obj.to_dict()
-        return d
+        """The fields but the curve, which a report gives under
+        `curves`, and an absent Feller report."""
+        return {k: v for k, v in vars(self).items()
+                if k != "deficit_curve" and v is not None}
 
 
 def _check_compatible(spec, exp):

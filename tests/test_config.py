@@ -5,6 +5,12 @@ import pytest
 
 from martprop import catalog, config
 from martprop.errors import ConfigError
+from martprop.feller import FellerReport, VSide
+from martprop.hilbert import ConditionsReport
+from martprop.jumpkit import CompensatorReport
+from martprop.mc import DeficitCurve, MCEstimate
+from martprop.model import Classification, MartingaleVerdict
+from martprop.report import jsonable
 
 
 def test_every_preset_resolves_and_round_trips():
@@ -23,7 +29,7 @@ def test_infinity_encoding():
         "exponent": {"beta": ["x"]},
         "mc": {"n_paths": 10, "dt_max": 0.1}})
     assert rc.spec.intervals == ((-math.inf, math.inf),)
-    assert config.spec_to_dict(rc.spec)["intervals"] == [["-inf", "inf"]]
+    assert rc.to_dict()["spec"]["intervals"] == [["-inf", "inf"]]
 
 
 def test_overrides_beat_preset():
@@ -90,10 +96,13 @@ def test_field_paths_in_errors():
 
 
 def test_bad_bound_string():
-    with pytest.raises(ConfigError):
-        config.resolve({"spec": {"b": ["0"], "sigma": [["1"]],
-                                 "intervals": [["low", "inf"]]},
-                        "exponent": {"beta": ["x"]}})
+    # a bound is a JSON number or a spelling of infinity: a numeric
+    # string is refused
+    for bound in ("low", "0"):
+        with pytest.raises(ConfigError, match="as a bound"):
+            config.resolve({"spec": {"b": ["0"], "sigma": [["1"]],
+                                     "intervals": [[bound, "inf"]]},
+                            "exponent": {"beta": ["x"]}})
 
 
 def test_unknown_preset():
@@ -174,3 +183,73 @@ def test_a_key_no_parser_reads_is_refused(raw, field, key):
         config.resolve(raw)
     assert exc.value.field == field
     assert str(exc.value).startswith(f"{field}: unknown key {key!r}")
+
+
+def test_json_forms_keep_their_keys():
+    # every key of a report object's JSON form, so that a new field
+    # enters reports only with this test
+    def keys(obj):
+        return set(jsonable(obj))
+
+    est = MCEstimate.from_samples([1.0, 2.0])
+    assert keys(est) == {"mean", "std_error", "n_effective",
+                         "heavy_tail_flag", "max_sample_share", "notes"}
+    curve = DeficitCurve(entries=[(4.0, 2.0, 0.9, 0.01),
+                                  (8.0, 3.0, 0.95, 0.01)],
+                         deficit=0.05, converged=True)
+    assert keys(curve) == {"entries", "deficit", "converged", "notes"}
+    assert all(set(e) == {"level", "time_cap", "survival", "std_error"}
+               for e in jsonable(curve)["entries"])
+    feller = FellerReport(VSide("finite", value=1.5, probes_used=3),
+                          VSide("failed", reason="undecided",
+                                probes_used=5), xi=0.0)
+    doc = jsonable(feller)
+    assert set(doc) == {"conclusion", "xi", "v_left", "v_right",
+                        "diagnostics"}
+    assert doc["conclusion"] == "Unknown"
+    assert set(doc["v_left"]) == {"status", "probes_used", "value"}
+    assert set(doc["v_right"]) == {"status", "probes_used", "reason"}
+    comp = CompensatorReport(passed=True, mean_gap=0.0, std_error=0.1,
+                             r_mean=1.0, n_paths=10)
+    assert keys(comp) == {"passed", "mean_gap", "std_error", "r_mean",
+                          "n_paths"}
+    cond = ConditionsReport(
+        lipschitz_hat=0.5, growth_hat=0.25, claimed_lipschitz=math.nan,
+        claimed_growth=math.nan, lipschitz_passed=True,
+        growth_passed=True, n_paths=8)
+    doc = jsonable(cond)
+    assert set(doc) == {"lipschitz_hat", "growth_hat", "claimed_lipschitz",
+                        "claimed_growth", "lipschitz_passed",
+                        "growth_passed", "passed", "n_paths", "notes"}
+    assert doc["claimed_lipschitz"] == doc["claimed_growth"] == "nan"
+    verdict = MartingaleVerdict(Classification.TRUE_MARTINGALE,
+                                feller_original=feller,
+                                deficit_curve=curve)
+    doc = jsonable(verdict)
+    assert set(doc) == {"classification", "notes", "feller_original"}
+    assert json.dumps(doc["classification"]) == '"TrueMartingale"'
+
+    # a resolved config omits its kind, mc.horizon, an absent cp_dist or
+    # atoms, and a functional's keys that its kind does not read
+    mc = {"n_paths": 10, "dt_max": 0.1}
+    doc = config.resolve({"spec": _BM, "exponent": {"beta": ["x"]},
+                          "mc": mc}).to_dict()
+    assert set(doc) == {"t", "plan", "mc", "spec", "exponent"}
+    assert set(doc["mc"]) == {"n_paths", "dt_max", "seed",
+                              "explosion_guard"}
+    assert set(doc["spec"]) == {"b", "sigma", "x0", "intervals"}
+    doc = config.resolve({"triplet": {"base": _BM},
+                          "girsanov": {"K": "0", "U": "1"},
+                          "mc": mc}).to_dict()
+    assert set(doc["triplet"]) == {"base", "cp_rate"}
+    assert set(doc["girsanov"]) == {"K", "U"}
+    doc = config.resolve({"preset": "running-sup-1"}).to_dict()
+    assert set(doc) == {"preset", "t", "plan", "mc", "covariance",
+                        "functional"}
+    assert set(doc["functional"]) == {"kind", "weights", "direction",
+                                      "claimed_lipschitz", "claimed_growth"}
+    doc = config.resolve({
+        "covariance": {"eigenvalues": [0.5, 0.25]},
+        "functional": {"kind": "pointwise", "exprs": ["x", "0"]},
+        "mc": mc}).to_dict()
+    assert doc["functional"] == {"kind": "pointwise", "exprs": ["x", "0"]}

@@ -20,6 +20,7 @@ from martprop.model import (
     ExponentSpec,
     modified_drift,
 )
+from martprop.report import jsonable
 
 BM = DiffusionSpec.scalar("0", "1")
 CUBIC_MOD = DiffusionSpec.scalar("x^3", "1")  # modified dynamics of beta=x^3
@@ -374,15 +375,15 @@ def test_one_feller_test_per_distinct_dynamics(monkeypatch, preset, calls):
     # dynamics are the original ones, tested once and reported twice
     p = catalog.get(preset)
     modified = modified_drift(p.spec, p.exponent)
-    expected = {"original": classify_explosion(p.spec).to_dict(),
-                "modified": classify_explosion(modified).to_dict()}
+    expected = {"original": jsonable(classify_explosion(p.spec)),
+                "modified": jsonable(classify_explosion(modified))}
     seen = []
 
     def counting(*args):
         seen.append(args)
         return feller_v(*args)
     monkeypatch.setattr(feller, "feller_v", counting)
-    v = martingale_verdict(p.spec, p.exponent).to_dict()
+    v = jsonable(martingale_verdict(p.spec, p.exponent))
     assert len(seen) == calls
     assert v["classification"] == "TrueMartingale"
     assert v["feller_original"] == expected["original"]

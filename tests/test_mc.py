@@ -603,6 +603,31 @@ def test_plan_too_coarse_carries_curve():
     assert not curve.converged
 
 
+def test_floor_hits_are_not_convergence():
+    # CEV p = 3: Z = X / x0 is a strict local martingale with E[Z_1] =
+    # P(nu, z), the regularized lower incomplete gamma at nu = 1/(2(p-1))
+    # and z = x0^(2(1-p)) / (2 (p-1)^2 t) (Delbaen & Shirakawa 2002).
+    # Past x ~ 10, sigma^2 = x^6 puts the step under the floor, and a
+    # floored path counts as exploded at every level it had not passed:
+    # levels 16 and 32 agree, but not on the limit
+    from scipy.special import gammainc
+    exact = 1.0 - gammainc(0.25, 0.125)
+    spec = DiffusionSpec.scalar("0", "x^3", x0=1.0,
+                                interval=(0.0, math.inf))
+    plan = LocalizationPlan(levels=(4.0, 8.0, 16.0, 32.0),
+                            time_caps=(2.0, 3.0, 4.0, 5.0))
+    cfg = SimConfig(n_paths=500, dt_max=0.005, horizon=1.0, seed=1)
+    curve = deficit_for(spec, ExponentSpec.scalar("1/x"), plan, 1.0, cfg)
+    (_, _, q_prev, _), (_, _, q_last, se) = curve.entries[-2:]
+    assert q_prev == q_last and not curve.converged
+    floored = int(curve.notes[-1].split()[0])
+    assert floored > 0
+    assert f"up to {floored / 500:.4g}; not converged" in curve.notes[-1]
+    # the floored share bounds how far the deficit overstates the limit
+    assert curve.deficit - floored / 500 - 3 * se <= exact
+    assert exact <= curve.deficit + 3 * se
+
+
 def test_heavy_tail_diagnostic():
     flagged = MCEstimate.from_samples([1.0, 1.0, 1e9])
     assert flagged.heavy_tail_flag and flagged.max_sample_share > 0.99
