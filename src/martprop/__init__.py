@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .expr import CoefficientExpr, parse
-from .quad import CumulativeIntegral, quad_adaptive
+from .quad import CumulativeIntegral
 from .feller import (
     FellerReport,
     classify_explosion,

@@ -40,7 +40,6 @@ from .errors import (DegenerateDiffusion, MartpropError, PreconditionViolated,
 from .model import (Classification, DiffusionSpec, ExponentSpec,
                     MartingaleVerdict, modified_drift,
                     require_scalar_homogeneous)
-from .quad import CumulativeIntegral, _logaddexp
 
 DIVERGENCE_THRESHOLD = 1e12
 _LOG_DIVERGENCE = math.log(DIVERGENCE_THRESHOLD)
@@ -151,17 +150,62 @@ def scale_density(spec: DiffusionSpec, x: float, xi: float) -> float:
 def log_scale_density(spec: DiffusionSpec, x: float, xi: float) -> float:
     b_expr, c_expr = spec.b[0], spec.c_expr(0, 0)
 
-    def drift_ratio(z):
-        c = c_expr.eval_raw(0.0, z)
-        _require_positive_c((z,), np.array([c]))
-        return 2.0 * b_expr.eval_raw(0.0, z) / c
+    def drift_ratio(zs):
+        cs = c_expr.eval_array(0.0, zs)
+        _require_positive_c(zs, cs)
+        return 2.0 * b_expr.eval_array(0.0, zs) / cs
 
-    return -CumulativeIntegral(drift_ratio, xi).at(x)
+    return -integrate(drift_ratio, xi, x)
+
+
+def _logaddexp(a, b):
+    if a == -math.inf:
+        return b
+    if b == -math.inf:
+        return a
+    return np.logaddexp(a, b)
 
 
 def _tail(values):
     """Largest of the three highest Chebyshev coefficients."""
     return np.abs((_TO_COEFFS @ values)[-3:]).max()
+
+
+def _unresolved(values, half):
+    """Whether values on a panel of half-width half fail the resolution
+    test: their Chebyshev tail times half is above _G_TAIL_TOL and above
+    the rounding floor of their largest magnitude."""
+    tail = _tail(values)
+    return (tail * half > _G_TAIL_TOL
+            and tail > _G_TAIL_FLOOR * np.abs(values).max())
+
+
+def integrate(f, a, b):
+    """int_a^b f on Chebyshev panels, halved until each passes the sweep's
+    resolution test; f maps an array of points to values.  Raises
+    QuadratureFailure on a non-finite value or after MAX_PANEL_BISECTIONS
+    halvings."""
+    total = 0.0
+    ends = [b]
+    bisections = 0
+    while ends:
+        half = 0.5 * (ends[-1] - a)
+        mid = 0.5 * (a + ends[-1])
+        fs = f(mid + half * _T)
+        if not np.isfinite(fs).all():
+            raise QuadratureFailure(
+                f"non-finite integrand value on [{a!r}, {ends[-1]!r}]")
+        if not _unresolved(fs, abs(half)):
+            total += half * float(_WEIGHTS @ fs)
+            a = ends.pop()
+            continue
+        bisections += 1
+        if bisections > MAX_PANEL_BISECTIONS:
+            raise QuadratureFailure(
+                f"integrate: tolerance not met after {bisections - 1} "
+                f"panel bisections on [{a!r}, {b!r}]")
+        ends.append(mid)
+    return total
 
 
 class _Sweep:
@@ -233,9 +277,7 @@ class _Sweep:
                 raise QuadratureFailure(
                     f"non-finite drift ratio 2b/c on z in "
                     f"[{min(zs[0], zs[-1])!r}, {max(zs[0], zs[-1])!r}]")
-            g_tail = _tail(gp)
-            if (g_tail * half > _G_TAIL_TOL
-                    and g_tail > _G_TAIL_FLOOR * np.abs(gp).max()):
+            if _unresolved(gp, half):
                 return None
             # J = exp(s) K on the panel; solve (D / half + diag(g')) K =
             # 2/c e^-s with K(a) = J(a) e^-s eliminated rather than kept as

@@ -150,14 +150,11 @@ def validate_jump(trip: JumpTriplet, gd: GirsanovData):
     configuration Uhat = 1 with a < 1 (there the no-fire branch gives
     Delta N = -1 exactly, i.e. Z hits zero).
     """
-    check_times = [0.0] + [a.time for a in trip.atoms]
     if trip.cp_dist is not None:
-        for t in check_times:
-            for x in trip.cp_dist.support:
-                gd.u(t, x)
+        _u_table(gd, [0.0] + [a.time for a in trip.atoms],
+                 trip.cp_dist.support)
     for atom in trip.atoms:
-        for x in atom.dist.support:
-            gd.u(atom.time, x)
+        _u_table(gd, [atom.time], atom.dist.support)
         uhat = compute_Uhat(atom, gd)
         if atom.mass >= 1.0 - _TOL and abs(uhat - 1.0) > 1e-9:
             raise ValidationError(

@@ -49,6 +49,24 @@ def test_log_scale_density_survives_huge_exponents():
         40.0 ** 4 / 2.0, rel=1e-8)
 
 
+@pytest.mark.parametrize("x", [1e-3, 0.1, 0.5, 2.0, 10.0, 1e3])
+def test_log_scale_density_toward_a_finite_endpoint(x):
+    # b = x, c = x^2 on (0, inf): 2b/c = 2/z, so log s'(x) = -2 log x;
+    # the integrand blows up toward 0, where the panels are halved
+    spec = DiffusionSpec.scalar("x", "x", x0=1.0, interval=(0.0, math.inf))
+    assert log_scale_density(spec, x, 1.0) == pytest.approx(
+        -2.0 * math.log(x), rel=1e-9)
+
+
+def test_log_scale_density_names_where_c_vanishes():
+    # c = (x - 2)^2 vanishes between xi = 3 and x = 1; a nonzero drift
+    # keeps 2b/c from being resolved on one panel that skips z = 2
+    spec = DiffusionSpec.scalar("1", "x - 2")
+    with pytest.raises(DegenerateDiffusion) as exc:
+        log_scale_density(spec, 1.0, 3.0)
+    assert str(exc.value) == "c(2.0) = 0.0 is not positive"
+
+
 # --- v-integral against an independent scipy oracle -------------------------
 
 def test_cubic_v_right_matches_high_precision_oracle():
