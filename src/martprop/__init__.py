@@ -46,7 +46,7 @@ from .mc import (
     DeficitCurve,
     MCEstimate,
     SimConfig,
-    estimate_deficit_localized,
+    deficit_for,
     estimate_mean_direct,
     novikov_estimate,
     run_ensemble,

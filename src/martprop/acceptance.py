@@ -10,15 +10,14 @@ from __future__ import annotations
 import json
 import math
 import os
-import subprocess
-import sys
 import tempfile
 import time
 from dataclasses import replace
 
 import numpy as np
+from click.testing import CliRunner
 
-from . import catalog
+from . import catalog, cli
 from .feller import classify_explosion, feller_v, martingale_verdict
 from .hilbert import (
     check_conditions,
@@ -33,10 +32,12 @@ from .jumpkit import (
     simulate_jump_exponential,
 )
 from .mc import (
+    MCEstimate,
     SimConfig,
     deficit_for,
     estimate_mean_direct,
     localized_bound_check,
+    novikov_mean,
     run_ensemble,
     stopped_exponential_means,
 )
@@ -110,17 +111,14 @@ def criterion_3(threads=1):
                     seed=p.mc.seed)
     result = run_ensemble(p.spec, cfg, exp=p.exponent, threads=threads)
     nov = np.where(result.status == 0, result.final_nov, math.nan)
-    with np.errstate(over="ignore"):
-        samples = np.minimum(np.exp(0.5 * nov), 1e308)
-    half_mean = float(np.mean(samples[: len(samples) // 2]))
-    full_mean = float(np.mean(samples))
-    share = float(np.max(samples) / np.sum(samples))
-    heavy = share > 0.5
+    half = novikov_mean(nov[: len(nov) // 2])
+    full = novikov_mean(nov)
     elapsed = time.monotonic() - start
-    ok = heavy and full_mean > half_mean and elapsed < 60.0
+    ok = full.heavy_tail_flag and full.mean > half.mean and elapsed < 60.0
     return ("criterion 3 (Novikov failure at t=3)", ok,
-            f"heavy_tail_flag={heavy} (max share {share:.3f}), "
-            f"mean half/full = {half_mean:.3g}/{full_mean:.3g} "
+            f"heavy_tail_flag={full.heavy_tail_flag} (max share "
+            f"{full.max_sample_share:.3f}), mean half/full = "
+            f"{half.mean:.3g}/{full.mean:.3g} "
             f"(growing), {elapsed:.1f}s (limit 60s)")
 
 
@@ -225,8 +223,7 @@ def criterion_6(threads=1):
     # under both triplets
     for name in ("poisson-U4", "atom-half"):
         p = catalog.get(name)
-        cfg = SimConfig(n_paths=2000, dt_max=p.mc.dt_max, horizon=p.t,
-                        seed=p.mc.seed)
+        cfg = replace(p.mc, n_paths=2000)
         min_dn = min(float(np.min(res.min_delta_N))
                      for res in simulate_jump_exponential(
                          p.triplet, p.girsanov, cfg))
@@ -236,10 +233,8 @@ def criterion_6(threads=1):
 
     # (b) compensator identity on poisson-U4 within 3 SE
     p = catalog.get("poisson-U4")
-    _, comp = analyze_jump(
-        p.triplet, p.girsanov, p.t, p.plan,
-        SimConfig(n_paths=4000, dt_max=p.mc.dt_max, horizon=p.t,
-                  seed=p.mc.seed))
+    _, _, comp = analyze_jump(p.triplet, p.girsanov, p.t, p.plan,
+                              replace(p.mc, n_paths=4000))
     ok = ok and comp.passed
     parts.append(f"(b) compensator gap {comp.mean_gap:.3e} "
                  f"+/- {comp.std_error:.3e}: {comp.passed}")
@@ -267,15 +262,11 @@ def criterion_6(threads=1):
     d_exact = r_path.R[-1] == 4.0  # int K^2 c dt = 4t at t=1
     cfg = SimConfig(n_paths=4000, dt_max=0.005, horizon=1.0, seed=7)
     res, _ = simulate_jump_exponential(trip, gd, cfg)
-    m_jump = float(np.mean(res.z))
-    se_jump = float(np.std(res.z, ddof=1)
-                    / math.sqrt(cfg.n_paths))
+    jump_mean = MCEstimate.from_samples(res.z)
     diff = estimate_mean_direct(bm, ExponentSpec.scalar("2"), 1.0,
-                                SimConfig(n_paths=4000, dt_max=0.005,
-                                          horizon=1.0, seed=11),
-                                threads=threads)
-    gap = abs(m_jump - diff.mean)
-    tol = 3.0 * math.sqrt(se_jump ** 2 + diff.std_error ** 2)
+                                replace(cfg, seed=11), threads=threads)
+    gap = abs(jump_mean.mean - diff.mean)
+    tol = 3.0 * math.sqrt(jump_mean.std_error ** 2 + diff.std_error ** 2)
     d_ok = d_exact and gap <= tol
     ok = ok and d_ok
     parts.append(f"(d) R_1={r_path.R[-1]} == 4 exactly: {d_exact}; "
@@ -293,9 +284,8 @@ def criterion_7(threads=1):
     p = catalog.get("running-sup-16")
     cov, phi = p.covariance, p.functional
     n_var = 10000
-    cfg = SimConfig(n_paths=n_var, dt_max=0.01, horizon=p.t,
-                    seed=p.mc.seed)
-    times, states = sample_path_array(cov, cfg, n_var)
+    times, states = sample_path_array(cov, replace(p.mc, dt_max=0.01),
+                                      n_var)
     finals = states[:, -1, :]
     var_ok = True
     worst = 0.0
@@ -322,19 +312,16 @@ def criterion_7(threads=1):
             f"{elapsed:.1f}s (limit 120s)")
 
 
-def _cli_report_bytes(args, threads):
-    with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "report.json")
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(os.path.dirname(
-            os.path.dirname(os.path.abspath(__file__)))), "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        subprocess.run(
-            [sys.executable, "-m", "martprop.cli", *args,
-             "--threads", str(threads), "--output", out],
-            check=True, env=env, capture_output=True)
-        with open(out, "rb") as fh:
-            return fh.read()
+def _cli_report_bytes(args, threads, out):
+    """The report that `martprop *args --threads threads` writes to
+    `out`, from the CLI run in this process."""
+    result = CliRunner().invoke(
+        cli.main, [*args, "--threads", str(threads), "--output", out])
+    if result.exit_code:
+        raise RuntimeError(f"martprop {' '.join(args)} exited "
+                           f"{result.exit_code}: {result.output}")
+    with open(out, "rb") as fh:
+        return fh.read()
 
 
 def criterion_8(threads=1):
@@ -354,10 +341,10 @@ def criterion_8(threads=1):
                 json.dump({"preset": preset,
                            "mc": {"n_paths": n_paths, "dt_max": 0.01}}, fh)
             runs.append((command, "--config", path))
+        out = os.path.join(tmp, "report.json")
         for args in runs:
-            b1 = _cli_report_bytes(args, 1)
-            b8 = _cli_report_bytes(args, 8)
-            same = b1 == b8
+            same = (_cli_report_bytes(args, 1, out)
+                    == _cli_report_bytes(args, 8, out))
             ok = ok and same
             parts.append(f"{args[0]}: {'identical' if same else 'DIFFER'}")
     elapsed = time.monotonic() - start

@@ -9,7 +9,6 @@ codes: 0 success, 1 a `ValidationError` (bad input), 2 any other
 from __future__ import annotations
 
 import sys
-from dataclasses import replace
 
 import click
 
@@ -190,13 +189,11 @@ def jump(config_path, preset, seed, threads, output_path, fmt):
     """Jump-diffusion density-process analysis."""
     def body():
         rc = _resolve(config_path, preset, seed, kind="jump")
-        verdict, comp = analyze_jump(rc.triplet, rc.girsanov, rc.t,
-                                     rc.plan, rc.mc, threads=threads)
+        verdict, curve, comp = analyze_jump(rc.triplet, rc.girsanov, rc.t,
+                                            rc.plan, rc.mc, threads=threads)
         click.echo(f"classification: {verdict.classification.value}",
                    err=True)
-        curve = verdict.deficit_curve
-        if curve is not None:
-            _echo_curve(curve)
+        _echo_curve(curve)
         click.echo(f"compensator identity: "
                    f"{'pass' if comp.passed else 'FAIL'} "
                    f"(gap {comp.mean_gap:.3e} +/- {comp.std_error:.3e})",
@@ -204,7 +201,7 @@ def jump(config_path, preset, seed, threads, output_path, fmt):
         rep = repmod.build_report(
             "jump", rc, verdict=verdict,
             estimates={"compensator_identity": comp},
-            curves={"deficit": curve} if curve is not None else None)
+            curves={"deficit": curve})
         _emit(rep, rc, output_path, fmt, curve=curve)
     _run(body)
 
@@ -216,8 +213,7 @@ def hilbert(config_path, preset, seed, threads, output_path, fmt):
     def body():
         rc = _resolve(config_path, preset, seed, kind="hilbert")
         rc.functional.check_modes(rc.covariance.modes)
-        cond_cfg = replace(rc.mc, n_paths=CONDITION_PATHS)
-        times, states = sample_path_array(rc.covariance, cond_cfg,
+        times, states = sample_path_array(rc.covariance, rc.mc,
                                           CONDITION_PATHS)
         cond = check_conditions(rc.functional, rc.covariance, times,
                                 states)

@@ -13,7 +13,8 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
 
 from . import catalog
 from .errors import ConfigError, MartpropError
@@ -65,7 +66,16 @@ def _only(d, keys, fld):
                               f"are {', '.join(keys)}", field=fld)
 
 
-def spec_from_dict(d, fld="spec"):
+def _fields_from_dict(cls, d, fld):
+    """The `cls` read from section `fld`, one key per field, as
+    `jsonable` writes it."""
+    with _section(fld):
+        keys = tuple(f.name for f in fields(cls))
+        _only(d, keys, fld)
+        return cls(**{k: d[k] for k in keys})
+
+
+def spec_from_dict(d, fld):
     with _section(fld):
         _only(d, ("b", "sigma", "x0", "intervals"), fld)
         dim = len(d["b"])
@@ -78,45 +88,27 @@ def spec_from_dict(d, fld="spec"):
                              x0=tuple(d.get("x0", [0.0] * dim)))
 
 
-def exponent_from_dict(d, fld="exponent"):
-    with _section(fld):
-        _only(d, ("beta",), fld)
-        return ExponentSpec(beta=tuple(d["beta"]))
-
-
-def plan_from_dict(d, fld="plan"):
-    with _section(fld):
-        _only(d, ("levels", "time_caps"), fld)
-        return LocalizationPlan(levels=tuple(d["levels"]),
-                                time_caps=tuple(d["time_caps"]))
-
-
 def mc_from_dict(d, t, fld="mc"):
     with _section(fld):
         _only(d, ("n_paths", "dt_max", "seed", "explosion_guard"), fld)
         return SimConfig(**dict(d, dt_max=min(d["dt_max"], t)), horizon=t)
 
 
-def _dist_from_dict(d, fld):
-    with _section(fld):
-        _only(d, ("support", "probs"), fld)
-        return DiscreteDist(support=tuple(d["support"]),
-                            probs=tuple(d["probs"]))
-
-
 def _atom_from_dict(d, fld):
     with _section(fld):
         _only(d, ("time", "mass", "dist"), fld)
         return Atom(time=float(d["time"]), mass=float(d["mass"]),
-                    dist=_dist_from_dict(d["dist"], f"{fld}.dist"))
+                    dist=_fields_from_dict(DiscreteDist, d["dist"],
+                                           f"{fld}.dist"))
 
 
-def triplet_from_dict(d, fld="triplet"):
+def triplet_from_dict(d, fld):
     with _section(fld):
         _only(d, ("base", "cp_rate", "cp_dist", "atoms"), fld)
         base = spec_from_dict(d["base"], fld=f"{fld}.base")
         cp_rate = float(d.get("cp_rate", 0.0))
-        cp_dist = (_dist_from_dict(d["cp_dist"], f"{fld}.cp_dist")
+        cp_dist = (_fields_from_dict(DiscreteDist, d["cp_dist"],
+                                     f"{fld}.cp_dist")
                    if d.get("cp_dist") else None)
         atoms = tuple(_atom_from_dict(a, f"{fld}.atoms[{k}]")
                       for k, a in enumerate(d.get("atoms", ())))
@@ -129,23 +121,11 @@ def triplet_to_dict(trip):
     return {k: v for k, v in vars(trip).items() if v not in (None, ())}
 
 
-def girsanov_from_dict(d, fld="girsanov"):
-    with _section(fld):
-        _only(d, ("K", "U"), fld)
-        return GirsanovData(K=d["K"], U=d["U"])
-
-
-def covariance_from_dict(d, fld="covariance"):
-    with _section(fld):
-        _only(d, ("eigenvalues",), fld)
-        return CovarianceSpec(eigenvalues=tuple(d["eigenvalues"]))
-
-
 # what a functional of each kind reads besides its kind and claims
 _PHI_KEYS = {"pointwise": ("exprs",), "running_sup": ("weights", "direction")}
 
 
-def functional_from_dict(d, fld="functional"):
+def functional_from_dict(d, fld):
     with _section(fld):
         phi = FunctionalSpec(
             kind=d["kind"], exprs=tuple(d.get("exprs", ())),
@@ -200,9 +180,12 @@ class RunConfig:
         return d
 
 
-_SECTIONS = {"spec": spec_from_dict, "exponent": exponent_from_dict,
-             "triplet": triplet_from_dict, "girsanov": girsanov_from_dict,
-             "covariance": covariance_from_dict,
+# each reader takes the section and its field path
+_SECTIONS = {"spec": spec_from_dict,
+             "exponent": partial(_fields_from_dict, ExponentSpec),
+             "triplet": triplet_from_dict,
+             "girsanov": partial(_fields_from_dict, GirsanovData),
+             "covariance": partial(_fields_from_dict, CovarianceSpec),
              "functional": functional_from_dict}
 _TOP_KEYS = ("preset", "t", "plan", "mc", *_SECTIONS)
 _KINDS = (("jump", {"triplet", "girsanov"}),
@@ -226,8 +209,8 @@ def resolve(raw: dict, preset_name: str = None,
             mc["seed"] = seed
     raw = {**doc, **raw}
 
-    sections = {key: parse(raw[key]) for key, parse in _SECTIONS.items()
-                if key in raw}
+    sections = {key: parse(raw[key], key)
+                for key, parse in _SECTIONS.items() if key in raw}
     kind = next((k for k, pair in _KINDS if pair <= sections.keys()), None)
     if kind is None:
         raise ConfigError(
@@ -238,8 +221,8 @@ def resolve(raw: dict, preset_name: str = None,
         t = float(raw.get("t", 1.0))
     if not 0 < t < math.inf:
         raise ConfigError("t must be positive and finite", field="t")
-    plan = (plan_from_dict(raw["plan"]) if "plan" in raw
-            else LocalizationPlan.geometric(horizon=t))
+    plan = (_fields_from_dict(LocalizationPlan, raw["plan"], "plan")
+            if "plan" in raw else LocalizationPlan.geometric(horizon=t))
     mc = mc_from_dict(mc, t)
     return RunConfig(kind=kind, t=t, plan=plan, mc=mc, preset=name or "",
                      **sections)

@@ -382,13 +382,14 @@ class CoefficientExpr:
 
 def as_expr(value, what="operand") -> CoefficientExpr:
     """`value` as an expression: an expression as is, a string parsed,
-    a number (not a bool) as a constant; anything else raises
+    a finite number (not a bool) as a constant; anything else raises
     ValidationError naming `what`."""
     if isinstance(value, CoefficientExpr):
         return value
     if isinstance(value, str):
         return CoefficientExpr.parse(value)
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value)):
         return CoefficientExpr.constant(float(value))
     raise ValidationError(f"{what}: cannot interpret {value!r} as a "
                           "coefficient expression")

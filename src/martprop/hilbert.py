@@ -44,8 +44,8 @@ class CovarianceSpec:
                            tuple(float(v) for v in self.eigenvalues))
         if not self.eigenvalues:
             raise ValidationError("need at least one eigenvalue")
-        if any(v <= 0 for v in self.eigenvalues):
-            raise ValidationError("eigenvalues must be positive")
+        if not all(0 < v < math.inf for v in self.eigenvalues):
+            raise ValidationError("eigenvalues must be positive and finite")
         for a, b in zip(self.eigenvalues, self.eigenvalues[1:]):
             if b > a:
                 raise ValidationError("eigenvalues must be nonincreasing")
@@ -88,7 +88,7 @@ class FunctionalSpec:
                     "running_sup needs weights and direction")
             for name, v in (("weights", w), ("direction", d)):
                 nrm = float(np.linalg.norm(v))
-                if abs(nrm - 1.0) > 1e-9:
+                if not abs(nrm - 1.0) <= 1e-9:
                     raise ValidationError(
                         f"{name} must have unit norm, got {nrm}")
             object.__setattr__(self, "weights", tuple(w.tolist()))
@@ -96,6 +96,12 @@ class FunctionalSpec:
         else:
             raise ValidationError(
                 f"unknown functional kind {self.kind!r}")
+        for name in ("claimed_lipschitz", "claimed_growth"):
+            v = getattr(self, name)
+            if v is not None and (isinstance(v, bool) or not isinstance(
+                    v, (int, float)) or not math.isfinite(v)):
+                raise ValidationError(f"{name} must be a finite number, "
+                                      f"got {v!r}")
 
     def check_modes(self, modes):
         n = len(self.exprs) if self.kind == "pointwise" \

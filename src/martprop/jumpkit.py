@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import (EvalDomain, JumpBoundViolation, ValidationError)
 from .expr import CoefficientExpr, as_expr
-from .mc import (CHUNK_SIZE, Passages, SimConfig, _total, fixed_grid,
-                 map_chunks, survival_curve)
+from .mc import (CHUNK_SIZE, MCEstimate, Passages, SimConfig, _total,
+                 fixed_grid, map_chunks, survival_curve)
 from .model import (Classification, DiffusionSpec, LocalizationPlan,
                     MartingaleVerdict)
 from .rng import normal_block, uniform_block
@@ -49,13 +49,15 @@ class DiscreteDist:
             raise ValidationError("support and probs must match, non-empty")
         if len(set(self.support)) != len(self.support):
             raise ValidationError("support points must be distinct")
-        if any(p <= 0 for p in self.probs):
+        if not all(p > 0 for p in self.probs):
             raise ValidationError("probabilities must be positive")
-        if abs(sum(self.probs) - 1.0) > _TOL:
+        if not abs(sum(self.probs) - 1.0) <= _TOL:
             raise ValidationError(
                 f"probabilities sum to {sum(self.probs)}, expected 1")
         if any(v == 0.0 for v in self.support):
             raise ValidationError("jump size 0 is not a jump")
+        if not all(math.isfinite(v) for v in self.support):
+            raise ValidationError("jump sizes must be finite")
 
     def expect(self, fn):
         return sum(p * fn(v) for v, p in zip(self.support, self.probs))
@@ -87,7 +89,7 @@ class Atom:
     def __post_init__(self):
         if not 0.0 < self.mass <= 1.0:
             raise ValidationError(f"atom mass {self.mass} outside (0, 1]")
-        if self.time <= 0:
+        if not self.time > 0:
             raise ValidationError("atom times must be positive")
 
 
@@ -101,8 +103,8 @@ class JumpTriplet:
     def __post_init__(self):
         if self.base.dim != 1:
             raise ValidationError("jump kit requires a 1-d base diffusion")
-        if self.cp_rate < 0:
-            raise ValidationError("cp_rate must be nonnegative")
+        if not 0 <= self.cp_rate < math.inf:
+            raise ValidationError("cp_rate must be nonnegative and finite")
         if self.cp_rate > 0 and self.cp_dist is None:
             raise ValidationError("cp_rate > 0 needs a jump size law")
         times = [a.time for a in self.atoms]
@@ -619,11 +621,12 @@ class CompensatorReport:
 
 def analyze_jump(trip: JumpTriplet, gd: GirsanovData, t: float,
                  plan: LocalizationPlan, config: SimConfig, threads=1):
-    """(verdict, compensator report) at t, from one pass of both triplets.
+    """(verdict, deficit curve, compensator report) at t, from one pass
+    of both triplets.
 
-    The verdict reads survival of the MODIFIED triplet's paths: per plan
-    level, the fraction of paths whose norm stays below m_n up to t.
-    TrueMartingale when the survival column converges to 1 (deficit
+    The verdict reads the curve, the survival of the MODIFIED triplet's
+    paths: per plan level, the fraction whose norm stays below m_n up to
+    t.  TrueMartingale when the survival column converges to 1 (deficit
     within max(0.01, 3 SE)), StrictLocal when it converges elsewhere,
     Inconclusive otherwise.
 
@@ -635,21 +638,19 @@ def analyze_jump(trip: JumpTriplet, gd: GirsanovData, t: float,
     config.check_plan(plan)
     original, modified = simulate_jump_exponential(
         trip, gd, config.until(t), levels=plan.levels, threads=threads)
-    return _verdict(modified, plan, t), _compensator_report(original)
+    return (*_verdict(modified, plan, t), _compensator_report(original))
 
 
 def _compensator_report(result):
-    gaps = result.c_over_z_final - result.r_final
-    mean = float(np.mean(gaps))
-    se = (float(np.std(gaps, ddof=1) / math.sqrt(len(gaps)))
-          if len(gaps) > 1 else 0.0)
-    return CompensatorReport(passed=abs(mean) <= max(3.0 * se, 1e-12),
-                             mean_gap=mean, std_error=se,
-                             r_mean=float(np.mean(result.r_final)),
-                             n_paths=len(gaps))
+    gap = MCEstimate.from_samples(result.c_over_z_final - result.r_final)
+    return CompensatorReport(
+        passed=abs(gap.mean) <= max(3.0 * gap.std_error, 1e-12),
+        mean_gap=gap.mean, std_error=gap.std_error,
+        r_mean=float(np.mean(result.r_final)), n_paths=gap.n_effective)
 
 
 def _verdict(result, plan, t):
+    """The verdict and the survival curve it reads."""
     curve = survival_curve(result.passage_times, plan, t,
                            notes=["modified-triplet survival surrogate for "
                                   "Q(R_{t and rho} < infinity) = 1"])
@@ -664,5 +665,4 @@ def _verdict(result, plan, t):
     else:
         classification = Classification.INCONCLUSIVE
         notes.append("survival column did not converge across levels")
-    return MartingaleVerdict(classification, deficit_curve=curve,
-                             notes=notes)
+    return MartingaleVerdict(classification, notes=notes), curve

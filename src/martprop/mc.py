@@ -83,8 +83,9 @@ class SimConfig:
                                   f"{self.seed}")
         if not 0 < self.dt_max <= self.horizon:
             raise ValidationError("need 0 < dt_max <= horizon")
-        if self.explosion_guard <= 0:
-            raise ValidationError("explosion_guard must be positive")
+        if not 0 < self.explosion_guard < math.inf:
+            raise ValidationError("explosion_guard must be positive and "
+                                  "finite")
 
     @property
     def dt_min(self):
@@ -557,32 +558,6 @@ def survival_curve(passage_times, plan: LocalizationPlan, t: float,
         notes=capped + list(notes))
 
 
-def estimate_deficit_localized(modified_spec: DiffusionSpec,
-                               plan: LocalizationPlan, t: float,
-                               config: SimConfig, threads=1) -> DeficitCurve:
-    """Deficit 1 - E[Z_t] via survival under the MODIFIED dynamics.
-
-    Uses one shared ensemble for all levels, so the survival column is
-    exactly nondecreasing in n.  Converged when the last two levels agree
-    within twice the summed standard errors and no path ended at the step
-    floor: such a path counts as exploded at every level it had not
-    passed, so floor hits move the levels together and the deficit may
-    overstate the true one by up to their share of paths.
-    """
-    config.check_plan(plan)
-    result = run_ensemble(modified_spec, config.until(t),
-                          levels=plan.levels, stop_at_largest_level=True,
-                          threads=threads)
-    floored = int(np.sum(result.status == 2))
-    curve = survival_curve(result.passage_times, plan, t, [
-        f"{floored} path(s) hit the step-size floor and were treated as "
-        "exploded, so the deficit may overstate the true one by up to "
-        f"{floored / len(result.status):.4g}; not converged"]
-        if floored else [])
-    curve.converged = curve.converged and not floored
-    return curve
-
-
 def localized_bound_check(spec: DiffusionSpec, exp: ExponentSpec,
                           plan: LocalizationPlan):
     """Bounds c_n = cap_n * sup q over {s <= cap_n, ||x|| <= m_n} * 1.1.
@@ -670,6 +645,25 @@ def stopped_exponential_means(spec: DiffusionSpec, exp: ExponentSpec,
 def deficit_for(spec: DiffusionSpec, exp: ExponentSpec,
                 plan: LocalizationPlan, t: float, config: SimConfig,
                 threads=1) -> DeficitCurve:
-    """Convenience wrapper: build the modified dynamics and estimate."""
-    return estimate_deficit_localized(modified_drift(spec, exp), plan, t,
-                                      config, threads=threads)
+    """Deficit 1 - E[Z_t] via survival under the MODIFIED dynamics
+    (`modified_drift`; a zero exponent keeps the drift).
+
+    Uses one shared ensemble for all levels, so the survival column is
+    exactly nondecreasing in n.  Converged when the last two levels agree
+    within twice the summed standard errors and no path ended at the step
+    floor: such a path counts as exploded at every level it had not
+    passed, so floor hits move the levels together and the deficit may
+    overstate the true one by up to their share of paths.
+    """
+    config.check_plan(plan)
+    result = run_ensemble(modified_drift(spec, exp), config.until(t),
+                          levels=plan.levels, stop_at_largest_level=True,
+                          threads=threads)
+    floored = int(np.sum(result.status == 2))
+    curve = survival_curve(result.passage_times, plan, t, [
+        f"{floored} path(s) hit the step-size floor and were treated as "
+        "exploded, so the deficit may overstate the true one by up to "
+        f"{floored / len(result.status):.4g}; not converged"]
+        if floored else [])
+    curve.converged = curve.converged and not floored
+    return curve

@@ -162,7 +162,7 @@ class LocalizationPlan:
         for a, bb in zip(self.time_caps, self.time_caps[1:]):
             if a > bb:
                 raise ValidationError("time caps must be nondecreasing")
-        if any(c <= 0 for c in self.time_caps):
+        if not all(c > 0 for c in self.time_caps):
             raise ValidationError("time caps must be positive")
 
     @classmethod
@@ -185,14 +185,11 @@ class MartingaleVerdict:
     classification: Classification
     feller_original: object = None   # FellerReport
     feller_modified: object = None   # FellerReport
-    deficit_curve: object = None     # DeficitCurve, reported in curves
     notes: list = field(default_factory=list)
 
     def to_dict(self):
-        """The fields but the curve, which a report gives under
-        `curves`, and an absent Feller report."""
-        return {k: v for k, v in vars(self).items()
-                if k != "deficit_curve" and v is not None}
+        """The fields but an absent Feller report."""
+        return {k: v for k, v in vars(self).items() if v is not None}
 
 
 def _check_compatible(spec, exp):

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from martprop import acceptance, catalog
+from martprop import acceptance, catalog, hilbert, jumpkit, mc
 from martprop.mc import run_ensemble
 
 _THREADS = 4
@@ -64,3 +64,24 @@ def test_criterion_5_levels_bind():
     res = run_ensemble(p.spec, cfg, levels=plan.levels)
     assert np.any(res.passage_times[:, 1] < 0.25)
     assert np.all(res.passage_times[:, 2:] == np.inf)
+
+
+def test_criterion_8_fails_on_a_thread_dependent_report(monkeypatch):
+    # a threaded run whose chunks number their paths from 0, so that a
+    # later chunk repeats the first one's streams: the Hilbert run spans
+    # three chunks, so its direct mean changes with --threads, and
+    # criterion 8 must see that.  (A merge in reverse order would not
+    # show: the four reports reduce their paths to counts and sums that
+    # come out bit for bit the same in either order.)
+    real = mc.map_chunks
+
+    def local_streams(work, n, chunk_size, threads=1):
+        if threads == 1:
+            return real(work, n, chunk_size)
+        return real(lambda c: work(c - c[0]), n, chunk_size)
+
+    for module in (mc, jumpkit, hilbert):
+        monkeypatch.setattr(module, "map_chunks", local_streams)
+    name, passed, details = acceptance.criterion_8()
+    assert not passed, details
+    assert "hilbert: DIFFER" in details, details

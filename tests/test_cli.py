@@ -366,6 +366,70 @@ def test_exit_1_on_a_malformed_value(runner, tmp_path, raw, field):
     assert res.output.splitlines()[-1].startswith(f"error: {field}: ")
 
 
+_NAN, _INF = float("nan"), float("inf")
+_BM_BASE = {"b": ["0"], "sigma": [["1"]]}
+_RUNNING_SUP = {"kind": "running_sup", "weights": [1.0], "direction": [1.0]}
+
+
+def _cp(support, probs, rate=1.0):
+    return {"triplet": {"base": _BM_BASE, "cp_rate": rate,
+                        "cp_dist": {"support": support, "probs": probs}}}
+
+
+@pytest.mark.parametrize("command, raw, field", [
+    ("deficit", {"preset": "identity-zero",
+                 "mc": {"explosion_guard": _NAN}}, "mc"),
+    ("deficit", {"preset": "identity-zero",
+                 "mc": {"explosion_guard": _INF}}, "mc"),
+    ("deficit", {"preset": "identity-zero",
+                 "plan": {"levels": [1, 2], "time_caps": [2, _NAN]}}, "plan"),
+    ("deficit", {"preset": "identity-zero",
+                 "spec": {"b": [_NAN], "sigma": [["1"]]}}, "spec"),
+    ("jump", {"preset": "atom-half", "triplet": {
+        "base": _BM_BASE, "atoms": [{"time": _NAN, "mass": 0.5, "dist": {
+            "support": [1.0], "probs": [1.0]}}]}}, "triplet.atoms[0]"),
+    ("jump", {"preset": "poisson-U4", **_cp([1.0], [_NAN])},
+     "triplet.cp_dist"),
+    ("jump", {"preset": "poisson-U4", **_cp([1.0, 2.0], [0.5, _INF])},
+     "triplet.cp_dist"),
+    ("jump", {"preset": "poisson-U4", **_cp([_INF], [1.0])},
+     "triplet.cp_dist"),
+    ("jump", {"preset": "poisson-U4", **_cp([1.0], [1.0], rate=_INF)},
+     "triplet"),
+    ("jump", {"preset": "poisson-U4", **_cp([1.0], [1.0], rate=_NAN)},
+     "triplet"),
+    ("hilbert", {"preset": "running-sup-1",
+                 "covariance": {"eigenvalues": [_NAN]}}, "covariance"),
+    ("hilbert", {"preset": "running-sup-1",
+                 "covariance": {"eigenvalues": [_INF]}}, "covariance"),
+    ("hilbert", {"preset": "running-sup-1",
+                 "functional": {**_RUNNING_SUP, "weights": [_NAN]}},
+     "functional"),
+    ("hilbert", {"preset": "running-sup-1",
+                 "functional": {**_RUNNING_SUP, "direction": [_NAN]}},
+     "functional"),
+    ("hilbert", {"preset": "running-sup-1",
+                 "functional": {**_RUNNING_SUP, "claimed_growth": "1"}},
+     "functional"),
+    ("hilbert", {"preset": "running-sup-1",
+                 "functional": {**_RUNNING_SUP, "claimed_lipschitz": _NAN}},
+     "functional"),
+], ids=["guard", "guard-inf", "time-cap", "drift", "atom-time", "prob", "prob-sum",
+        "jump-size", "cp_rate-inf", "cp_rate-nan", "eigenvalue",
+        "eigenvalue-inf", "weights", "direction", "claimed_growth-string",
+        "claimed_lipschitz"])
+def test_exit_1_on_a_non_finite_number(runner, tmp_path, command, raw,
+                                       field):
+    # JSON readers take NaN and Infinity; each of these once ran with it,
+    # exited 2 or raised a Python error
+    p = tmp_path / "nan.json"
+    p.write_text(json.dumps(raw))
+    res = runner.invoke(main, [command, "--config", str(p)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert res.output.splitlines()[-1].startswith(f"error: {field}: ")
+
+
 @pytest.mark.parametrize("seed, code", [
     ("-1", 1), ("18446744073709551616", 1), ("18446744073709551615", 0)])
 def test_seed_must_lie_below_2_to_the_64(runner, tmp_path, seed, code):

@@ -223,8 +223,7 @@ def test_json_forms_keep_their_keys():
                         "growth_passed", "passed", "n_paths", "notes"}
     assert doc["claimed_lipschitz"] == doc["claimed_growth"] == "nan"
     verdict = MartingaleVerdict(Classification.TRUE_MARTINGALE,
-                                feller_original=feller,
-                                deficit_curve=curve)
+                                feller_original=feller)
     doc = jsonable(verdict)
     assert set(doc) == {"classification", "notes", "feller_original"}
     assert json.dumps(doc["classification"]) == '"TrueMartingale"'

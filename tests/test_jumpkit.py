@@ -200,39 +200,39 @@ def test_delta_N_stays_above_minus_one():
 
 def test_compensator_identity():
     trip, gd = POISSON_U4
-    _, rep = analyze_jump(trip, gd, 1.0, PLAN,
-                          SimConfig(n_paths=4000, dt_max=0.005, horizon=1.0,
-                                    seed=17))
+    _, _, rep = analyze_jump(trip, gd, 1.0, PLAN,
+                             SimConfig(n_paths=4000, dt_max=0.005,
+                                       horizon=1.0, seed=17))
     assert rep.passed
 
 
 def test_verdict_true_martingale_for_bounded_K():
     trip = JumpTriplet(base=BM, cp_rate=1.0, cp_dist=UNIT)
     gd = GirsanovData(K="tanh(x)", U="1")
-    v, _ = analyze_jump(trip, gd, 1.0, PLAN,
-                        SimConfig(n_paths=2000, dt_max=0.01, horizon=1.0,
-                                  seed=19))
+    v, _, _ = analyze_jump(trip, gd, 1.0, PLAN,
+                           SimConfig(n_paths=2000, dt_max=0.01, horizon=1.0,
+                                     seed=19))
     assert v.classification is Classification.TRUE_MARTINGALE
 
 
 def test_verdict_strict_local_for_cubic_K():
     trip = JumpTriplet(base=BM)
     gd = GirsanovData(K="x^3", U="1")
-    v, _ = analyze_jump(trip, gd, 1.0, PLAN,
-                        SimConfig(n_paths=2000, dt_max=0.005, horizon=1.0,
-                                  seed=19))
+    v, curve, _ = analyze_jump(trip, gd, 1.0, PLAN,
+                               SimConfig(n_paths=2000, dt_max=0.005,
+                                         horizon=1.0, seed=19))
     assert v.classification is Classification.STRICT_LOCAL
-    assert v.deficit_curve.deficit > 0.1
+    assert curve.deficit > 0.1
 
 
 def test_curve_notes_each_level_capped_at_or_below_t_once():
     trip, gd = POISSON_U4
     plan = LocalizationPlan(levels=(4.0, 8.0, 16.0),
                             time_caps=(0.5, 1.0, 2.0))
-    v, _ = analyze_jump(trip, gd, 1.0, plan,
-                        SimConfig(n_paths=50, dt_max=0.05, horizon=1.0,
-                                  seed=3))
-    assert v.deficit_curve.notes[:2] == [
+    v, curve, _ = analyze_jump(trip, gd, 1.0, plan,
+                               SimConfig(n_paths=50, dt_max=0.05,
+                                         horizon=1.0, seed=3))
+    assert curve.notes[:2] == [
         "level 4.0: time cap 0.5 <= t, survival is 0 by construction",
         "level 8.0: time cap 1.0 <= t, survival is 0 by construction"]
     assert not any("time cap" in note for note in v.notes)

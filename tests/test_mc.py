@@ -9,7 +9,6 @@ from martprop.mc import (
     MCEstimate,
     SimConfig,
     deficit_for,
-    estimate_deficit_localized,
     estimate_mean_direct,
     localized_bound_check,
     run_ensemble,
@@ -20,7 +19,6 @@ from martprop.model import (
     DiffusionSpec,
     ExponentSpec,
     LocalizationPlan,
-    modified_drift,
 )
 from martprop.expr import parse
 from martprop.rng import MAIN_STREAM, normal_block, path_generator
@@ -521,9 +519,8 @@ def test_passage_times_monotone_in_level():
 
 
 def test_survival_column_nondecreasing():
-    spec = modified_drift(BM, ExponentSpec.scalar("x^3"))
-    curve = estimate_deficit_localized(
-        spec, PLAN, 1.0,
+    curve = deficit_for(
+        BM, ExponentSpec.scalar("x^3"), PLAN, 1.0,
         SimConfig(n_paths=2000, dt_max=0.01, horizon=1.0, seed=6))
     qs = [q for (_, _, q, _) in curve.entries]
     assert qs == sorted(qs)
@@ -595,10 +592,9 @@ def test_levels_capped_at_t_do_not_converge():
 def test_plan_too_coarse_carries_curve():
     # widely separated survivals at two adjacent levels: the curve comes
     # back, marked not converged
-    spec = modified_drift(BM, ExponentSpec.scalar("x^3"))
     plan = LocalizationPlan(levels=(0.5, 1.0), time_caps=(2.0, 2.0))
     cfg = SimConfig(n_paths=2000, dt_max=0.01, horizon=1.0, seed=1)
-    curve = estimate_deficit_localized(spec, plan, 1.0, cfg)
+    curve = deficit_for(BM, ExponentSpec.scalar("x^3"), plan, 1.0, cfg)
     assert len(curve.entries) == 2
     assert not curve.converged
 
@@ -682,7 +678,7 @@ def test_every_estimator_refuses_t_beyond_the_horizon(monkeypatch):
     for call in (
             lambda: estimate_mean_direct(BM, BETA_X, 2.0, cfg),
             lambda: mc.novikov_estimate(BM, BETA_X, 2.0, cfg),
-            lambda: estimate_deficit_localized(BM, PLAN, 2.0, cfg),
+            lambda: deficit_for(BM, BETA_X, PLAN, 2.0, cfg),
             lambda: stopped_exponential_means(BM, BETA_X, 2.0, PLAN, cfg)):
         with pytest.raises(ValidationError,
                            match="must not exceed the horizon"):
