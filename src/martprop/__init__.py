@@ -40,7 +40,6 @@ from .model import (
     LocalizationPlan,
     MartingaleVerdict,
     modified_drift,
-    quadratic_exponent,
 )
 from .mc import (
     DeficitCurve,

@@ -327,20 +327,23 @@ def _cli_report_bytes(args, threads, out):
 def criterion_8(threads=1):
     """Reports are byte-identical across --threads 1 and --threads 8."""
     start = time.monotonic()
-    # shrink the heavier presets via a config override; the Hilbert run
-    # spans three 512-path chunks
-    small = (("deficit", "ou-linear", 5000), ("jump", "atom-half", 1000),
+    # shrink the presets via a config override, each to more than one
+    # chunk: 4200 paths span two 4096-path diffusion or jump chunks, and
+    # 1500 paths three 512-path Hilbert chunks
+    small = (("classify", "brownian-linear", 4200, "--with-mc"),
+             ("deficit", "brownian-linear", 4200),
+             ("jump", "atom-half", 4200),
              ("hilbert", "running-sup-16", 1500))
     ok = True
     parts = []
     with tempfile.TemporaryDirectory() as tmp:
-        runs = [("classify", "--preset", "identity-zero", "--with-mc")]
-        for command, preset, n_paths in small:
-            path = os.path.join(tmp, f"{preset}.json")
+        runs = []
+        for command, preset, n_paths, *flags in small:
+            path = os.path.join(tmp, f"{command}.json")
             with open(path, "w") as fh:
                 json.dump({"preset": preset,
                            "mc": {"n_paths": n_paths, "dt_max": 0.01}}, fh)
-            runs.append((command, "--config", path))
+            runs.append((command, "--config", path, *flags))
         out = os.path.join(tmp, "report.json")
         for args in runs:
             same = (_cli_report_bytes(args, 1, out)

@@ -59,7 +59,7 @@ def _resolve(config_path, preset, seed, kind=None):
     return rc
 
 
-def _emit(rep, rc, output_path, fmt, curve=None):
+def _emit(rep, output_path, fmt, curve=None):
     if fmt == "csv":
         if curve is None:
             raise ConfigError("csv format is only available for "
@@ -141,7 +141,7 @@ def classify(config_path, preset, seed, threads, output_path, fmt,
             curves = {"deficit": curve}
         rep = repmod.build_report("classify", rc, verdict=verdict,
                                   estimates=estimates, curves=curves)
-        _emit(rep, rc, output_path, fmt, curve=curve)
+        _emit(rep, output_path, fmt, curve=curve)
     _run(body)
 
 
@@ -157,7 +157,7 @@ def deficit(config_path, preset, seed, threads, output_path, fmt):
         _echo_curve(curve)
         rep = repmod.build_report("deficit", rc,
                                   curves={"deficit": curve})
-        _emit(rep, rc, output_path, fmt, curve=curve)
+        _emit(rep, output_path, fmt, curve=curve)
     _run(body)
 
 
@@ -179,7 +179,7 @@ def novikov(config_path, preset, seed, threads, output_path, fmt):
         _echo_estimate("novikov mean", est)
         rep = repmod.build_report("novikov", rc,
                                   estimates={"novikov": est})
-        _emit(rep, rc, output_path, fmt)
+        _emit(rep, output_path, fmt)
     _run(body)
 
 
@@ -202,7 +202,7 @@ def jump(config_path, preset, seed, threads, output_path, fmt):
             "jump", rc, verdict=verdict,
             estimates={"compensator_identity": comp},
             curves={"deficit": curve})
-        _emit(rep, rc, output_path, fmt, curve=curve)
+        _emit(rep, output_path, fmt, curve=curve)
     _run(body)
 
 
@@ -230,7 +230,7 @@ def hilbert(config_path, preset, seed, threads, output_path, fmt):
             "hilbert", rc,
             estimates={"direct_mean": direct, "conditions": cond},
             curves={"deficit": curve})
-        _emit(rep, rc, output_path, fmt, curve=curve)
+        _emit(rep, output_path, fmt, curve=curve)
     _run(body)
 
 

@@ -357,12 +357,9 @@ class CoefficientExpr:
     def depends_on_time(self) -> bool:
         return "t" in self.free_variables()
 
-    # small algebra used to build modified drifts and quadratic exponents
+    # small algebra used to build modified drifts
     def __add__(self, other):
         return CoefficientExpr(Bin("+", self.ast, as_expr(other).ast))
-
-    def __sub__(self, other):
-        return CoefficientExpr(Bin("-", self.ast, as_expr(other).ast))
 
     def __mul__(self, other):
         return CoefficientExpr(Bin("*", self.ast, as_expr(other).ast))

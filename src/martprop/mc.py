@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import EvalDomain, UnboundedOnCompact, ValidationError
 from .model import (DiffusionSpec, ExponentSpec, LocalizationPlan,
-                    modified_drift, quadratic_exponent)
+                    _check_compatible, modified_drift)
 from .rng import normal_block
 
 CHUNK_SIZE = 4096
@@ -192,6 +192,17 @@ def _total(terms):
     return functools.reduce(operator.add, terms)
 
 
+def _quadratic(beta, sig):
+    """q = beta^T c beta per path, c_ij = sum_k sigma_ik sigma_jk, from the
+    exponent's coordinate vectors and the dispersion's entry vectors:
+    sum_i sum_j (beta_i c_ij) beta_j, each sum term by term.  A
+    non-finite beta_i makes q non-finite, which the caller reports."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _total((bi * _total(s * r for s, r in zip(si, sj))) * bj
+                      for bi, si in zip(beta, sig)
+                      for bj, sj in zip(beta, sig))
+
+
 class Passages:
     """First passages of a path norm over increasing levels, for paths
     that advance in lockstep; the diffusion, jump and Hilbert engines
@@ -286,8 +297,7 @@ def _first_steps(spec, config):
     return int(math.ceil(config.horizon * mean / config.dt_max)) + 9
 
 
-def _run_chunk(spec, config, indices, levels, beta, q_expr,
-               stop_at_largest_level):
+def _run_chunk(spec, config, indices, levels, exp, stop_at_largest_level):
     d = spec.dim
     n = len(indices)
     horizon = config.horizon
@@ -298,9 +308,8 @@ def _run_chunk(spec, config, indices, levels, beta, q_expr,
     L = len(passages.levels)
     b_at = [_at_chunk(e, n) for e in spec.b]
     sig_at = [[_at_chunk(e, n) for e in es] for es in spec.sigma]
-    if beta is not None:
-        beta_at = [_at_chunk(e, n) for e in beta]
-        q_at = _at_chunk(q_expr, n) if d == 1 else None
+    if exp is not None:
+        beta_at = [_at_chunk(e, n) for e in exp.beta]
     # one coordinate's norm sqrt(x * x) is |x| but where x * x under- or
     # overflows, which moves no comparison with a level or guard in
     # [1e-150, 1e150]
@@ -405,28 +414,15 @@ def _run_chunk(spec, config, indices, levels, beta, q_expr,
         col = (k - drawn_at) * d
         dW = [normals[col + j, rows] * root for j in range(d)]
         b_dt = [bi * dt for bi in b]
-        # sigma dW sums from +0, as einsum does, so a -0.0 product adds
-        # as +0.0
+        # sigma dW sums from +0, so a -0.0 product adds as +0.0
         dx = [bi + sum(s * w for s, w in zip(si, dW))
               for bi, si in zip(b_dt, sig)]
 
-        if beta is not None:
+        if exp is not None:
             bv = [f(t, xi) for f, xi in zip(beta_at, x)]
-            if d == 1:
-                q = q_at(t, x[0])
-            else:
-                sig_t = np.stack([np.stack(si, axis=1) for si in sig],
-                                 axis=1)
-                beta_t = np.stack(bv, axis=1)
-                q = np.einsum("ni,nij,nj->n", beta_t,
-                              np.einsum("nik,njk->nij", sig_t, sig_t),
-                              beta_t)
-            if not (np.isfinite(q).all()
-                    and all(np.isfinite(v).all() for v in bv)):
-                finite = np.isfinite(q)
-                for v in bv:
-                    finite &= np.isfinite(v)
-                raise domain_error("exponent coefficient", finite)
+            q = _quadratic(bv, sig)
+            if not np.isfinite(q).all():
+                raise domain_error("exponent coefficient", np.isfinite(q))
             # beta integrates against the martingale part X^c only
             logz += (_total(v * (dxi - bdt)
                             for v, dxi, bdt in zip(bv, dx, b_dt))
@@ -472,13 +468,11 @@ def run_ensemble(spec: DiffusionSpec, config: SimConfig, *,
     every estimator.  Paths run in chunks of CHUNK_SIZE (`map_chunks`),
     so `threads` never changes the output.
     """
-    beta = q_expr = None
     if exp is not None:
-        beta = exp.beta
-        q_expr = quadratic_exponent(spec, exp)
+        _check_compatible(spec, exp)
 
     def work(indices):
-        return _run_chunk(spec, config, indices, levels, beta, q_expr,
+        return _run_chunk(spec, config, indices, levels, exp,
                           stop_at_largest_level)
 
     return EnsembleResult(*map_chunks(work, config.n_paths, CHUNK_SIZE,
@@ -564,11 +558,20 @@ def localized_bound_check(spec: DiffusionSpec, exp: ExponentSpec,
 
     A finite c_n certifies that Z stopped at the level-n exit is a
     uniformly integrable martingale.  The sup is taken over refining grids
-    (65..513 points per axis) with a 10% safety margin; a sup that keeps
-    growing under refinement raises UnboundedOnCompact.
+    (65..513 points per axis; the k-th points of the axes form a state,
+    and each entry reads its own coordinate there, as the engine does)
+    with a 10% safety margin; a sup that keeps growing under refinement
+    raises UnboundedOnCompact.  Where q reads t (beta does, or sigma does
+    and beta is not zero) an infinite time cap is refused.
     """
-    q_expr = quadratic_exponent(spec, exp)
-    time_dep = q_expr.depends_on_time()
+    _check_compatible(spec, exp)
+    time_dep = any(e.depends_on_time() for e in exp.beta) or (
+        not exp.is_zero()
+        and any(e.depends_on_time() for row in spec.sigma for e in row))
+    if time_dep and plan.time_caps[-1] == math.inf:
+        m = plan.levels[plan.time_caps.index(math.inf)]
+        raise ValidationError(f"level {m}: q = beta^T c beta reads t, so "
+                              "its time cap must be finite")
     bounds = []
     for m, cap in zip(plan.levels, plan.time_caps):
         sup = None
@@ -586,12 +589,14 @@ def localized_bound_check(spec: DiffusionSpec, exp: ExponentSpec,
                 per_coord.append(pts)
             ts = np.linspace(0.0, cap, n_pts) if time_dep else [0.0]
             for tv in ts:
-                for pts in per_coord:
-                    vals = q_expr.eval_array(tv, pts)
-                    if not np.all(np.isfinite(vals)):
-                        raise UnboundedOnCompact(
-                            f"q non-finite on the level-{m} region")
-                    grid_sup = max(grid_sup, float(np.max(vals)))
+                vals = _quadratic(
+                    [e.eval_array(tv, x) for e, x in zip(exp.beta, per_coord)],
+                    [[e.eval_array(tv, x) for e in row]
+                     for row, x in zip(spec.sigma, per_coord)])
+                if not np.all(np.isfinite(vals)):
+                    raise UnboundedOnCompact(
+                        f"q non-finite on the level-{m} region")
+                grid_sup = max(grid_sup, float(np.max(vals)))
             if sup is not None:
                 if sup > 0 and grid_sup > 2.0 * sup:
                     raise UnboundedOnCompact(

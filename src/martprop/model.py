@@ -222,17 +222,6 @@ def modified_drift(spec: DiffusionSpec, exp: ExponentSpec) -> DiffusionSpec:
     return replace(spec, b=tuple(new_b))
 
 
-def quadratic_exponent(spec: DiffusionSpec, exp: ExponentSpec) -> CoefficientExpr:
-    """The scalar field q = beta^T c beta >= 0."""
-    _check_compatible(spec, exp)
-    terms = []
-    for i in range(spec.dim):
-        for j in range(spec.dim):
-            terms.append(_prod_exprs(
-                [exp.beta[i], spec.c_expr(i, j), exp.beta[j]]))
-    return _sum_exprs(terms)
-
-
 def require_scalar_homogeneous(spec: DiffusionSpec, context: str):
     """Gate for tooling restricted to 1-d time-homogeneous diffusions."""
     if spec.dim != 1:

@@ -68,11 +68,11 @@ def test_criterion_5_levels_bind():
 
 def test_criterion_8_fails_on_a_thread_dependent_report(monkeypatch):
     # a threaded run whose chunks number their paths from 0, so that a
-    # later chunk repeats the first one's streams: the Hilbert run spans
-    # three chunks, so its direct mean changes with --threads, and
-    # criterion 8 must see that.  (A merge in reverse order would not
-    # show: the four reports reduce their paths to counts and sums that
-    # come out bit for bit the same in either order.)
+    # later chunk repeats the first one's streams: every run spans two or
+    # more chunks, so each report changes with --threads, and criterion 8
+    # must see that in all four.  (A merge in reverse order would not
+    # show: the reports reduce their paths to counts and sums that come
+    # out bit for bit the same in either order.)
     real = mc.map_chunks
 
     def local_streams(work, n, chunk_size, threads=1):
@@ -84,4 +84,5 @@ def test_criterion_8_fails_on_a_thread_dependent_report(monkeypatch):
         monkeypatch.setattr(module, "map_chunks", local_streams)
     name, passed, details = acceptance.criterion_8()
     assert not passed, details
-    assert "hilbert: DIFFER" in details, details
+    for command in ("classify", "deficit", "jump", "hilbert"):
+        assert f"{command}: DIFFER" in details, details

@@ -488,6 +488,30 @@ def test_exit_2_on_numerical_failure(runner, tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("beta, sigma, code", [
+    ("x * t", "1", 1), ("x", "1 + t", 1), ("x", "1", 0), ("0", "1 + t", 0)])
+def test_an_infinite_time_cap_where_q_reads_t_exits_1(runner, tmp_path,
+                                                      beta, sigma, code):
+    # q = beta^2 sigma^2 reads t where beta does, or sigma does and beta
+    # is not zero: no time grid spans an infinite cap, so such a config
+    # is refused before the bound check builds one
+    p = tmp_path / "inf-cap.json"
+    p.write_text(json.dumps({
+        "preset": "brownian-linear",
+        "spec": {"b": ["0"], "sigma": [[sigma]]},
+        "exponent": {"beta": [beta]},
+        "plan": {"levels": [4, 8, 16, 32],
+                 "time_caps": [2, 2, "inf", "inf"]},
+        "mc": {"n_paths": 200}}))
+    res = runner.invoke(main, ["deficit", "--config", str(p)])
+    assert res.exit_code == code, res.output
+    if code:
+        assert res.output.splitlines()[-1] == (
+            "error: level 16.0: q = beta^T c beta reads t, so its time cap "
+            "must be finite")
+
+
 @pytest.mark.parametrize("command", ["hilbert", "novikov"])
 def test_exit_2_on_a_non_finite_phi(runner, tmp_path, command):
     # phi = 1/x is infinite where every path starts

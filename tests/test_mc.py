@@ -384,7 +384,7 @@ def test_paths_ending_at_guard_or_floor_pass_every_level_left():
 def test_correlated_2d_ensemble_matches_a_scalar_loop():
     # constant correlated sigma, so each coordinate's coefficients need
     # only that coordinate; the loop sums over coordinates in the
-    # engine's order, and q = beta . c beta in einsum's
+    # engine's order, and q = sum_ij (beta_i c_ij) beta_j in the engine's
     sig = ((1.0, 0.5), (0.0, 1.0))
     spec = DiffusionSpec(intervals=((-math.inf, math.inf),) * 2,
                          b=("x", "-x"), sigma=(("1", "0.5"), ("0", "1")),
@@ -432,6 +432,77 @@ def test_correlated_2d_ensemble_matches_a_scalar_loop():
                                       err_msg=field)
     assert np.any(np.isfinite(ens.passage_times[:, 1]))
     assert np.any(np.isinf(ens.passage_times[:, 1]))
+
+
+def test_state_dependent_1d_ensemble_matches_a_scalar_loop():
+    # sigma and beta read x (beta reads t too), so q = (beta c) beta
+    # changes along a path; the loop states the engine's association
+    spec = DiffusionSpec.scalar("-x", "1 + 0.5*x*x/(1 + x*x)", x0=0.3)
+    exp = ExponentSpec.scalar("x - t")
+    cfg = SimConfig(n_paths=30, dt_max=0.05, horizon=1.0, seed=13)
+    levels = (0.5, 1.0, 2.0)
+    ens = run_ensemble(spec, cfg, exp=exp, levels=levels)
+    want = [[] for _ in ens]
+    for idx in range(cfg.n_paths):
+        z = iter(path_generator(cfg.seed, idx).standard_normal(1000))
+        x, t, logz, nov = 0.3, 0.0, 0.0, 0.0
+        passage, logz_pass = [math.inf] * 3, [math.nan] * 3
+        while t < cfg.horizon:
+            b = -x
+            s = 1.0 + 0.5 * x * x / (1.0 + x * x)
+            beta = x - t
+            dt = min(cfg.dt_max / (abs(b) + s * s + 1.0), cfg.horizon - t)
+            b_dt = b * dt
+            dx = b_dt + (0.0 + s * (next(z) * math.sqrt(dt)))
+            q = (beta * (s * s)) * beta
+            logz += beta * (dx - b_dt) - 0.5 * q * dt
+            nov += q * dt
+            x += dx
+            t = t + dt
+            if t >= cfg.horizon - 1e-12:
+                t = cfg.horizon
+            for j, m in enumerate(levels):
+                if passage[j] == math.inf and abs(x) >= m:
+                    passage[j], logz_pass[j] = t, logz
+        for column, value in zip(want, (0, t, [x], logz, passage, logz_pass,
+                                        nov)):
+            column.append(value)
+    for field, got, value in zip(ens._fields, ens, want):
+        np.testing.assert_array_equal(got, np.array(value, dtype=got.dtype),
+                                      err_msg=field)
+    assert np.any(np.isfinite(ens.passage_times[:, 1]))
+    assert np.any(np.isinf(ens.passage_times[:, 1]))
+
+
+def test_a_path_reads_the_same_bits_alone_or_in_a_chunk():
+    # d = 2 with a correlated, x-dependent sigma: q is summed in one fixed
+    # order, whatever the number of live paths beside a path
+    spec = DiffusionSpec(intervals=((-math.inf, math.inf),) * 2,
+                         b=("-x", "0.5*x"),
+                         sigma=(("1 + 0.2*x", "0.5"), ("0.3*x", "1")),
+                         x0=(0.3, -0.2))
+    exp = ExponentSpec(beta=("x", "1 - x"))
+    cfg = SimConfig(n_paths=40, dt_max=0.05, horizon=1.0, seed=7)
+    levels = (0.5, 1.0)
+    ens = run_ensemble(spec, cfg, exp=exp, levels=levels)
+    for k in range(cfg.n_paths):
+        alone = mc._run_chunk(spec, cfg, np.array([k]), levels, exp, False)
+        for field, got, want in zip(ens._fields, ens, alone):
+            np.testing.assert_array_equal(got[k:k + 1], want,
+                                          err_msg=f"{field} of path {k}")
+
+
+def test_q_is_nonnegative():
+    # q = beta^2 c >= 0 pointwise, so the engine's integral of q is too
+    spec = DiffusionSpec.scalar("sin(x)", "1 + x^2")
+    exp = ExponentSpec.scalar("cos(x) - x")
+    xs = np.random.default_rng(0).uniform(-10, 10, 200)
+    q = mc._quadratic([exp.beta[0].eval_array(0.0, xs)],
+                      [[spec.sigma[0][0].eval_array(0.0, xs)]])
+    assert np.all(q >= 0.0)
+    cfg = SimConfig(n_paths=50, dt_max=0.05, horizon=1.0, seed=5)
+    nov = run_ensemble(spec, cfg, exp=exp).final_nov
+    assert np.all(nov >= 0.0) and np.any(nov > 0.0)
 
 
 # --- the passage recorder -------------------------------------------------------
@@ -632,10 +703,13 @@ def test_heavy_tail_diagnostic():
 
 
 def test_localized_bound_check_values():
-    # q = x^2 on |x| <= m: bound = cap * m^2 * 1.1
-    bounds = localized_bound_check(BM, BETA_X, PLAN)
-    for bound, (m, cap) in zip(bounds, zip(PLAN.levels, PLAN.time_caps)):
-        assert bound == pytest.approx(cap * m * m * 1.1, rel=1e-3)
+    # q = (x c) x on |x| <= m, with c = sigma^2, whose sup sits on the
+    # grid's end points: bound = cap * c m^2 * 1.1
+    for sigma, c in (("1", 1.0), ("2", 4.0)):
+        bounds = localized_bound_check(DiffusionSpec.scalar("0", sigma),
+                                       BETA_X, PLAN)
+        assert bounds == [cap * (c * m * m) * 1.1
+                          for m, cap in zip(PLAN.levels, PLAN.time_caps)]
 
 
 def test_explosion_guard_terminates_paths():

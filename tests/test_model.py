@@ -13,7 +13,6 @@ from martprop.model import (
     ExponentSpec,
     LocalizationPlan,
     modified_drift,
-    quadratic_exponent,
     require_scalar_homogeneous,
 )
 
@@ -80,21 +79,6 @@ def test_modified_drift_additive_in_beta():
         rhs = (m1.b[0](0.0, float(xv)) + m2.b[0](0.0, float(xv))
                - spec.b[0](0.0, float(xv)))
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-
-
-def test_quadratic_exponent_nonnegative_on_random_grid():
-    rng = np.random.default_rng(0)
-    spec = DiffusionSpec.scalar("sin(x)", "1 + x^2")
-    q = quadratic_exponent(spec, ExponentSpec.scalar("cos(x) - x"))
-    for xv in rng.uniform(-10, 10, 200):
-        assert q(0.0, float(xv)) >= 0.0
-
-
-def test_quadratic_exponent_value():
-    q = quadratic_exponent(DiffusionSpec.scalar("0", "2"),
-                           ExponentSpec.scalar("x"))
-    # q = beta^2 c = 4 x^2
-    assert q(0.0, 3.0) == 36.0
 
 
 def test_modified_drift_refuses_a_cross_term_that_reads_x():
