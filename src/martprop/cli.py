@@ -25,7 +25,6 @@ from .jumpkit import analyze_jump
 from .mc import (
     deficit_for,
     estimate_mean_direct,
-    localized_bound_check,
     novikov_estimate,
 )
 
@@ -151,7 +150,6 @@ def deficit(config_path, preset, seed, threads, output_path, fmt):
     """Localized martingale-deficit curve for a diffusion exponential."""
     def body():
         rc = _resolve(config_path, preset, seed, kind="diffusion")
-        localized_bound_check(rc.spec, rc.exponent, rc.plan)
         curve = deficit_for(rc.spec, rc.exponent, rc.plan, rc.t, rc.mc,
                             threads=threads)
         _echo_curve(curve)

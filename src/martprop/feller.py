@@ -391,12 +391,9 @@ def classify_explosion(spec: DiffusionSpec, xi: float = None) -> FellerReport:
                         xi=xi, diagnostics=diagnostics)
 
 
-def _grid_check_bounded(exprs, intervals, n_points=201):
-    """Empirical local-boundedness check; returns failure strings."""
+def _grid_check_bounded(exprs, lo, hi, n_points=201):
+    """Empirical boundedness check on [lo, hi]; returns failure strings."""
     failures = []
-    (l, r) = intervals[0]
-    lo = l if math.isfinite(l) else -50.0
-    hi = r if math.isfinite(r) else 50.0
     pad = (hi - lo) * 1e-9
     xs = np.linspace(lo + pad, hi - pad, n_points)
     for e in exprs:
@@ -427,8 +424,7 @@ def martingale_verdict(spec: DiffusionSpec, exp: ExponentSpec,
         _require_positive_c(zs, spec.c_expr(0, 0).eval_array(0.0, zs))
     except DegenerateDiffusion as exc:
         raise PreconditionViolated(str(exc)) from None
-    soft = _grid_check_bounded(list(spec.b) + list(exp.beta),
-                               spec.intervals)
+    soft = _grid_check_bounded(list(spec.b) + list(exp.beta), lo, hi)
     if soft:
         notes.extend(soft)
         notes.append("coefficient boundedness check failed; "

@@ -554,15 +554,16 @@ def survival_curve(passage_times, plan: LocalizationPlan, t: float,
 
 def localized_bound_check(spec: DiffusionSpec, exp: ExponentSpec,
                           plan: LocalizationPlan):
-    """Bounds c_n = cap_n * sup q over {s <= cap_n, ||x|| <= m_n} * 1.1.
-
-    A finite c_n certifies that Z stopped at the level-n exit is a
-    uniformly integrable martingale.  The sup is taken over refining grids
-    (65..513 points per axis; the k-th points of the axes form a state,
-    and each entry reads its own coordinate there, as the engine does)
-    with a 10% safety margin; a sup that keeps growing under refinement
-    raises UnboundedOnCompact.  Where q reads t (beta does, or sigma does
-    and beta is not zero) an infinite time cap is refused.
+    """Refuse a plan whose level regions may leave q = beta^T c beta
+    unbounded: the localized identity needs Z stopped at each level exit
+    to be a true martingale, which a bounded q on {s <= cap_n,
+    ||x|| <= m_n} gives.  Raises ValidationError for an infinite cap
+    where q reads t (beta does, or sigma does and beta is not zero), and
+    UnboundedOnCompact where q is non-finite on refining grids (65..513
+    points per axis and, where q reads t, times) or its sup keeps growing
+    under refinement.  For d >= 2 the states are the box's diagonal (the
+    k-th points of the axes), where each entry reads its own coordinate:
+    a q whose cross terms cancel on the diagonal passes.
     """
     _check_compatible(spec, exp)
     time_dep = any(e.depends_on_time() for e in exp.beta) or (
@@ -572,7 +573,6 @@ def localized_bound_check(spec: DiffusionSpec, exp: ExponentSpec,
         m = plan.levels[plan.time_caps.index(math.inf)]
         raise ValidationError(f"level {m}: q = beta^T c beta reads t, so "
                               "its time cap must be finite")
-    bounds = []
     for m, cap in zip(plan.levels, plan.time_caps):
         sup = None
         for n_pts in (65, 129, 257, 513):
@@ -604,11 +604,8 @@ def localized_bound_check(spec: DiffusionSpec, exp: ExponentSpec,
                         f"under grid refinement ({sup:.4g} -> "
                         f"{grid_sup:.4g})")
                 if grid_sup <= sup * 1.01 + 1e-300:
-                    sup = max(sup, grid_sup)
                     break
             sup = max(grid_sup, sup or 0.0)
-        bounds.append(cap * sup * 1.1)
-    return bounds
 
 
 def stopped_exponential_means(spec: DiffusionSpec, exp: ExponentSpec,
@@ -616,12 +613,13 @@ def stopped_exponential_means(spec: DiffusionSpec, exp: ExponentSpec,
                               config: SimConfig, threads=1):
     """Sample means of Z_{t and rho_n} under the ORIGINAL dynamics.
 
-    For plan levels passing localized_bound_check these must be 1 within
-    Monte Carlo noise (optional stopping for the stopped UI martingale).
-    Returns one MCEstimate per level, from one ensemble per distinct
-    min(cap_n, t), run to that time: a level reads the bits that a call
-    at t = min(cap_n, t) gives it.
+    These must be 1 within Monte Carlo noise (optional stopping for the
+    stopped UI martingale); a plan that `localized_bound_check` refuses
+    raises before any simulation.  Returns one MCEstimate per level, from
+    one ensemble per distinct min(cap_n, t), run to that time: a level
+    reads the bits that a call at t = min(cap_n, t) gives it.
     """
+    localized_bound_check(spec, exp, plan)
     config.check_plan(plan)
     config = config.until(t)    # refuses a t beyond the horizon
     estimates = []
@@ -658,8 +656,10 @@ def deficit_for(spec: DiffusionSpec, exp: ExponentSpec,
     within twice the summed standard errors and no path ended at the step
     floor: such a path counts as exploded at every level it had not
     passed, so floor hits move the levels together and the deficit may
-    overstate the true one by up to their share of paths.
+    overstate the true one by up to their share of paths.  A plan that
+    `localized_bound_check` refuses raises before any simulation.
     """
+    localized_bound_check(spec, exp, plan)
     config.check_plan(plan)
     result = run_ensemble(modified_drift(spec, exp), config.until(t),
                           levels=plan.levels, stop_at_largest_level=True,

@@ -488,6 +488,30 @@ def test_exit_2_on_numerical_failure(runner, tmp_path):
     assert res.exit_code == 2
 
 
+# q = 1/(x - 0.1)^2 has no grid point on its pole, but its sup on the
+# level-8 region grows under refinement; q = 1/x^2 is infinite at the
+# level-4 grids' middle point
+_GROWING = ("sup of q on the level-8.0 region keeps growing under grid "
+            "refinement (100 -> 1600)")
+
+
+@pytest.mark.parametrize("beta, command, message", [
+    ("1/(x-0.1)", ["deficit"], _GROWING),
+    ("1/(x-0.1)", ["classify", "--with-mc"], _GROWING),
+    ("1/x", ["deficit"], "q non-finite on the level-4.0 region")])
+def test_every_localized_deficit_refuses_an_unbounded_q(runner, tmp_path,
+                                                        beta, command,
+                                                        message):
+    p = tmp_path / "singular.json"
+    p.write_text(json.dumps({
+        "preset": "brownian-linear",
+        "exponent": {"beta": [beta]},
+        "mc": {"n_paths": 200}}))
+    res = runner.invoke(main, command + ["--config", str(p)])
+    assert res.exit_code == 2, res.output
+    assert res.output.splitlines()[-1] == f"numerical failure: {message}"
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("beta, sigma, code", [
     ("x * t", "1", 1), ("x", "1 + t", 1), ("x", "1", 0), ("0", "1 + t", 0)])

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from martprop import mc
-from martprop.errors import EvalDomain, ValidationError
+from martprop.errors import EvalDomain, UnboundedOnCompact, ValidationError
 from martprop.mc import (
     MCEstimate,
     SimConfig,
     deficit_for,
     estimate_mean_direct,
-    localized_bound_check,
     run_ensemble,
     stopped_exponential_means,
     survival_curve,
@@ -702,16 +701,6 @@ def test_heavy_tail_diagnostic():
     assert not calm.heavy_tail_flag
 
 
-def test_localized_bound_check_values():
-    # q = (x c) x on |x| <= m, with c = sigma^2, whose sup sits on the
-    # grid's end points: bound = cap * c m^2 * 1.1
-    for sigma, c in (("1", 1.0), ("2", 4.0)):
-        bounds = localized_bound_check(DiffusionSpec.scalar("0", sigma),
-                                       BETA_X, PLAN)
-        assert bounds == [cap * (c * m * m) * 1.1
-                          for m, cap in zip(PLAN.levels, PLAN.time_caps)]
-
-
 def test_explosion_guard_terminates_paths():
     spec = DiffusionSpec.scalar("x^3", "1")
     cfg = SimConfig(n_paths=500, dt_max=0.01, horizon=1.0, seed=2,
@@ -756,6 +745,21 @@ def test_every_estimator_refuses_t_beyond_the_horizon(monkeypatch):
             lambda: stopped_exponential_means(BM, BETA_X, 2.0, PLAN, cfg)):
         with pytest.raises(ValidationError,
                            match="must not exceed the horizon"):
+            call()
+
+
+def test_the_localized_estimators_refuse_an_unbounded_q(monkeypatch):
+    # q = 1/(x - 0.1)^2: the level-8 grids step past the pole at 0.25,
+    # then at 0.125, and the sup grows from 100 to 1600
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated an unbounded q")
+    monkeypatch.setattr(mc, "run_ensemble", no_simulation)
+    singular = ExponentSpec.scalar("1/(x-0.1)")
+    for call in (
+            lambda: deficit_for(BM, singular, PLAN, 1.0, CFG),
+            lambda: stopped_exponential_means(BM, singular, 1.0, PLAN, CFG)):
+        with pytest.raises(UnboundedOnCompact,
+                           match="level-8.0 region keeps growing"):
             call()
 
 
